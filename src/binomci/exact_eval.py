@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +47,23 @@ def _log_beta_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _log_gamma_vec(a) + _log_gamma_vec(b) - _log_gamma_vec(a + b)
 
 
+def _retire(out, lanes, done, *state):
+    """Once at most half the lanes still iterate, put the values of state[0] at
+    out[lanes] (the first time, keep state[0] itself as out) and drop the
+    converged lanes from every state array; copying stays O(lanes) in all."""
+    active = ~done
+    if 2 * np.count_nonzero(active) > done.size:
+        return (out, lanes, done, *state)
+    if out is None:
+        out, lanes = state[0], np.flatnonzero(active)
+    else:
+        out[lanes] = state[0]
+        lanes = lanes[active]
+    return (out, lanes, done[active], *(v[active] for v in state))
+
+
 def _betacf_vec(a, b, x):
+    out = lanes = None
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -74,9 +91,16 @@ def _betacf_vec(a, b, x):
         delta = d * c
         h = np.where(done, h, h_mid * delta)
         done |= np.abs(delta - 1.0) < _CF_EPS
-        if done.all():
-            return h
-    raise ConvergenceError("vector incomplete beta continued fraction did not converge")
+        del aa, h_mid, delta  # free this round's temporaries before _retire copies
+        out, lanes, done, h, a, b, x, c, d, qab, qap, qam = _retire(
+            out, lanes, done, h, a, b, x, c, d, qab, qap, qam
+        )
+        if not done.size:
+            return out
+    i = np.argmin(done)  # the first lane still iterating
+    raise ConvergenceError(
+        f"vector continued fraction did not converge for a={a[i]}, b={b[i]}, x={x[i]}"
+    )
 
 
 def _betainc_vec(x, a, b) -> np.ndarray:
@@ -137,6 +161,7 @@ def _quantile_seed_vec(q, a, b):
 
 
 def _solve_beta_quantile_vec(q, a, b):
+    out = lanes = None
     lgb = _log_beta_vec(a, b)
     x = _quantile_seed_vec(q, a, b)
     lo = np.zeros_like(x)
@@ -157,9 +182,16 @@ def _solve_beta_quantile_vec(q, a, b):
         dx = np.abs(xn - x)
         x = np.where(done, x, xn)
         done |= (dx <= 1e-15 * x + 1e-18) | ((hi - lo) <= 1e-15 * lo)
-        if done.all():
-            return x
-    raise ConvergenceError("vector beta_quantile did not converge")
+        del err, pos, upd, log_pdf, newton, ok, xn, dx  # before _retire and next solve
+        out, lanes, done, x, q, a, b, lgb, lo, hi = _retire(
+            out, lanes, done, x, q, a, b, lgb, lo, hi
+        )
+        if not done.size:
+            return out
+    i = np.argmin(done)  # the first lane still iterating
+    raise ConvergenceError(
+        f"vector beta_quantile did not converge for q={q[i]}, a={a[i]}, b={b[i]}"
+    )
 
 
 def _beta_quantile_vec(q, a, b) -> np.ndarray:
@@ -197,6 +229,8 @@ class PGrid:
     def __post_init__(self):
         if not (0.0 < self.lo < self.hi < 1.0):
             raise DomainError(f"need 0 < lo < hi < 1, got [{self.lo}, {self.hi}]")
+        if not isinstance(self.points, numbers.Integral):
+            raise DomainError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise DomainError(f"need at least 2 grid points, got {self.points}")
 
@@ -232,59 +266,38 @@ class CoverageReport:
 
 def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray):
     """(L, U) endpoints for the given success counts x; n may vary per lane."""
-    alpha = level.alpha
     fam = method.family
-    side = method.side
+    # one-sided bounds put the whole alpha in their tail; the other end is 0 or 1
+    tail = level.alpha / 2.0 if method.side is Side.TWO_SIDED else level.alpha
+    lower = method.side is not Side.UPPER
+    upper = method.side is not Side.LOWER
     x, n = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(n, dtype=float))
+    L = np.zeros(x.size)
+    U = np.ones(x.size)
     if fam is Family.CLOPPER_PEARSON:
-        L = np.zeros(x.size)
-        U = np.ones(x.size)
-        inner_lo = x > 0
-        inner_hi = x < n
-        at_zero = x == 0
-        at_n = x == n
-        if side is Side.TWO_SIDED:
-            half = alpha / 2.0
-            L[inner_lo] = _beta_quantile_vec(half, x[inner_lo], n[inner_lo] - x[inner_lo] + 1.0)
-            U[inner_hi] = _beta_quantile_vec(
-                1.0 - half, x[inner_hi] + 1.0, n[inner_hi] - x[inner_hi]
-            )
-            L[at_n] = half ** (1.0 / n[at_n])
-            U[at_zero] = 1.0 - half ** (1.0 / n[at_zero])
-        elif side is Side.UPPER:
-            U[inner_hi] = _beta_quantile_vec(
-                1.0 - alpha, x[inner_hi] + 1.0, n[inner_hi] - x[inner_hi]
-            )
-            U[at_zero] = 1.0 - alpha ** (1.0 / n[at_zero])
-            L[:] = 0.0
-        else:
-            L[inner_lo] = _beta_quantile_vec(alpha, x[inner_lo], n[inner_lo] - x[inner_lo] + 1.0)
-            L[at_n] = alpha ** (1.0 / n[at_n])
-            U[:] = 1.0
+        if lower:
+            inner, at_n = x > 0, x == n
+            L[inner] = _beta_quantile_vec(tail, x[inner], n[inner] - x[inner] + 1.0)
+            L[at_n] = tail ** (1.0 / n[at_n])
+        if upper:
+            inner, at_zero = x < n, x == 0
+            U[inner] = _beta_quantile_vec(1.0 - tail, x[inner] + 1.0, n[inner] - x[inner])
+            U[at_zero] = 1.0 - tail ** (1.0 / n[at_zero])
     elif fam is Family.BETA_PRIOR:
         a = x + method.prior.a
         b = (n - x) + method.prior.b
-        if side is Side.TWO_SIDED:
-            L = _beta_quantile_vec(alpha / 2.0, a, b)
-            U = _beta_quantile_vec(1.0 - alpha / 2.0, a, b)
-        elif side is Side.UPPER:
-            L = np.zeros(x.size)
-            U = _beta_quantile_vec(1.0 - alpha, a, b)
-        else:
-            L = _beta_quantile_vec(alpha, a, b)
-            U = np.ones(x.size)
+        if lower:
+            L = _beta_quantile_vec(tail, a, b)
+        if upper:
+            U = _beta_quantile_vec(1.0 - tail, a, b)
     elif fam is Family.WALD:
         ph = x / n
         se = np.sqrt(ph * (1.0 - ph) / n)
-        if side is Side.TWO_SIDED:
-            L = np.clip(ph - level.z_half * se, 0.0, 1.0)
-            U = np.clip(ph + level.z_half * se, 0.0, 1.0)
-        elif side is Side.UPPER:
-            L = np.zeros(x.size)
-            U = np.clip(ph + level.z_full * se, 0.0, 1.0)
-        else:
-            L = np.clip(ph - level.z_full * se, 0.0, 1.0)
-            U = np.ones(x.size)
+        z = level.z_half if method.side is Side.TWO_SIDED else level.z_full
+        if lower:
+            L = np.clip(ph - z * se, 0.0, 1.0)
+        if upper:
+            U = np.clip(ph + z * se, 0.0, 1.0)
     elif fam is Family.WILSON:
         z = level.z_half
         z2 = z * z
@@ -448,26 +461,7 @@ def expected_width_exact(
     1e-17; the skipped tail mass contributes below 1e-14 to a width bounded
     by 1, far inside the n * 1e-10 accumulation tolerance.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"expected_width_exact requires 0 < p < 1, got p={p}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    log_pmf = _log_pmf_all(n, p)
-    if method.family in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
-        core = np.nonzero(log_pmf > _PMF_FLOOR)[0]
-        x = core.astype(float)
-        pmf = np.exp(log_pmf[core])
-        L, U = _bounds_for_x(method, n, level, x)
-    else:
-        pmf = np.exp(log_pmf)
-        L, U = _bounds_arrays(method, n, level)
-    if method.side is Side.TWO_SIDED:
-        width = U - L
-    elif method.side is Side.UPPER:
-        width = U - p
-    else:
-        width = p - L
-    return float(np.dot(pmf, width))
+    return expected_widths_batch(method, [n], p, level)[0]
 
 
 def expected_widths_batch(
@@ -475,43 +469,37 @@ def expected_widths_batch(
 ) -> list[float]:
     """expected_width_exact for several sample sizes in one vectorized pass.
 
-    Produces the same values as repeated single calls; quantile solves for
-    all candidate n are concatenated into one Newton run, which keeps exact
-    sample-size searches cheap.
+    The endpoints for all candidate n are solved in one run of the vector
+    kernels, which keeps exact sample-size searches cheap.  Each value is
+    bit for bit the one a batch of one gives.
     """
     if not (0.0 < p < 1.0):
-        raise DomainError(f"expected_widths_batch requires 0 < p < 1, got p={p}")
+        raise DomainError(f"expected width requires 0 < p < 1, got p={p}")
     if not ns:
         return []
-    if method.family not in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
-        return [expected_width_exact(method, n, p, level) for n in ns]
-    segments = []
+    quantile = method.family in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR)
+    pmfs = []
     xs = []
-    nspans = []
     for n in ns:
         if n < 1:
             raise DomainError(f"need n >= 1, got {n}")
         log_pmf = _log_pmf_all(n, p)
-        core = np.nonzero(log_pmf > _PMF_FLOOR)[0]
-        segments.append(np.exp(log_pmf[core]))
-        xs.append(core.astype(float))
-        nspans.append(n)
+        x = np.nonzero(log_pmf > _PMF_FLOOR)[0] if quantile else np.arange(n + 1)
+        pmfs.append(np.exp(log_pmf[x]))
+        xs.append(x.astype(float))
+    n_all = np.concatenate([np.full(x.size, float(n)) for x, n in zip(xs, ns)])
+    L_all, U_all = _bounds_for_x(method, n_all, level, np.concatenate(xs))
     offsets = np.cumsum([0] + [x.size for x in xs])
     values = []
-    x_all = np.concatenate(xs)
-    n_all = np.concatenate(
-        [np.full(x.size, float(n)) for x, n in zip(xs, nspans)]
-    )
-    L_all, U_all = _bounds_for_x(method, n_all, level, x_all)
-    for i, n in enumerate(nspans):
-        sl = slice(offsets[i], offsets[i + 1])
+    for pmf, start, stop in zip(pmfs, offsets[:-1], offsets[1:]):
+        L, U = L_all[start:stop], U_all[start:stop]
         if method.side is Side.TWO_SIDED:
-            width = U_all[sl] - L_all[sl]
+            width = U - L
         elif method.side is Side.UPPER:
-            width = U_all[sl] - p
+            width = U - p
         else:
-            width = p - L_all[sl]
-        values.append(float(np.dot(segments[i], width)))
+            width = p - L
+        values.append(float(np.dot(pmf, width)))
     return values
 
 

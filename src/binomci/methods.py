@@ -8,6 +8,7 @@ Wald, Wilson score, Agresti-Coull and equal-tailed Bayesian beta intervals
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,6 +52,8 @@ class Observation:
     n: int
 
     def __post_init__(self):
+        if not (isinstance(self.x, numbers.Integral) and isinstance(self.n, numbers.Integral)):
+            raise DomainError(f"x and n must be integers, got x={self.x!r}, n={self.n!r}")
         if self.n < 1:
             raise DomainError(f"need at least one trial, got n={self.n}")
         if not (0 <= self.x <= self.n):

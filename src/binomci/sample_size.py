@@ -139,18 +139,21 @@ def cp_n_one_sided(
     z = query.level.z_full
     z2 = z * z
     c = 2.0 * (0.5 - p0) * z2 + 1.0 + q0
+    # C < 0 for p0 above about 0.6: the expansion then peaks at a finite n,
+    # and a d above the peak leaves a negative discriminant.
     if formula is FormulaMode.DERIVED_ALGEBRA:
-        root_n = (z * math.sqrt(pq) + math.sqrt(z2 * pq + (4.0 * d / 3.0) * c)) / (2.0 * d)
+        disc = z2 * pq + (4.0 * d / 3.0) * c
+        root_n = (z * math.sqrt(pq) + math.sqrt(max(disc, 0.0))) / (2.0 * d)
         n = root_n * root_n
     else:
+        disc = 3.0 * z2 * pq + 4.0 * (d * z2 - 2.0 * d * z2 * p0 + d * (1.0 + q0))
         n = (
             9.0 * z2 * pq
-            + 3.0
-            * z
-            * math.sqrt(3.0 * pq)
-            * math.sqrt(3.0 * z2 * pq + 4.0 * (d * z2 - 2.0 * d * z2 * p0 + d * (1.0 + q0)))
+            + 3.0 * z * math.sqrt(3.0 * pq) * math.sqrt(max(disc, 0.0))
             + 6.0 * (2.0 * z2 * (0.5 - p0) + (1.0 + q0))
         ) / (2.0 * d * d)
+    if disc < 0.0 or not (n > 0.0):
+        raise DomainError(f"target d={d} is unattainable for p0={p0}")
     return SampleSizeResult(math.ceil(n), n, formula)
 
 
@@ -258,6 +261,7 @@ def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLeve
 
 
 _EXACT_WINDOW = 25
+_EXACT_LOOKAHEAD = 16
 
 
 def exact_n(
@@ -273,7 +277,8 @@ def exact_n(
     Starts from the closed-form estimate, walks to a first passing n, then
     re-checks the 25 sample sizes below it because the expected width is not
     perfectly monotone in n; the smallest passing n in that window is
-    returned with its achieved expected width.
+    returned with its achieved expected width.  A miss at n solves every
+    uncached size from n - 25 to n + 16 in one batched pass.
     """
     if side is not None and side is not method.side:
         method = MethodSpec(method.family, side, method.prior)
@@ -283,6 +288,8 @@ def exact_n(
         raise DomainError(f"target d must be positive, got {d}")
     if not (0.0 < p0 < 1.0):
         raise DomainError(f"p0 must be in (0, 1), got {p0}")
+    if n_max < 2:
+        raise DomainError(f"n_max must be at least 2, got {n_max}")
 
     cache: dict[int, float] = {}
 
@@ -290,18 +297,21 @@ def exact_n(
         if n not in cache:
             if len(cache) > 200_000:
                 raise SearchBudgetError("exact_n evaluation budget exhausted")
-            cache[n] = exact_eval.expected_width_exact(method, n, p0, level)
+            block = range(max(2, n - _EXACT_WINDOW), min(n_max, n + _EXACT_LOOKAHEAD) + 1)
+            block = [m for m in block if m not in cache]
+            cache.update(zip(block, exact_eval.expected_widths_batch(method, block, p0, level)))
         return cache[n]
 
     def passing(n: int) -> bool:
         return width(n) <= d
 
-    # Any realized width is at most 1, so d >= 1 is met by the smallest
-    # allowed sample size outright.
-    n0 = 2 if d >= 1.0 else min(
-        max(2, math.ceil(_estimate_for(method, d, p0, level))), n_max
-    )
-    n = n0
+    # A d the closed forms cannot take (d >= 1, which any realized width
+    # meets, or one above the peak of the one-sided expansion) is large, so
+    # the walk then starts from the bottom.
+    try:
+        n = min(max(2, math.ceil(_estimate_for(method, d, p0, level))), n_max)
+    except DomainError:
+        n = 2
     if passing(n):
         while n > 2 and passing(n - 1):
             n -= 1
@@ -312,13 +322,10 @@ def exact_n(
                     f"no n <= {n_max} achieves expected width {d} for {method}"
                 )
             n += 1
-    first_pass = n
     # Expected width is not perfectly monotone in n; re-check the window
-    # below the first passing n in one batched pass and keep the smallest.
-    best = first_pass
-    window = [m for m in range(max(2, first_pass - _EXACT_WINDOW), first_pass) if m not in cache]
-    cache.update(zip(window, exact_eval.expected_widths_batch(method, window, p0, level)))
-    for cand in range(max(2, first_pass - _EXACT_WINDOW), first_pass):
+    # below the first passing n and keep the smallest.
+    best = n
+    for cand in range(max(2, n - _EXACT_WINDOW), n):
         if passing(cand):
             best = cand
             break
@@ -377,6 +384,8 @@ def n_plus_one_sided(
         n_cp = cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
         return n_cp - z2 * pq / (d * d)
     omega = 9.0 * z2 * pq + 12.0 * d * z2 - 24.0 * d * z2 * p0
+    if omega + 12.0 * d * (0.5 - p0) < 0.0:
+        raise DomainError(f"target d={d} is unattainable for p0={p0}")
     return (
         math.sqrt(omega + 12.0 * d * (1.0 + q0))
         - math.sqrt(omega + 12.0 * d * (0.5 - p0))

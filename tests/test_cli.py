@@ -121,6 +121,17 @@ class TestSampleSize:
         assert code == 2
         assert "p0" in err
 
+    def test_unattainable_one_sided_target_is_computation_error(self, capsys):
+        for argv in (
+            ["sample-size", "--method", "cp", "--side", "upper", "--p0", "0.9",
+             "--d", "0.2", "--alpha", "0.05"],
+            ["cost", "--vs", "one-sided", "--p0", "0.9", "--d", "0.2", "--alpha", "0.05"],
+        ):
+            code, out, err = invoke(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert "unattainable" in err
+
 
 class TestCost:
     def test_jeffreys_cost(self, capsys):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from binomci.errors import CalibrationError, DomainError
+from binomci.errors import CalibrationError, ConvergenceError, DomainError
 from binomci import exact_eval
 from binomci.exact_eval import (
     CoverageReport,
@@ -61,6 +61,32 @@ class TestVectorKernel:
             q = rng.uniform(1e-5, 1 - 1e-5)
             vec = float(_beta_quantile_vec(np.array([q]), np.array([a]), np.array([b]))[0])
             assert vec == pytest.approx(sp.beta_quantile(q, a, b), abs=1e-12)
+
+    def test_lanes_do_not_depend_on_their_batch(self):
+        # finished lanes leave the vector loops mid-run; every lane must still
+        # get the bits it gets when solved alone
+        rng = np.random.default_rng(23)
+        k = 120
+        a = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), k))
+        b = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), k))
+        q = 10.0 ** rng.uniform(-12.0, math.log10(0.5), k)
+        q = np.where(rng.random(k) < 0.5, q, 1.0 - q)
+        x = _beta_quantile_vec(q, a, b)
+        inc = _betainc_vec(x, a, b)
+        for i in range(k):
+            lane = slice(i, i + 1)
+            assert x[i] == _beta_quantile_vec(q[lane], a[lane], b[lane])[0]
+            assert inc[i] == _betainc_vec(x[lane], a[lane], b[lane])[0]
+
+    def test_quantile_budget_error_names_failing_lane(self, monkeypatch):
+        monkeypatch.setattr(exact_eval, "_QUANTILE_MAXIT", 1)
+        with pytest.raises(ConvergenceError, match=r"q=0\.3, a=4\.0, b=7\.0"):
+            _beta_quantile_vec(np.array([0.3, 0.2]), np.array([4.0, 30.0]), np.array([7.0, 50.0]))
+
+    def test_continued_fraction_budget_error_names_failing_lane(self, monkeypatch):
+        monkeypatch.setattr(exact_eval, "_CF_MAXIT", 1)
+        with pytest.raises(ConvergenceError, match=r"a=4\.0, b=7\.0, x=0\.3"):
+            _betainc_vec(np.array([0.3, 0.2]), np.array([4.0, 30.0]), np.array([7.0, 50.0]))
 
     def test_log_gamma_matches_scalar(self):
         xs = np.array([0.5, 1.0, 2.5, 10.0, 123.4, 5000.0])
@@ -146,7 +172,7 @@ class TestExpectedWidth:
         ns = [17, 40, 173, 612]
         batch = expected_widths_batch(spec, ns, 0.37, LEVEL)
         for n, v in zip(ns, batch):
-            assert v == pytest.approx(expected_width_exact(spec, n, 0.37, LEVEL), abs=1e-13)
+            assert v == expected_width_exact(spec, n, 0.37, LEVEL)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -240,6 +266,8 @@ class TestMinCoverage:
             PGrid(0.5, 0.4, 100)
         with pytest.raises(DomainError):
             PGrid(0.1, 0.9, 1)
+        with pytest.raises(DomainError):
+            PGrid(0.1, 0.9, 2.5)
 
 
 class TestMeanCoverage:

@@ -50,6 +50,8 @@ class TestTypes:
             Observation(11, 10)
         with pytest.raises(DomainError):
             Observation(0, 0)
+        with pytest.raises(DomainError):
+            Observation(1.5, 3)
 
     def test_level_caches_quantiles(self):
         lv = ConfidenceLevel(0.1)
