@@ -103,8 +103,11 @@ def _betacf_vec(a, b, x):
     )
 
 
-def _betainc_vec(x, a, b) -> np.ndarray:
-    """Vectorized regularized incomplete beta I_x(a, b)."""
+def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
+    """Vectorized regularized incomplete beta I_x(a, b).
+
+    lgb, if given, is _log_beta_vec(a, b) already computed by the caller.
+    """
     x, a, b = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
@@ -118,13 +121,15 @@ def _betainc_vec(x, a, b) -> np.ndarray:
         xi = x[interior]
         ai = a[interior]
         bi = b[interior]
+        lgb = _log_beta_vec(ai, bi) if lgb is None else lgb[interior]
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            log_front = ai * np.log(xi) + bi * np.log1p(-xi) - _log_beta_vec(ai, bi)
+            log_front = ai * np.log(xi) + bi * np.log1p(-xi) - lgb
             front = np.exp(log_front)
             swap = ~(xi < (ai + 1.0) / (ai + bi + 2.0))
             aa = np.where(swap, bi, ai)
             bb = np.where(swap, ai, bi)
             xx = np.where(swap, 1.0 - xi, xi)
+            del xi, ai, bi, lgb, log_front  # not needed while the fraction runs
             res = front * _betacf_vec(aa, bb, xx) / aa
         out[interior] = np.where(swap, 1.0 - res, res)
     return out
@@ -168,7 +173,7 @@ def _solve_beta_quantile_vec(q, a, b):
     hi = np.ones_like(x)
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(_QUANTILE_MAXIT):
-        err = _betainc_vec(x, a, b) - q
+        err = _betainc_vec(x, a, b, lgb) - q
         done |= err == 0.0
         pos = err > 0.0
         upd = ~done
@@ -177,12 +182,15 @@ def _solve_beta_quantile_vec(q, a, b):
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             log_pdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lgb
             newton = x - err * np.exp(-log_pdf)
-        ok = (log_pdf > -700.0) & (newton > lo) & (newton < hi) & np.isfinite(newton)
+        # a step that rounds to zero is convergence, although x sits on the
+        # bracket edge this round has just moved to it
+        inside = ((newton > lo) & (newton < hi)) | (newton == x)
+        ok = (log_pdf > -700.0) & inside & np.isfinite(newton)
         xn = np.where(ok, newton, 0.5 * (lo + hi))
         dx = np.abs(xn - x)
         x = np.where(done, x, xn)
         done |= (dx <= 1e-15 * x + 1e-18) | ((hi - lo) <= 1e-15 * lo)
-        del err, pos, upd, log_pdf, newton, ok, xn, dx  # before _retire and next solve
+        del err, pos, upd, log_pdf, newton, inside, ok, xn, dx  # before _retire and next solve
         out, lanes, done, x, q, a, b, lgb, lo, hi = _retire(
             out, lanes, done, x, q, a, b, lgb, lo, hi
         )

@@ -277,8 +277,9 @@ def exact_n(
     Starts from the closed-form estimate, walks to a first passing n, then
     re-checks the 25 sample sizes below it because the expected width is not
     perfectly monotone in n; the smallest passing n in that window is
-    returned with its achieved expected width.  A miss at n solves every
-    uncached size from n - 25 to n + 16 in one batched pass.
+    returned with its achieved expected width.  During the walk a miss at n
+    solves every uncached size from n - 25 to n + 16 in one batched pass; the
+    re-check window is solved in one pass of its own.
     """
     if side is not None and side is not method.side:
         method = MethodSpec(method.family, side, method.prior)
@@ -293,13 +294,16 @@ def exact_n(
 
     cache: dict[int, float] = {}
 
-    def width(n: int) -> float:
-        if n not in cache:
+    def solve(sizes: range) -> None:
+        sizes = [m for m in sizes if m not in cache]
+        if sizes:
             if len(cache) > 200_000:
                 raise SearchBudgetError("exact_n evaluation budget exhausted")
-            block = range(max(2, n - _EXACT_WINDOW), min(n_max, n + _EXACT_LOOKAHEAD) + 1)
-            block = [m for m in block if m not in cache]
-            cache.update(zip(block, exact_eval.expected_widths_batch(method, block, p0, level)))
+            cache.update(zip(sizes, exact_eval.expected_widths_batch(method, sizes, p0, level)))
+
+    def width(n: int) -> float:
+        if n not in cache:
+            solve(range(max(2, n - _EXACT_WINDOW), min(n_max, n + _EXACT_LOOKAHEAD) + 1))
         return cache[n]
 
     def passing(n: int) -> bool:
@@ -323,9 +327,12 @@ def exact_n(
                 )
             n += 1
     # Expected width is not perfectly monotone in n; re-check the window
-    # below the first passing n and keep the smallest.
+    # below the first passing n and keep the smallest.  Solving just that
+    # window up front keeps a miss from solving the block around n - 25.
+    window = range(max(2, n - _EXACT_WINDOW), n)
+    solve(window)
     best = n
-    for cand in range(max(2, n - _EXACT_WINDOW), n):
+    for cand in window:
         if passing(cand):
             best = cand
             break

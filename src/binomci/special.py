@@ -207,10 +207,12 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     """Inverse of reg_inc_beta: the x in (0, 1) with I_x(a, b) = q.
 
     Newton iteration on the beta cdf, seeded by a normal approximation and
-    safeguarded by a shrinking bisection bracket.  Roots expected near 1 are
-    solved in mirrored coordinates, where the floating-point grid is fine
-    enough to pin them down.  Raises ConvergenceError if the fixed iteration
-    budget is exhausted rather than returning silently.
+    safeguarded by a shrinking bisection bracket.  A Newton step that rounds
+    to zero ends the solve, even on the bracket edge the same round has just
+    moved.  Roots expected near 1 are solved in mirrored coordinates, where
+    the floating-point grid is fine enough to pin them down.  Raises
+    ConvergenceError if the fixed iteration budget is exhausted rather than
+    returning silently.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_quantile requires a, b > 0, got a={a}, b={b}")
@@ -237,7 +239,9 @@ def _solve_beta_quantile(q: float, a: float, b: float) -> float:
         step_ok = False
         if log_pdf > -700.0:
             xn = x - err * math.exp(-log_pdf)
-            if lo < xn < hi:
+            # a step that rounds to zero is convergence, although x sits on
+            # the bracket edge this round has just moved to it
+            if lo < xn < hi or xn == x:
                 step_ok = True
         if not step_ok:
             xn = 0.5 * (lo + hi)

@@ -17,8 +17,24 @@ def binom_pmf_exact(k: int, n: int, p: float) -> Fraction:
 
 
 def binom_tail_exact(k: int, n: int, p: float) -> Fraction:
-    """Exact rational P(X >= k)."""
-    return sum(binom_pmf_exact(j, n, p) for j in range(k, n + 1))
+    """Exact rational P(X >= k).
+
+    With p = s / t and r = t - s, the tail is the sum of the terms
+    T_j = C(n, j) s^j r^(n - j) / t^n over j >= k.  It is summed from j = n
+    down as T_k (1 + T_(k+1) / T_k (1 + ...)), keeping the term ratio
+    T_(j+1) / T_j = (n - j) s / ((j + 1) r) as an integer numerator and
+    denominator: every step multiplies by word-sized integers only, no
+    intermediate rational is reduced, and the sum is s^k num / ((n - k)! t^n).
+    """
+    if k > n:
+        return Fraction(0)
+    s, t = Fraction(p).as_integer_ratio()
+    r = t - s
+    num, den = 1, 1
+    for j in range(n - 1, k - 1, -1):
+        den *= (j + 1) * r
+        num = den + (n - j) * s * num
+    return Fraction(num * s**k, math.factorial(n - k) * t**n)
 
 
 def binom_cdf_exact(k: int, n: int, p: float) -> Fraction:

@@ -30,6 +30,7 @@ from binomci.methods import (
     interval,
 )
 from binomci import special as sp
+from oracles import beta_quantile_bisect, reg_inc_beta_int
 
 LEVEL = ConfidenceLevel(0.05)
 
@@ -77,6 +78,36 @@ class TestVectorKernel:
             lane = slice(i, i + 1)
             assert x[i] == _beta_quantile_vec(q[lane], a[lane], b[lane])[0]
             assert inc[i] == _betainc_vec(x[lane], a[lane], b[lane])[0]
+
+    def test_zero_newton_step_ends_the_solve(self, monkeypatch):
+        # every CP endpoint lane at n=200, alpha=0.03: lower bounds solve
+        # q=0.015 and upper bounds q=0.985 over the same shapes.  A lane whose
+        # Newton step rounds to zero used to bisect on, holding the batch
+        # for 44 rounds.
+        rounds = []
+        betainc = exact_eval._betainc_vec
+        monkeypatch.setattr(
+            exact_eval, "_betainc_vec", lambda *args: rounds.append(1) or betainc(*args)
+        )
+        x = np.arange(1.0, 201.0)
+        q = np.repeat([0.015, 0.985], x.size)
+        _beta_quantile_vec(q, np.tile(x, 2), np.tile(201.0 - x, 2))
+        assert len(rounds) <= 10
+
+    def test_formerly_stalled_lanes_match_bisection_oracle(self):
+        lanes = [
+            (0.015, 38, 163), (0.015, 27, 174), (0.015, 99, 102),
+            (0.025, 4, 997), (0.015, 47, 154), (0.985, 197, 4),
+        ]
+        q, a, b = (np.array(v, dtype=float) for v in zip(*lanes))
+        vec = _beta_quantile_vec(q, a, b)
+        for (qi, ai, bi), x in zip(lanes, vec):
+            ref = beta_quantile_bisect(qi, ai, bi, reg_inc_beta_int)
+            # 1e-13, or n * 2e-16 above n = 500: the Lanczos ln-gamma in the
+            # beta front factor errs by 1.6e-13 relative at (0.025, 4, 997)
+            rel = max(1e-13, 2e-16 * (ai + bi))
+            assert x == pytest.approx(ref, rel=rel)
+            assert sp.beta_quantile(qi, float(ai), float(bi)) == pytest.approx(ref, rel=rel)
 
     def test_quantile_budget_error_names_failing_lane(self, monkeypatch):
         monkeypatch.setattr(exact_eval, "_QUANTILE_MAXIT", 1)

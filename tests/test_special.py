@@ -122,6 +122,16 @@ class TestBetaQuantile:
             x = sp.beta_quantile(q, a, b)
             assert abs(sp.reg_inc_beta(x, a, b) - q) <= 1e-10
 
+    @pytest.mark.parametrize("q,a,b", [(0.015, 47.0, 154.0), (0.985, 197.0, 4.0)])
+    def test_zero_newton_step_ends_the_solve(self, monkeypatch, q, a, b):
+        # CP endpoint lanes at n=200 whose Newton step rounds to zero on the
+        # bracket edge; they used to bisect on for 42 and 45 cdf evaluations
+        calls = []
+        inc = sp.reg_inc_beta
+        monkeypatch.setattr(sp, "reg_inc_beta", lambda *args: calls.append(1) or inc(*args))
+        sp.beta_quantile(q, a, b)
+        assert len(calls) <= 6
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(sp, "_QUANTILE_MAXIT", 1)
         with pytest.raises(ConvergenceError):
