@@ -14,10 +14,11 @@ import os
 import sys
 
 from . import exact_eval, expansions, sample_size
-from .errors import BinomciError
+from .errors import BinomciError, UnsupportedSideError
 from .methods import (
     ApproxFamily,
     ConfidenceLevel,
+    Family,
     MethodSpec,
     Observation,
     Side,
@@ -35,18 +36,17 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
+_METHODS = {
+    "cp": MethodSpec.clopper_pearson,
+    "wald": MethodSpec.wald,
+    "wilson": lambda side: MethodSpec(Family.WILSON, side),
+    "ac": lambda side: MethodSpec(Family.AGRESTI_COULL, side),
+    "jeffreys": MethodSpec.jeffreys,
+}
+
+
 def _parse_method(text: str, side: Side) -> MethodSpec:
     name = text.strip().lower()
-    if name == "cp":
-        return MethodSpec.clopper_pearson(side)
-    if name == "wald":
-        return MethodSpec.wald(side)
-    if name == "wilson":
-        return MethodSpec.wilson() if side is Side.TWO_SIDED else _unsupported(name)
-    if name == "ac":
-        return MethodSpec.agresti_coull() if side is Side.TWO_SIDED else _unsupported(name)
-    if name == "jeffreys":
-        return MethodSpec.jeffreys(side)
     if name.startswith("beta:"):
         try:
             a_txt, b_txt = name[5:].split(",")
@@ -54,13 +54,14 @@ def _parse_method(text: str, side: Side) -> MethodSpec:
         except (ValueError, IndexError) as exc:
             raise UsageError(f"--method beta:a,b needs two numbers, got {text!r}") from exc
         return MethodSpec.beta_prior(prior, side)
-    raise UsageError(
-        f"unknown --method {text!r}; expected cp|wald|wilson|ac|beta:a,b|jeffreys"
-    )
-
-
-def _unsupported(name: str) -> MethodSpec:
-    raise UsageError(f"--method {name} defines no one-sided bound; drop --side")
+    if name not in _METHODS:
+        raise UsageError(
+            f"unknown --method {text!r}; expected cp|wald|wilson|ac|beta:a,b|jeffreys"
+        )
+    try:
+        return _METHODS[name](side)
+    except UnsupportedSideError as exc:
+        raise UsageError(f"--method {name} defines no one-sided bound; drop --side") from exc
 
 
 def _parse_side(text: str) -> Side:

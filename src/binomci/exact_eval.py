@@ -22,13 +22,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, ConvergenceError, DomainError
-from .methods import ConfidenceLevel, Family, MethodSpec, Side
-from .special import _LANCZOS_C, _LANCZOS_G, _HALF_LOG_TWO_PI
-
-_FPMIN = 1e-300
-_CF_EPS = 1e-15
-_CF_MAXIT = 2000
-_QUANTILE_MAXIT = 200
+from .methods import ConfidenceLevel, Family, MethodSpec, Side, _endpoints
+from .special import (
+    _BETACF_EPS as _CF_EPS,
+    _BETACF_FPMIN as _FPMIN,
+    _BETACF_MAXIT as _CF_MAXIT,
+    _HALF_LOG_TWO_PI,
+    _LANCZOS_C,
+    _LANCZOS_G,
+    _QUANTILE_MAXIT,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -273,58 +276,8 @@ class CoverageReport:
 # interval endpoint arrays
 
 def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray):
-    """(L, U) endpoints for the given success counts x; n may vary per lane."""
-    fam = method.family
-    # one-sided bounds put the whole alpha in their tail; the other end is 0 or 1
-    tail = level.alpha / 2.0 if method.side is Side.TWO_SIDED else level.alpha
-    lower = method.side is not Side.UPPER
-    upper = method.side is not Side.LOWER
-    x, n = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(n, dtype=float))
-    L = np.zeros(x.size)
-    U = np.ones(x.size)
-    if fam is Family.CLOPPER_PEARSON:
-        if lower:
-            inner, at_n = x > 0, x == n
-            L[inner] = _beta_quantile_vec(tail, x[inner], n[inner] - x[inner] + 1.0)
-            L[at_n] = tail ** (1.0 / n[at_n])
-        if upper:
-            inner, at_zero = x < n, x == 0
-            U[inner] = _beta_quantile_vec(1.0 - tail, x[inner] + 1.0, n[inner] - x[inner])
-            U[at_zero] = 1.0 - tail ** (1.0 / n[at_zero])
-    elif fam is Family.BETA_PRIOR:
-        a = x + method.prior.a
-        b = (n - x) + method.prior.b
-        if lower:
-            L = _beta_quantile_vec(tail, a, b)
-        if upper:
-            U = _beta_quantile_vec(1.0 - tail, a, b)
-    elif fam is Family.WALD:
-        ph = x / n
-        se = np.sqrt(ph * (1.0 - ph) / n)
-        z = level.z_half if method.side is Side.TWO_SIDED else level.z_full
-        if lower:
-            L = np.clip(ph - z * se, 0.0, 1.0)
-        if upper:
-            U = np.clip(ph + z * se, 0.0, 1.0)
-    elif fam is Family.WILSON:
-        z = level.z_half
-        z2 = z * z
-        ph = x / n
-        center = (x + z2 / 2.0) / (n + z2)
-        halfwidth = z / (n + z2) * np.sqrt(ph * (1.0 - ph) * n + z2 / 4.0)
-        L = center - halfwidth
-        U = center + halfwidth
-    elif fam is Family.AGRESTI_COULL:
-        z = level.z_half
-        z2 = z * z
-        n_t = n + z2
-        p_t = (x + z2 / 2.0) / n_t
-        halfwidth = z * np.sqrt(p_t * (1.0 - p_t) / n_t)
-        L = np.clip(p_t - halfwidth, 0.0, 1.0)
-        U = np.clip(p_t + halfwidth, 0.0, 1.0)
-    else:
-        raise DomainError(f"unknown method family {fam!r}")
-    return L, U
+    """The family table's (L, U) for the success counts x, solved by the vector kernel."""
+    return _endpoints(method, n, level, x, _beta_quantile_vec)
 
 
 @lru_cache(maxsize=1024)

@@ -7,10 +7,11 @@ Wald, Wilson score, Agresti-Coull and equal-tailed Bayesian beta intervals
 """
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError, UnsupportedSideError
 from .special import (
@@ -69,12 +70,12 @@ class ConfidenceLevel:
     """Nominal level 1 - alpha with cached normal quantiles.
 
     z_half is the upper alpha/2 quantile (two-sided use), z_full the upper
-    alpha quantile (one-sided use).
+    alpha quantile (one-sided use); both are derived from alpha, never passed.
     """
 
     alpha: float
-    z_half: float = 0.0
-    z_full: float = 0.0
+    z_half: float = field(init=False)
+    z_full: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -151,8 +152,78 @@ class IntervalEstimate:
         return self.upper - self.lower
 
 
-def _clamp01(v: float) -> float:
-    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
+    """(L, U) endpoint arrays for the success counts x; n may vary per lane.
+
+    The one table of the interval formulas, shared by interval() and the
+    enumeration engine.  quantile(q, a, b) solves beta quantiles over lanes:
+    interval() maps the scalar beta_quantile, the engine its vector kernel.
+    """
+    fam = method.family
+    # one-sided bounds put the whole alpha in their tail; the other end is 0 or 1
+    tail = level.alpha / 2.0 if method.side is Side.TWO_SIDED else level.alpha
+    lower = method.side is not Side.UPPER
+    upper = method.side is not Side.LOWER
+    x, n = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(n, dtype=float))
+    L = np.zeros(x.size)
+    U = np.ones(x.size)
+    if fam is Family.CLOPPER_PEARSON:
+        if lower:
+            inner, at_n = x > 0, x == n
+            L[inner] = quantile(tail, x[inner], n[inner] - x[inner] + 1.0)
+            L[at_n] = tail ** (1.0 / n[at_n])
+        if upper:
+            inner, at_zero = x < n, x == 0
+            U[inner] = quantile(1.0 - tail, x[inner] + 1.0, n[inner] - x[inner])
+            U[at_zero] = 1.0 - tail ** (1.0 / n[at_zero])
+    elif fam is Family.BETA_PRIOR:
+        a = x + method.prior.a
+        b = (n - x) + method.prior.b
+        if lower:
+            L = quantile(tail, a, b)
+        if upper:
+            U = quantile(1.0 - tail, a, b)
+    elif fam is Family.WALD:
+        ph = x / n
+        se = np.sqrt(ph * (1.0 - ph) / n)
+        z = level.z_half if method.side is Side.TWO_SIDED else level.z_full
+        if lower:
+            L = np.clip(ph - z * se, 0.0, 1.0)
+        if upper:
+            U = np.clip(ph + z * se, 0.0, 1.0)
+    elif fam is Family.WILSON:
+        z = level.z_half
+        z2 = z * z
+        ph = x / n
+        center = (x + z2 / 2.0) / (n + z2)
+        halfwidth = z / (n + z2) * np.sqrt(ph * (1.0 - ph) * n + z2 / 4.0)
+        L = center - halfwidth
+        U = center + halfwidth
+    elif fam is Family.AGRESTI_COULL:
+        z = level.z_half
+        z2 = z * z
+        n_t = n + z2
+        p_t = (x + z2 / 2.0) / n_t
+        halfwidth = z * np.sqrt(p_t * (1.0 - p_t) / n_t)
+        L = np.clip(p_t - halfwidth, 0.0, 1.0)
+        U = np.clip(p_t + halfwidth, 0.0, 1.0)
+    else:
+        raise DomainError(f"unknown method family {fam!r}")
+    return L, U
+
+
+def _scalar_quantile(q, a, b) -> np.ndarray:
+    """The scalar beta_quantile mapped over lanes, far cheaper than the
+    vector kernel for the one lane or two of a single observation."""
+    q, a, b = np.broadcast_arrays(q, a, b)
+    lanes = zip(q.tolist(), a.tolist(), b.tolist())
+    return np.array([beta_quantile(*lane) for lane in lanes], dtype=float)
+
+
+def interval(spec: MethodSpec, obs: Observation, level: ConfidenceLevel) -> IntervalEstimate:
+    """The interval or bound of a MethodSpec for one observation."""
+    L, U = _endpoints(spec, obs.n, level, [obs.x], _scalar_quantile)
+    return IntervalEstimate(float(L[0]), float(U[0]), spec, level)
 
 
 def clopper_pearson_interval(obs: Observation, level: ConfidenceLevel) -> IntervalEstimate:
@@ -161,38 +232,14 @@ def clopper_pearson_interval(obs: Observation, level: ConfidenceLevel) -> Interv
     Endpoints are beta quantiles; at x = 0 and x = n the closed forms
     (0, 1 - (alpha/2)^(1/n)) and ((alpha/2)^(1/n), 1) apply.
     """
-    x, n = obs.x, obs.n
-    half = level.alpha / 2.0
-    lower = 0.0 if x == 0 else (
-        half ** (1.0 / n) if x == n else beta_quantile(half, float(x), float(n - x + 1))
-    )
-    upper = 1.0 if x == n else (
-        1.0 - half ** (1.0 / n) if x == 0 else beta_quantile(1.0 - half, float(x + 1), float(n - x))
-    )
-    return IntervalEstimate(lower, upper, MethodSpec.clopper_pearson(), level)
+    return interval(MethodSpec.clopper_pearson(), obs, level)
 
 
 def clopper_pearson_bound(obs: Observation, level: ConfidenceLevel, side: Side) -> IntervalEstimate:
     """One-sided exact bound at level 1 - alpha."""
-    x, n = obs.x, obs.n
-    a = level.alpha
-    if side is Side.UPPER:
-        if x == n:
-            upper = 1.0
-        elif x == 0:
-            upper = 1.0 - a ** (1.0 / n)
-        else:
-            upper = beta_quantile(1.0 - a, float(x + 1), float(n - x))
-        return IntervalEstimate(0.0, upper, MethodSpec.clopper_pearson(Side.UPPER), level)
-    if side is Side.LOWER:
-        if x == 0:
-            lower = 0.0
-        elif x == n:
-            lower = a ** (1.0 / n)
-        else:
-            lower = beta_quantile(a, float(x), float(n - x + 1))
-        return IntervalEstimate(lower, 1.0, MethodSpec.clopper_pearson(Side.LOWER), level)
-    raise DomainError("clopper_pearson_bound requires side upper or lower")
+    if side not in (Side.UPPER, Side.LOWER):
+        raise DomainError("clopper_pearson_bound requires side upper or lower")
+    return interval(MethodSpec.clopper_pearson(side), obs, level)
 
 
 def wald_interval(
@@ -202,42 +249,17 @@ def wald_interval(
 
     Degenerate at x in {0, n}, where it collapses to zero width at p_hat.
     """
-    ph = obs.p_hat
-    se = math.sqrt(ph * (1.0 - ph) / obs.n)
-    if side is Side.TWO_SIDED:
-        z = level.z_half
-        lo, hi = _clamp01(ph - z * se), _clamp01(ph + z * se)
-    elif side is Side.UPPER:
-        lo, hi = 0.0, _clamp01(ph + level.z_full * se)
-    else:
-        lo, hi = _clamp01(ph - level.z_full * se), 1.0
-    return IntervalEstimate(lo, hi, MethodSpec.wald(side), level)
+    return interval(MethodSpec.wald(side), obs, level)
 
 
 def wilson_interval(obs: Observation, level: ConfidenceLevel) -> IntervalEstimate:
     """Score interval from inverting the normal test with the null standard error."""
-    x, n = obs.x, obs.n
-    z = level.z_half
-    z2 = z * z
-    ph = obs.p_hat
-    center = (x + z2 / 2.0) / (n + z2)
-    halfwidth = z / (n + z2) * math.sqrt(ph * (1.0 - ph) * n + z2 / 4.0)
-    return IntervalEstimate(center - halfwidth, center + halfwidth, MethodSpec.wilson(), level)
+    return interval(MethodSpec.wilson(), obs, level)
 
 
 def agresti_coull_interval(obs: Observation, level: ConfidenceLevel) -> IntervalEstimate:
     """Wald interval recentered at the shrunk proportion (x + z^2/2)/(n + z^2)."""
-    z = level.z_half
-    z2 = z * z
-    n_t = obs.n + z2
-    p_t = (obs.x + z2 / 2.0) / n_t
-    halfwidth = z * math.sqrt(p_t * (1.0 - p_t) / n_t)
-    return IntervalEstimate(
-        _clamp01(p_t - halfwidth),
-        _clamp01(p_t + halfwidth),
-        MethodSpec.agresti_coull(),
-        level,
-    )
+    return interval(MethodSpec.agresti_coull(), obs, level)
 
 
 def beta_prior_interval(
@@ -247,34 +269,7 @@ def beta_prior_interval(
     side: Side = Side.TWO_SIDED,
 ) -> IntervalEstimate:
     """Equal-tailed Bayesian credible interval or bound under a Beta(a, b) prior."""
-    a = float(obs.x) + prior.a
-    b = float(obs.n - obs.x) + prior.b
-    spec = MethodSpec.beta_prior(prior, side)
-    if side is Side.TWO_SIDED:
-        half = level.alpha / 2.0
-        return IntervalEstimate(
-            beta_quantile(half, a, b), beta_quantile(1.0 - half, a, b), spec, level
-        )
-    if side is Side.UPPER:
-        return IntervalEstimate(0.0, beta_quantile(1.0 - level.alpha, a, b), spec, level)
-    return IntervalEstimate(beta_quantile(level.alpha, a, b), 1.0, spec, level)
-
-
-def interval(spec: MethodSpec, obs: Observation, level: ConfidenceLevel) -> IntervalEstimate:
-    """Dispatch a MethodSpec to its construction."""
-    if spec.family is Family.CLOPPER_PEARSON:
-        if spec.side is Side.TWO_SIDED:
-            return clopper_pearson_interval(obs, level)
-        return clopper_pearson_bound(obs, level, spec.side)
-    if spec.family is Family.WALD:
-        return wald_interval(obs, level, spec.side)
-    if spec.family is Family.WILSON:
-        return wilson_interval(obs, level)
-    if spec.family is Family.AGRESTI_COULL:
-        return agresti_coull_interval(obs, level)
-    if spec.family is Family.BETA_PRIOR:
-        return beta_prior_interval(obs, level, spec.prior, spec.side)
-    raise DomainError(f"unknown method family {spec.family!r}")
+    return interval(MethodSpec.beta_prior(prior, side), obs, level)
 
 
 def approx_method_spec(family: ApproxFamily, side: Side = Side.TWO_SIDED) -> MethodSpec:

@@ -24,12 +24,14 @@ from binomci.exact_eval import (
 )
 from binomci.methods import (
     ConfidenceLevel,
+    Family,
     MethodSpec,
     Observation,
     Side,
     interval,
 )
 from binomci import special as sp
+from binomci.special import BetaParams
 from oracles import beta_quantile_bisect, reg_inc_beta_int
 
 LEVEL = ConfidenceLevel(0.05)
@@ -134,6 +136,48 @@ class TestVectorKernel:
                 est = interval(spec, Observation(x, n), LEVEL)
                 assert L[x] == pytest.approx(est.lower, abs=1e-12)
                 assert U[x] == pytest.approx(est.upper, abs=1e-12)
+
+    def test_scalar_and_engine_endpoints_agree(self):
+        # interval() and the engine run one endpoint table and differ only in
+        # the quantile solver.  Closed forms and the normal-approximation
+        # families are equal; quantile lanes agree to 2e-14 relative (largest
+        # over every x at n <= 5000, alpha in {0.01, 0.05, 0.2}: 1.19e-14).
+        # Where a shape is 0.001 (x = 0 or n under a Beta(0.001, 0.001)
+        # prior) a relative error e in I_x moves the quantile by about
+        # e / 0.001, and the two kernels' I_x differ by up to ~1e-12 at
+        # n = 1000 (Lanczos ln-gamma rounding); there they agree to 2e-9
+        # (largest 9.13e-10, at n = 1000, x = 0, alpha = 0.01).
+        tiny = BetaParams(0.001, 0.001)
+        specs = (
+            [MethodSpec.clopper_pearson(s) for s in Side]
+            + [MethodSpec.wald(s) for s in Side]
+            + [MethodSpec.wilson(), MethodSpec.agresti_coull(), MethodSpec.uniform_prior()]
+            + [MethodSpec.jeffreys(s) for s in Side]
+            + [MethodSpec.beta_prior(tiny, s) for s in Side]
+        )
+        # about 40 x per n, all in one engine batch (lanes do not depend on
+        # their batch, so these are the bits of _bounds_arrays too)
+        obs = [
+            (x, n)
+            for n in (1, 2, 17, 100, 1000, 5000)
+            for x in sorted({*range(0, n + 1, max(1, n // 40)), n - 1, n})
+        ]
+        xs, ns = (np.array(v, dtype=float) for v in zip(*obs))
+        for spec in specs:
+            for alpha in (0.01, 0.05, 0.2):
+                level = ConfidenceLevel(alpha)
+                L, U = exact_eval._bounds_for_x(spec, ns, level, xs)
+                for i, (x, n) in enumerate(obs):
+                    est = interval(spec, Observation(x, n), level)
+                    edge = x in (0, n)
+                    for scalar, engine in ((est.lower, L[i]), (est.upper, U[i])):
+                        if spec.family is Family.BETA_PRIOR:
+                            rel = 2e-9 if edge and spec.prior == tiny else 2e-14
+                            assert scalar == pytest.approx(engine, rel=rel, abs=0.0)
+                        elif spec.family is Family.CLOPPER_PEARSON and not edge:
+                            assert scalar == pytest.approx(engine, rel=2e-14, abs=0.0)
+                        else:
+                            assert scalar == engine
 
     def test_bounds_monotone_all_families(self):
         for spec in FAMILIES:

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,15 @@ class TestTypes:
             ConfidenceLevel(0.0)
         with pytest.raises(DomainError):
             ConfidenceLevel(1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"z_half": 9.9}, {"z_full": 9.9}], ids=["z_half", "z_full"]
+    )
+    def test_level_quantiles_are_not_parameters(self, kwargs):
+        with pytest.raises(TypeError):
+            ConfidenceLevel(0.05, **kwargs)
+        with pytest.raises(TypeError):
+            ConfidenceLevel(0.05, *kwargs.values())
 
     def test_method_spec_prior_rules(self):
         with pytest.raises(DomainError):
@@ -290,3 +300,42 @@ class TestDispatch:
         assert approx_method_spec(ApproxFamily.JEFFREYS).prior == JEFFREYS_PRIOR
         assert approx_method_spec(ApproxFamily.WILSON).family is Family.WILSON
         assert approx_method_spec(ApproxFamily.AGRESTI_COULL).family is Family.AGRESTI_COULL
+
+
+TINY_PRIOR = BetaParams(0.001, 0.001)
+GOLDEN_SPECS = {
+    "cp": MethodSpec.clopper_pearson(),
+    "cp-upper": MethodSpec.clopper_pearson(Side.UPPER),
+    "cp-lower": MethodSpec.clopper_pearson(Side.LOWER),
+    "wald": MethodSpec.wald(),
+    "wald-upper": MethodSpec.wald(Side.UPPER),
+    "wald-lower": MethodSpec.wald(Side.LOWER),
+    "wilson": MethodSpec.wilson(),
+    "ac": MethodSpec.agresti_coull(),
+    "jeffreys": MethodSpec.jeffreys(),
+    "jeffreys-upper": MethodSpec.jeffreys(Side.UPPER),
+    "jeffreys-lower": MethodSpec.jeffreys(Side.LOWER),
+    "beta0.001": MethodSpec.beta_prior(TINY_PRIOR),
+    "beta0.001-upper": MethodSpec.beta_prior(TINY_PRIOR, Side.UPPER),
+    "beta0.001-lower": MethodSpec.beta_prior(TINY_PRIOR, Side.LOWER),
+}
+
+
+class TestGolden:
+    def test_interval_golden_table(self):
+        # One row per spec, n in {1, 2, 17, 100, 10^4, 10^6}, x in {0, 1, n // 3,
+        # n - 1, n} and alpha in {0.2, 0.05, 1e-6}: "name n x alpha lower upper",
+        # endpoints as float.hex().  Recorded before the per-family formulas
+        # were merged into one table; only four CP closed-form rows (x = 0 or
+        # x = n) were re-recorded, each by 1 ulp of tail^(1/n).
+        lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
+        assert len(lines) == 1050
+        wrong = []
+        for line in lines:
+            name, n, x, alpha, lower, upper = line.split()
+            est = interval(
+                GOLDEN_SPECS[name], Observation(int(x), int(n)), ConfidenceLevel(float(alpha))
+            )
+            if (est.lower.hex(), est.upper.hex()) != (lower, upper):
+                wrong.append((line, est.lower.hex(), est.upper.hex()))
+        assert wrong == []
