@@ -5,7 +5,7 @@ success count, pointwise and minimum coverage over probability grids, the
 closed-form mean coverage under a uniform pseudo-prior, and calibration of
 the nominal level against a coverage criterion.
 
-Grid scans evaluate the same continued-fraction and Newton kernels as
+Grid scans evaluate the same continued-fraction and Halley kernels as
 :mod:`binomci.special`, vectorized over numpy arrays so that scans with
 hundreds of thousands of grid points stay cheap.  All reductions are
 performed in ascending-p order with ties broken toward the smallest p, and
@@ -184,16 +184,27 @@ def _solve_beta_quantile_vec(q, a, b):
         lo = np.where(upd & ~pos, x, lo)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             log_pdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lgb
-            newton = x - err * np.exp(-log_pdf)
-        # a step that rounds to zero is convergence, although x sits on the
-        # bracket edge this round has just moved to it
-        inside = ((newton > lo) & (newton < hi)) | (newton == x)
-        ok = (log_pdf > -700.0) & inside & np.isfinite(newton)
-        xn = np.where(ok, newton, 0.5 * (lo + hi))
-        dx = np.abs(xn - x)
-        x = np.where(done, x, xn)
-        done |= (dx <= 1e-15 * x + 1e-18) | ((hi - lo) <= 1e-15 * lo)
-        del err, pos, upd, log_pdf, newton, inside, ok, xn, dx  # before _retire and next solve
+            # Halley step: u = err / pdf is the Newton step and g = (ln pdf)'
+            u = err * np.exp(-log_pdf)
+            g = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
+            den = 1.0 - 0.5 * u * g
+            trial = x - np.where((den > 0.5) & (den < 2.0), u / den, u)
+            # a step that rounds to zero is convergence, although x sits on
+            # the bracket edge this round has just moved to it
+            inside = ((trial > lo) & (trial < hi)) | (trial == x)
+            ok = (log_pdf > -700.0) & inside & np.isfinite(trial)
+            xn = np.where(ok, trial, 0.5 * (lo + hi))
+            dx = np.abs(xn - x)
+            x = np.where(done, x, xn)
+            # Newton's predicted remaining error after an accepted step is
+            # |g| / 2 * dx^2; below 1e-15 x a further round only chases the
+            # rounding noise of I_x
+            done |= (
+                (dx <= 1e-15 * x + 1e-18)
+                | ((hi - lo) <= 1e-15 * lo)
+                | (ok & (0.5 * np.abs(g) * dx * dx <= 1e-15 * x))
+            )
+        del err, pos, upd, log_pdf, u, g, den, trial, inside, ok, xn, dx  # before _retire
         out, lanes, done, x, q, a, b, lgb, lo, hi = _retire(
             out, lanes, done, x, q, a, b, lgb, lo, hi
         )

@@ -277,9 +277,11 @@ def exact_n(
     Starts from the closed-form estimate, walks to a first passing n, then
     re-checks the 25 sample sizes below it because the expected width is not
     perfectly monotone in n; the smallest passing n in that window is
-    returned with its achieved expected width.  During the walk a miss at n
-    solves every uncached size from n - 25 to n + 16 in one batched pass; the
-    re-check window is solved in one pass of its own.
+    returned with its achieved expected width.  The estimate n is solved
+    with the 25 sizes below it in one batched pass; after that, a miss at n
+    solves every uncached size from n - 25 to n + 16, looking ahead only
+    once the walk has gone past the estimate.  The re-check window is solved
+    in one pass of its own.
     """
     if side is not None and side is not method.side:
         method = MethodSpec(method.family, side, method.prior)
@@ -316,6 +318,8 @@ def exact_n(
         n = min(max(2, math.ceil(_estimate_for(method, d, p0, level))), n_max)
     except DomainError:
         n = 2
+    # the estimate often passes, and then the walk goes down, never up
+    solve(range(max(2, n - _EXACT_WINDOW), n + 1))
     if passing(n):
         while n > 2 and passing(n - 1):
             n -= 1

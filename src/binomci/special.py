@@ -206,11 +206,14 @@ _QUANTILE_MAXIT = 200
 def beta_quantile(q: float, a: float, b: float) -> float:
     """Inverse of reg_inc_beta: the x in (0, 1) with I_x(a, b) = q.
 
-    Newton iteration on the beta cdf, seeded by a normal approximation and
-    safeguarded by a shrinking bisection bracket.  A Newton step that rounds
-    to zero ends the solve, even on the bracket edge the same round has just
-    moved.  Roots expected near 1 are solved in mirrored coordinates, where
-    the floating-point grid is fine enough to pin them down.  Raises
+    Halley iteration on the beta cdf, seeded by a normal approximation and
+    safeguarded by a shrinking bisection bracket; a round takes the Newton
+    step where Halley's correction factor is outside (0.5, 2).  A step that
+    rounds to zero ends the solve, even on the bracket edge the same round
+    has just moved, and so does an accepted step after which Newton's
+    predicted remaining error, |(ln pdf)'| / 2 * dx^2, is at most 1e-15 x.
+    Roots expected near 1 are solved in mirrored coordinates, where the
+    floating-point grid is fine enough to pin them down.  Raises
     ConvergenceError if the fixed iteration budget is exhausted rather than
     returning silently.
     """
@@ -238,7 +241,13 @@ def _solve_beta_quantile(q: float, a: float, b: float) -> float:
         log_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - lgb
         step_ok = False
         if log_pdf > -700.0:
-            xn = x - err * math.exp(-log_pdf)
+            # Halley step: u = err / pdf is the Newton step and g = (ln pdf)'
+            u = err * math.exp(-log_pdf)
+            g = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
+            den = 1.0 - 0.5 * u * g
+            if 0.5 < den < 2.0:
+                u = u / den
+            xn = x - u
             # a step that rounds to zero is convergence, although x sits on
             # the bracket edge this round has just moved to it
             if lo < xn < hi or xn == x:
@@ -248,6 +257,11 @@ def _solve_beta_quantile(q: float, a: float, b: float) -> float:
         dx = abs(xn - x)
         x = xn
         if dx <= 1e-15 * x + 1e-18 or (hi - lo) <= 1e-15 * lo:
+            return x
+        # Newton's predicted remaining error after an accepted step is
+        # |g| / 2 * dx^2; below 1e-15 x a further round only chases the
+        # rounding noise of I_x
+        if step_ok and 0.5 * abs(g) * dx * dx <= 1e-15 * x:
             return x
     raise ConvergenceError(
         f"beta_quantile did not converge for q={q}, a={a}, b={b}"

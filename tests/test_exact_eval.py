@@ -85,16 +85,50 @@ class TestVectorKernel:
         # every CP endpoint lane at n=200, alpha=0.03: lower bounds solve
         # q=0.015 and upper bounds q=0.985 over the same shapes.  A lane whose
         # Newton step rounds to zero used to bisect on, holding the batch
-        # for 44 rounds.
+        # for 44 rounds.  At n=2000 and 20000 (alpha=0.05) a stop rule that
+        # chased the rounding noise of I_x took 10 and 12 rounds; Halley
+        # steps with the predicted stop take 5 at every n.
         rounds = []
         betainc = exact_eval._betainc_vec
         monkeypatch.setattr(
             exact_eval, "_betainc_vec", lambda *args: rounds.append(1) or betainc(*args)
         )
-        x = np.arange(1.0, 201.0)
-        q = np.repeat([0.015, 0.985], x.size)
-        _beta_quantile_vec(q, np.tile(x, 2), np.tile(201.0 - x, 2))
-        assert len(rounds) <= 10
+        for n, alpha, most in ((200, 0.03, 10), (2000, 0.05, 6), (20000, 0.05, 6)):
+            rounds.clear()
+            x = np.arange(1.0, n + 1.0)
+            q = np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], x.size)
+            _beta_quantile_vec(q, np.tile(x, 2), np.tile(n + 1.0 - x, 2))
+            assert len(rounds) <= most, n
+
+    def test_quantiles_match_scipy_at_every_n(self):
+        # the stop rule may end a solve early only where the kernel's own
+        # error dominates: per n, the worst relative error of both solvers
+        # against scipy's betaincinv stays within twice the worst error of a
+        # solver that iterated on to dx <= 1e-15 x (1.9e-9 at n = 10^6 comes
+        # from the Lanczos ln-gamma in the front factor of I_x)
+        betaincinv = pytest.importorskip("scipy.special").betaincinv
+        bounds = {
+            20: 1e-14, 100: 8e-14, 300: 4e-13, 1000: 1e-13,
+            2600: 2e-12, 20000: 7e-11, 150000: 9e-11, 1000000: 4e-9,
+        }
+        rng = np.random.default_rng(2013)
+        for n, bound in bounds.items():
+            # x log-uniform from either edge, where the root is small or near 1
+            u = np.floor(np.exp(rng.uniform(0.0, math.log(n + 1.0), 12))).astype(int) - 1
+            lanes = []
+            for x in np.where(rng.random(12) < 0.5, u, n - u):
+                for q in (0.005, 0.025, 0.05, 0.95, 0.975, 0.995):
+                    if x > 0:
+                        lanes.append((q, x, n - x + 1.0))  # CP lower shapes
+                    if x < n:
+                        lanes.append((q, x + 1.0, n - x))  # CP upper shapes
+                    lanes.append((q, x + 0.5, n - x + 0.5))  # Jeffreys
+            q, a, b = (np.array(v, dtype=float) for v in zip(*lanes))
+            ref = betaincinv(a, b, q)
+            vec = _beta_quantile_vec(q, a, b)
+            scalar = np.array([sp.beta_quantile(*lane) for lane in lanes])
+            worst = max(np.max(np.abs(vec - ref) / ref), np.max(np.abs(scalar - ref) / ref))
+            assert worst <= bound, n
 
     def test_formerly_stalled_lanes_match_bisection_oracle(self):
         lanes = [

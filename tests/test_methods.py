@@ -326,8 +326,11 @@ class TestGolden:
         # One row per spec, n in {1, 2, 17, 100, 10^4, 10^6}, x in {0, 1, n // 3,
         # n - 1, n} and alpha in {0.2, 0.05, 1e-6}: "name n x alpha lower upper",
         # endpoints as float.hex().  Recorded before the per-family formulas
-        # were merged into one table; only four CP closed-form rows (x = 0 or
-        # x = n) were re-recorded, each by 1 ulp of tail^(1/n).
+        # were merged into one table; four CP closed-form rows (x = 0 or
+        # x = n) were re-recorded, each by 1 ulp of tail^(1/n), and the
+        # quantile rows (CP with 0 < x < n, Jeffreys, Beta(0.001, 0.001))
+        # again for the Halley solver's stop rule.  The Wald, Wilson,
+        # Agresti-Coull and CP closed-form endpoints never moved.
         lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
         assert len(lines) == 1050
         wrong = []

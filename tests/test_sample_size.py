@@ -222,46 +222,47 @@ class TestExactSearch:
 
 # (method, alpha, p0, d, n, achieved.hex()) recorded from the search that
 # solved one n at a time; however the search batches its solves, it must
-# reproduce these bit for bit.  d puts n between about 100 and 3000.  Rows
-# whose endpoints include a lane that used to stall in bisection after a
-# zero Newton step carry the last bits of the solver that ends there.
+# reproduce these bit for bit.  d puts n between about 100 and 3000.  Every
+# n is the one first recorded; the achieved widths carry the last bits of
+# the Halley solver with the predicted stop (they moved by at most 7.2e-15
+# relative from the Newton solver that stopped only on dx <= 1e-15 x).
 GOLDEN_SEARCHES = [
-    ("cp", 0.01, 0.02, 0.07212, 134, "0x1.261b0a912ce0bp-4"),
+    ("cp", 0.01, 0.02, 0.07212, 134, "0x1.261b0a912ce0cp-4"),
     ("cp", 0.01, 0.1, 0.09775, 267, "0x1.903400b1441a2p-4"),
     ("cp", 0.01, 0.3, 0.09638, 616, "0x1.8abdc330c7c58p-4"),
-    ("cp", 0.01, 0.5, 0.06651, 1525, "0x1.106ca6ced7685p-4"),
-    ("cp", 0.05, 0.02, 0.01002, 3197, "0x1.484915c04fef8p-7"),
-    ("cp", 0.05, 0.1, 0.1176, 114, "0x1.e07499f2bb27ap-4"),
-    ("cp", 0.05, 0.3, 0.1136, 265, "0x1.d06aaac6d474dp-4"),
-    ("cp", 0.05, 0.5, 0.08002, 622, "0x1.4790a36a6563cp-4"),
-    ("cp", 0.1, 0.02, 0.01189, 1662, "0x1.859bc8f3c1f8ap-7"),
-    ("cp", 0.1, 0.1, 0.01802, 3107, "0x1.273a15073cdebp-6"),
-    ("cp", 0.1, 0.3, 0.1508, 111, "0x1.3368ce2de188bp-3"),
-    ("cp", 0.1, 0.5, 0.104, 267, "0x1.a956bde6ca5adp-4"),
-    ("cp_upper", 0.01, 0.02, 0.0133, 942, "0x1.b3a623eaad346p-7"),
-    ("cp_upper", 0.01, 0.1, 0.01802, 1724, "0x1.27337825ae5ddp-6"),
-    ("cp_upper", 0.01, 0.3, 0.01946, 3129, "0x1.3ed522017d3cbp-6"),
-    ("cp_upper", 0.01, 0.5, 0.1163, 105, "0x1.da902256116f6p-4"),
-    ("cp_upper", 0.05, 0.02, 0.01456, 447, "0x1.dd1a123f4494cp-7"),
-    ("cp_upper", 0.05, 0.1, 0.02015, 730, "0x1.49e92d3cee095p-6"),
-    ("cp_upper", 0.05, 0.3, 0.01946, 1593, "0x1.3ec3c68839d77p-6"),
-    ("cp_upper", 0.05, 0.5, 0.01502, 3062, "0x1.ec2342e4d483bp-7"),
-    ("cp_upper", 0.1, 0.02, 0.01794, 222, "0x1.256bf8c23d108p-6"),
-    ("cp_upper", 0.1, 0.1, 0.02432, 334, "0x1.8df6a11af8649p-6"),
-    ("cp_upper", 0.1, 0.3, 0.02398, 663, "0x1.88abc75812232p-6"),
-    ("cp_upper", 0.1, 0.5, 0.01654, 1559, "0x1.0ef14934d3d8cp-6"),
-    ("jeffreys", 0.01, 0.02, 0.01317, 3006, "0x1.af7ce563a788cp-7"),
-    ("jeffreys", 0.01, 0.1, 0.1545, 98, "0x1.3ad8a357c618cp-3"),
-    ("jeffreys", 0.01, 0.3, 0.1493, 246, "0x1.3160f3ffe433bp-3"),
-    ("jeffreys", 0.01, 0.5, 0.1052, 595, "0x1.aec98f9b0174dp-4"),
-    ("jeffreys", 0.05, 0.02, 0.01417, 1501, "0x1.d02dd2cfc0210p-7"),
-    ("jeffreys", 0.05, 0.1, 0.02147, 2998, "0x1.5fb7ba91a01d8p-6"),
-    ("jeffreys", 0.05, 0.3, 0.1796, 97, "0x1.6f271c5606ca6p-3"),
-    ("jeffreys", 0.05, 0.5, 0.124, 247, "0x1.fb4adc44e3aa7p-4"),
-    ("jeffreys", 0.1, 0.02, 0.0188, 598, "0x1.33fa9bd5f4a07p-6"),
-    ("jeffreys", 0.1, 0.1, 0.02548, 1498, "0x1.a16391490c9b6p-6"),
-    ("jeffreys", 0.1, 0.3, 0.02752, 2998, "0x1.c2e25d341125cp-6"),
-    ("jeffreys", 0.1, 0.5, 0.1645, 98, "0x1.4f629692d9165p-3"),
+    ("cp", 0.01, 0.5, 0.06651, 1525, "0x1.106ca6ced768dp-4"),
+    ("cp", 0.05, 0.02, 0.01002, 3197, "0x1.484915c04fefcp-7"),
+    ("cp", 0.05, 0.1, 0.1176, 114, "0x1.e07499f2bb279p-4"),
+    ("cp", 0.05, 0.3, 0.1136, 265, "0x1.d06aaac6d4748p-4"),
+    ("cp", 0.05, 0.5, 0.08002, 622, "0x1.4790a36a65640p-4"),
+    ("cp", 0.1, 0.02, 0.01189, 1662, "0x1.859bc8f3c1f8bp-7"),
+    ("cp", 0.1, 0.1, 0.01802, 3107, "0x1.273a15073cdd5p-6"),
+    ("cp", 0.1, 0.3, 0.1508, 111, "0x1.3368ce2de188dp-3"),
+    ("cp", 0.1, 0.5, 0.104, 267, "0x1.a956bde6ca5aep-4"),
+    ("cp_upper", 0.01, 0.02, 0.0133, 942, "0x1.b3a623eaad34ap-7"),
+    ("cp_upper", 0.01, 0.1, 0.01802, 1724, "0x1.27337825ae5dap-6"),
+    ("cp_upper", 0.01, 0.3, 0.01946, 3129, "0x1.3ed522017d3bdp-6"),
+    ("cp_upper", 0.01, 0.5, 0.1163, 105, "0x1.da902256116f5p-4"),
+    ("cp_upper", 0.05, 0.02, 0.01456, 447, "0x1.dd1a123f44958p-7"),
+    ("cp_upper", 0.05, 0.1, 0.02015, 730, "0x1.49e92d3cee08bp-6"),
+    ("cp_upper", 0.05, 0.3, 0.01946, 1593, "0x1.3ec3c68839d72p-6"),
+    ("cp_upper", 0.05, 0.5, 0.01502, 3062, "0x1.ec2342e4d4844p-7"),
+    ("cp_upper", 0.1, 0.02, 0.01794, 222, "0x1.256bf8c23d104p-6"),
+    ("cp_upper", 0.1, 0.1, 0.02432, 334, "0x1.8df6a11af8653p-6"),
+    ("cp_upper", 0.1, 0.3, 0.02398, 663, "0x1.88abc7581225ep-6"),
+    ("cp_upper", 0.1, 0.5, 0.01654, 1559, "0x1.0ef14934d3daap-6"),
+    ("jeffreys", 0.01, 0.02, 0.01317, 3006, "0x1.af7ce563a788ap-7"),
+    ("jeffreys", 0.01, 0.1, 0.1545, 98, "0x1.3ad8a357c618bp-3"),
+    ("jeffreys", 0.01, 0.3, 0.1493, 246, "0x1.3160f3ffe433cp-3"),
+    ("jeffreys", 0.01, 0.5, 0.1052, 595, "0x1.aec98f9b01745p-4"),
+    ("jeffreys", 0.05, 0.02, 0.01417, 1501, "0x1.d02dd2cfc021ap-7"),
+    ("jeffreys", 0.05, 0.1, 0.02147, 2998, "0x1.5fb7ba91a01e0p-6"),
+    ("jeffreys", 0.05, 0.3, 0.1796, 97, "0x1.6f271c5606ca8p-3"),
+    ("jeffreys", 0.05, 0.5, 0.124, 247, "0x1.fb4adc44e3ab3p-4"),
+    ("jeffreys", 0.1, 0.02, 0.0188, 598, "0x1.33fa9bd5f4a0ap-6"),
+    ("jeffreys", 0.1, 0.1, 0.02548, 1498, "0x1.a16391490c9aep-6"),
+    ("jeffreys", 0.1, 0.3, 0.02752, 2998, "0x1.c2e25d3411295p-6"),
+    ("jeffreys", 0.1, 0.5, 0.1645, 98, "0x1.4f629692d9164p-3"),
 ]
 GOLDEN_METHODS = {
     "cp": MethodSpec.clopper_pearson(),

@@ -132,6 +132,23 @@ class TestBetaQuantile:
         sp.beta_quantile(q, a, b)
         assert len(calls) <= 6
 
+    def test_cp_lanes_take_few_cdf_calls(self, monkeypatch):
+        # CP endpoint lanes at alpha=0.05 (every x, every 7th at n=5000):
+        # a stop rule that chased the rounding noise of I_x needed up to 11
+        # cdf evaluations; Halley steps with the predicted stop need 5
+        calls = []
+        inc = sp.reg_inc_beta
+        monkeypatch.setattr(sp, "reg_inc_beta", lambda *args: calls.append(1) or inc(*args))
+        for n in (50, 500, 5000):
+            for x in range(0, n, max(1, n // 700)):
+                lanes = [(0.975, x + 1.0, float(n - x))]
+                if x > 0:
+                    lanes.append((0.025, float(x), n - x + 1.0))
+                for q, a, b in lanes:
+                    calls.clear()
+                    sp.beta_quantile(q, a, b)
+                    assert len(calls) <= 6, (q, a, b)
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(sp, "_QUANTILE_MAXIT", 1)
         with pytest.raises(ConvergenceError):
