@@ -5,9 +5,12 @@ success count, pointwise and minimum coverage over probability grids, the
 closed-form mean coverage under a uniform pseudo-prior, and calibration of
 the nominal level against a coverage criterion.
 
-Grid scans evaluate the same continued-fraction and Halley kernels as
-:mod:`binomci.special`, vectorized over numpy arrays so that scans with
-hundreds of thousands of grid points stay cheap.  All reductions are
+Endpoint arrays and mean coverage evaluate the same continued-fraction and
+Halley kernels as :mod:`binomci.special`, vectorized over numpy arrays.
+Coverage scans add up the binomial pmf over each grid point's covering
+range instead: one saddle-point pmf (Loader 2000) at the range's largest
+term, then a ratio walk, so that scans with hundreds of thousands of grid
+points stay cheap.  All reductions are
 performed in ascending-p order with ties broken toward the smallest p, and
 parallel runs are required to reproduce the sequential result bit for bit.
 """
@@ -229,12 +232,94 @@ def _beta_quantile_vec(q, a, b) -> np.ndarray:
     return np.where(swap, 1.0 - w, w)
 
 
-def _log_pmf_all(n: int, p: float) -> np.ndarray:
-    """log P(X = x) for x = 0..n under Binomial(n, p), 0 < p < 1."""
+def _log_pmf_all(n: int, p: float, lf: np.ndarray) -> np.ndarray:
+    """log P(X = x) for x = 0..n under Binomial(n, p), 0 < p < 1.
+
+    lf[k] = ln k! for k = 0..n at least; a longer table is sliced.
+    """
     x = np.arange(n + 1, dtype=float)
-    lf = _log_gamma_vec(np.arange(n + 2, dtype=float) + 1.0)  # lf[k] = ln k!
     log_coeff = lf[n] - lf[: n + 1] - lf[n::-1]
     return log_coeff + x * math.log(p) + (n - x) * math.log1p(-p)
+
+
+# ln k! - ln(sqrt(2 pi k) (k / e)^k) for k = 0..15 (0 at k = 0 by convention)
+_STIRLERR = np.array([
+    0.0,
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr_vec(k: np.ndarray) -> np.ndarray:
+    """Stirling-formula error of ln k!: the table up to 15, the asymptotic series above."""
+    kb = np.maximum(k, 16.0)
+    kk = kb * kb
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / kb
+    return np.where(k <= 15.0, _STIRLERR[np.minimum(k, 15.0).astype(np.intp)], series)
+
+
+def _bd0_vec(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x ln(x / m) + m - x for x, m > 0, by a series where x is within 10 % of m."""
+    d = x - m
+    v = d / (x + m)
+    direct = x * np.log(x / m) + m - x
+    # x ln(x/m) + m - x = d v + 2 x sum_j v^(2j+1) / (2j + 1) with |v| < 0.1
+    # there, so the ninth term is below 1e-17 of the sum
+    s = d * v
+    term = 2.0 * x * v
+    v2 = v * v
+    for j in range(1, 10):
+        term = term * v2
+        s = s + term / (2 * j + 1)
+    return np.where(np.abs(d) < 0.1 * (x + m), s, direct)
+
+
+def _binom_pmf_vec(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """P(X = k) under Binomial(n, p) for integer 0 <= k <= n and 0 < p < 1.
+
+    Loader's (2000) saddle-point form: exp(stirlerr(n) - stirlerr(k) -
+    stirlerr(n - k) - bd0(k, n p) - bd0(n - k, n q)) / sqrt(2 pi k (n - k) / n),
+    which has no cancellation between ln-gamma values; q^n = exp(n log1p(-p))
+    at k = 0 and p^n at k = n.  (The log form of the square root,
+    log1p(-k / n), loses n eps relative at k = n - 1.)
+    """
+    k, p = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(p, dtype=float))
+    out = np.empty(k.shape)
+    lo = k == 0.0
+    hi = k == n
+    out[lo] = np.exp(n * np.log1p(-p[lo]))
+    out[hi] = np.exp(n * np.log(p[hi]))
+    mid = ~(lo | hi)
+    k, p = k[mid], p[mid]
+    lc = (
+        _stirlerr_vec(float(n)) - _stirlerr_vec(k) - _stirlerr_vec(n - k)
+        - _bd0_vec(k, n * p) - _bd0_vec(n - k, n * (1.0 - p))
+    )
+    out[mid] = np.exp(lc) * np.sqrt(n / (2.0 * math.pi * k * (n - k)))
+    return out
+
+
+def _walk_sum(term, num, r, steps, n):
+    """Sum of the terms a ratio walk adds after `term`, per lane: `steps`
+    steps, step j multiplying the term by (num - j) / (n + 1 - num + j) * r.
+
+    Lanes are sorted by step count, so the lanes still walking at step j are
+    a prefix; each lane goes through the same operations as it would alone.
+    """
+    steps = steps.astype(np.intp)
+    order = np.argsort(-steps)
+    live = steps.size - np.cumsum(np.bincount(steps))  # live[j] = #lanes with steps > j
+    term, num, r = term[order], num[order], r[order]
+    acc = np.zeros(term.size)
+    for j, k in enumerate(live[:-1]):
+        term[:k] *= (num[:k] - j) * r[:k] / ((n + 1.0 + j) - num[:k])
+        acc[:k] += term[:k]
+    out = np.empty(acc.size)
+    out[order] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +396,26 @@ def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.
     """Coverage at each p: mass of the contiguous covering range of x.
 
     The covering set {x : L(x) <= p <= U(x)} is located by binary search over
-    the monotone endpoint arrays, then evaluated with two beta-tail calls.
+    the monotone endpoint arrays, and its binomial mass is summed term by
+    term.  The sum starts at the window's largest term, s = floor((n + 1) p)
+    clipped into the window, evaluated by `_binom_pmf_vec`, and walks up and
+    down from s with the ratio pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q.
     """
     x_hi = np.searchsorted(L, p, side="right") - 1
     x_lo = np.searchsorted(U, p, side="left")
-    covered = x_lo <= x_hi
-    xh = np.where(covered, x_hi, 0)
-    xl = np.where(covered, x_lo, 0)
-    cdf_hi = np.where(
-        xh >= n, 1.0, 1.0 - _betainc_vec(p, xh + 1.0, np.maximum(n - xh, 1).astype(float))
-    )
-    cdf_lo = np.where(
-        xl <= 0, 0.0, 1.0 - _betainc_vec(p, np.maximum(xl, 1).astype(float), n - xl + 1.0)
-    )
-    return np.where(covered, np.clip(cdf_hi - cdf_lo, 0.0, 1.0), 0.0)
+    out = np.zeros(p.shape)
+    idx = np.flatnonzero(x_lo <= x_hi)
+    pc = p[idx]
+    qc = 1.0 - pc
+    lo = x_lo[idx]
+    hi = x_hi[idx]
+    s = np.clip(np.floor((n + 1.0) * pc), lo, hi)
+    top = _binom_pmf_vec(s, n, pc)
+    # the walk down from s is the walk up from n - s under Binomial(n, q)
+    up = _walk_sum(top, n - s, pc / qc, hi - s, n)
+    down = _walk_sum(top, s, qc / pc, s - lo, n)
+    out[idx] = np.clip(top + up + down, 0.0, 1.0)
+    return out
 
 
 def _coverage_chunk_worker(args):
@@ -387,10 +478,24 @@ def min_coverage(
     order and breaks ties toward the smallest p; the grid-only minimum is
     reported alongside for comparison.
     """
+    grid_p, grid_cov, min_p, min_cov = _min_scan(method, n, level, grid, workers)
+    i_grid = int(np.argmin(grid_cov))
+    return CoverageReport(
+        min_coverage=min_cov,
+        argmin_p=min_p,
+        mean_coverage=mean_coverage(method, n, level),
+        grid=grid,
+        grid_min_coverage=float(grid_cov[i_grid]),
+        grid_argmin_p=float(grid_p[i_grid]),
+        per_point=list(zip(grid_p.tolist(), grid_cov.tolist())) if keep_per_point else None,
+    )
+
+
+def _min_scan(method, n, level, grid, workers):
+    """min_coverage's scan without the mean: (grid p, grid coverage, argmin p, min)."""
     L, U = _bounds_arrays(method, n, level)
     grid_p = grid.values()
     grid_cov = _coverage_over(grid_p, L, U, n, workers)
-    i_grid = int(np.argmin(grid_cov))
 
     ends = np.concatenate([L, U])
     ends = ends[(ends >= grid.lo) & (ends <= grid.hi)]
@@ -404,17 +509,7 @@ def min_coverage(
     cov_all = np.concatenate([grid_cov, probe_cov])
     order = np.argsort(p_all, kind="stable")
     i_min = order[int(np.argmin(cov_all[order]))]
-
-    report = CoverageReport(
-        min_coverage=float(cov_all[i_min]),
-        argmin_p=float(p_all[i_min]),
-        mean_coverage=mean_coverage(method, n, level),
-        grid=grid,
-        grid_min_coverage=float(grid_cov[i_grid]),
-        grid_argmin_p=float(grid_p[i_grid]),
-        per_point=list(zip(grid_p.tolist(), grid_cov.tolist())) if keep_per_point else None,
-    )
-    return report
+    return grid_p, grid_cov, float(p_all[i_min]), float(cov_all[i_min])
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +545,13 @@ def expected_widths_batch(
     if not ns:
         return []
     quantile = method.family in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR)
+    lf = _log_gamma_vec(np.arange(max(ns) + 1, dtype=float) + 1.0)  # lf[k] = ln k!
     pmfs = []
     xs = []
     for n in ns:
         if n < 1:
             raise DomainError(f"need n >= 1, got {n}")
-        log_pmf = _log_pmf_all(n, p)
+        log_pmf = _log_pmf_all(n, p, lf)
         x = np.nonzero(log_pmf > _PMF_FLOOR)[0] if quantile else np.arange(n + 1)
         pmfs.append(np.exp(log_pmf[x]))
         xs.append(x.astype(float))
@@ -481,7 +577,7 @@ def expected_widths_batch(
 def _criterion_value(method, n, criterion, gamma, workers):
     level = ConfidenceLevel(gamma)
     if isinstance(criterion, MinCoverage):
-        return min_coverage(method, n, level, criterion.grid, workers=workers).min_coverage
+        return _min_scan(method, n, level, criterion.grid, workers)[3]
     if isinstance(criterion, MeanCoverage):
         return mean_coverage(method, n, level)
     raise DomainError(f"unknown calibration criterion {criterion!r}")

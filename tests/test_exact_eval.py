@@ -13,7 +13,9 @@ from binomci.exact_eval import (
     PGrid,
     _beta_quantile_vec,
     _betainc_vec,
+    _binom_pmf_vec,
     _bounds_arrays,
+    _coverage_values,
     _log_gamma_vec,
     calibrate_alpha,
     coverage_probability,
@@ -32,7 +34,7 @@ from binomci.methods import (
 )
 from binomci import special as sp
 from binomci.special import BetaParams
-from oracles import beta_quantile_bisect, reg_inc_beta_int
+from oracles import beta_quantile_bisect, binom_tail_exact, reg_inc_beta_int
 
 LEVEL = ConfidenceLevel(0.05)
 
@@ -154,6 +156,39 @@ class TestVectorKernel:
         monkeypatch.setattr(exact_eval, "_CF_MAXIT", 1)
         with pytest.raises(ConvergenceError, match=r"a=4\.0, b=7\.0, x=0\.3"):
             _betainc_vec(np.array([0.3, 0.2]), np.array([4.0, 30.0]), np.array([7.0, 50.0]))
+
+    def test_binom_pmf_matches_mpmath(self):
+        # Loader's saddle-point pmf against 40-digit mpmath, per n: within
+        # B(n), about twice the worst error seen where ln pmf >= -50, plus
+        # 12 eps |ln pmf|, since exp() turns the rounding of an exponent
+        # near -500 into ~5e-14 relative error (5.2 eps |ln pmf| seen).
+        # The Lanczos ln-gamma differences reach 1.3e-12 at 10^3 and 6e-8
+        # at 10^7 on the same lanes.
+        mp = pytest.importorskip("mpmath")
+        bounds = {
+            10: 1.5e-14, 100: 6e-14, 1000: 5e-14, 10**4: 8e-14,
+            10**5: 2.5e-13, 10**6: 5e-13, 10**7: 2.2e-12,
+        }
+        with mp.workdps(40):
+            for n, bound in bounds.items():
+                lanes = set()
+                for p in (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.77, 0.999):
+                    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+                    for z in (-8.0, -3.0, -1.0, 0.0, 0.5, 1.0, 3.0, 8.0):
+                        k = round(mean + z * sd)
+                        if 0 <= k <= n:
+                            lanes.add((k, p))
+                for k in (0, 1, 2, n // 3, n - 2, n - 1, n):
+                    lanes.update((k, p) for p in (0.01, 0.5, 0.99, 1.0 / n, 1.0 - 1.0 / n))
+                k, p = (np.array(v, dtype=float) for v in zip(*sorted(lanes)))
+                got = _binom_pmf_vec(k, n, p)
+                for ki, pi, g in zip(k, p, got):
+                    x = int(ki)
+                    ref = mp.binomial(n, x) * mp.mpf(pi) ** x * (1 - mp.mpf(pi)) ** (n - x)
+                    if ref < mp.mpf("1e-300"):
+                        continue
+                    tol = bound + 12 * 2.0**-52 * abs(float(mp.log(ref)))
+                    assert abs(float(g / ref) - 1.0) <= tol, (n, ki, pi)
 
     def test_log_gamma_matches_scalar(self):
         xs = np.array([0.5, 1.0, 2.5, 10.0, 123.4, 5000.0])
@@ -317,6 +352,78 @@ class TestCoverageProbability:
     def test_jeffreys_undercoverage_at_n250(self):
         got = coverage_probability(MethodSpec.jeffreys(), 250, 0.01, LEVEL)
         assert got == pytest.approx(0.88, abs=0.01)
+
+
+def _window(ps, L, U):
+    """Covering range [lo, hi] of x at each p, located as the engine does."""
+    return np.searchsorted(U, ps, side="left"), np.searchsorted(L, ps, side="right") - 1
+
+
+def _scan_points(L, U, grid):
+    """Grid points plus the realized endpoints in (0, 1), thinned to about
+    4,000, and their +/-1e-12 probes."""
+    ends = np.concatenate([L, U])
+    ends = ends[(ends > 0.0) & (ends < 1.0)]
+    ends = ends[:: max(1, ends.size // 4000)]
+    ps = np.concatenate([grid, ends * (1.0 - 1e-12), ends, ends * (1.0 + 1e-12)])
+    return ps[(ps > 0.0) & (ps < 1.0)]
+
+
+SCAN_FAMILIES = [
+    MethodSpec.clopper_pearson(), MethodSpec.jeffreys(), MethodSpec.wilson(), MethodSpec.wald(),
+]
+
+
+class TestCoverageScan:
+    def test_window_sums_match_scipy_at_every_n(self):
+        # per n, about twice the worst absolute error against scipy's cdf
+        # differences; at 10^5 most of it is scipy's own, at p near 1e-4
+        # (the engine's sum is within 1e-16 of mpmath there)
+        binom = pytest.importorskip("scipy.stats").binom
+        bounds = {1: 5e-16, 5: 1e-15, 50: 1.5e-15, 250: 5e-15, 2000: 2e-14, 10**5: 4e-13}
+        for n, bound in bounds.items():
+            for spec in SCAN_FAMILIES:
+                L, U = _bounds_arrays(spec, n, LEVEL)
+                ps = _scan_points(L, U, np.linspace(1e-4, 1.0 - 1e-4, 2001))
+                lo, hi = _window(ps, L, U)
+                ref = np.where(lo <= hi, binom.cdf(hi, n, ps) - binom.cdf(lo - 1, n, ps), 0.0)
+                err = np.max(np.abs(_coverage_values(ps, L, U, n) - ref))
+                assert err <= bound, (n, str(spec))
+
+    def test_window_edges_match_exact_rationals(self):
+        seen = set()
+        for n in (1, 2, 10, 30):
+            for spec in SCAN_FAMILIES:
+                L, U = _bounds_arrays(spec, n, LEVEL)
+                ps = _scan_points(L, U, np.linspace(0.01, 0.99, 41))
+                lo, hi = _window(ps, L, U)
+                mode = np.floor((n + 1.0) * ps)
+                got = _coverage_values(ps, L, U, n)
+                for p, g, a, b, m in zip(ps, got, lo, hi, mode):
+                    if a > b:
+                        seen.add("uncovered")
+                        assert g == 0.0
+                        continue
+                    seen.update(
+                        name for name, hit in (
+                            ("x_lo = 0", a == 0), ("x_hi = n", b == n), ("n = 1", n == 1),
+                            ("mode outside", not a <= m <= b),
+                        ) if hit
+                    )
+                    exact = binom_tail_exact(int(a), n, p) - binom_tail_exact(int(b) + 1, n, p)
+                    assert g == pytest.approx(float(exact), abs=1e-15), (n, str(spec), p)
+        assert seen == {"uncovered", "x_lo = 0", "x_hi = n", "n = 1", "mode outside"}
+
+    def test_lanes_do_not_depend_on_their_batch(self):
+        # the walk drops lanes as their windows end; each lane must still get
+        # the bits it gets alone, which the workers test relies on
+        rng = np.random.default_rng(31)
+        for spec, n in ((MethodSpec.wald(), 40), (MethodSpec.jeffreys(), 2000)):
+            L, U = _bounds_arrays(spec, n, LEVEL)
+            ps = rng.permutation(_scan_points(L, U, rng.uniform(1e-4, 1.0 - 1e-4, 200)))[:400]
+            batch = _coverage_values(ps, L, U, n)
+            for i, p in enumerate(ps):
+                assert batch[i] == _coverage_values(ps[i : i + 1], L, U, n)[0], (n, p)
 
 
 class TestMinCoverage:
