@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 from . import exact_eval, expansions, sample_size
@@ -69,19 +68,6 @@ def _parse_side(text: str) -> Side:
         return Side(text)
     except ValueError:
         raise UsageError(f"--side must be two-sided|upper|lower, got {text!r}")
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("BINOMCI_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        w = int(raw)
-    except ValueError:
-        raise UsageError(f"BINOMCI_THREADS must be an integer, got {raw!r}")
-    if w < 0:
-        raise UsageError(f"BINOMCI_THREADS must be >= 0, got {w}")
-    return w
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
@@ -215,9 +201,7 @@ def _cmd_coverage(args) -> int:
         print(f"mean_coverage {_fmt(exact_eval.mean_coverage(spec, args.n, level))}")
         return 0
     grid = exact_eval.PGrid(args.lo, args.hi, args.points)
-    report = exact_eval.min_coverage(
-        spec, args.n, level, grid, keep_per_point=args.dump, workers=_workers_from_env()
-    )
+    report = exact_eval.min_coverage(spec, args.n, level, grid, keep_per_point=args.dump)
     print(f"min_coverage {_fmt(report.min_coverage)}")
     print(f"argmin_p {_fmt(report.argmin_p)}")
     print(f"grid_min_coverage {_fmt(report.grid_min_coverage)}")
@@ -305,9 +289,7 @@ def _cmd_calibrate(args) -> int:
         criterion = exact_eval.MinCoverage(exact_eval.PGrid(args.lo, args.hi, args.points))
     else:
         criterion = exact_eval.MeanCoverage()
-    calibrated = exact_eval.calibrate_alpha(
-        spec, args.n, level, criterion, workers=_workers_from_env()
-    )
+    calibrated = exact_eval.calibrate_alpha(spec, args.n, level, criterion)
     print(f"gamma {_fmt(calibrated.alpha)}")
     return 0
 
@@ -394,7 +376,6 @@ def _figure_rows(args):
     # coverage figure
     header = ["method", "lo", "hi", "n", "min_coverage", "argmin_p"]
     points = 200000 if args.full_grid else args.points
-    workers = _workers_from_env()
     rows = []
     for name, spec in (
         ("jeffreys", MethodSpec.jeffreys()),
@@ -404,9 +385,7 @@ def _figure_rows(args):
     ):
         for lo, hi in ((args.lo, args.hi), (0.1, 0.9)):
             for n in _parse_n_list(args.coverage_n_list):
-                report = exact_eval.min_coverage(
-                    spec, n, level, exact_eval.PGrid(lo, hi, points), workers=workers
-                )
+                report = exact_eval.min_coverage(spec, n, level, exact_eval.PGrid(lo, hi, points))
                 rows.append([name, lo, hi, n, report.min_coverage, report.argmin_p])
     return header, rows
 

@@ -5,19 +5,18 @@ success count, pointwise and minimum coverage over probability grids, the
 closed-form mean coverage under a uniform pseudo-prior, and calibration of
 the nominal level against a coverage criterion.
 
-Endpoint arrays and mean coverage evaluate the same continued-fraction and
-Halley kernels as :mod:`binomci.special`, vectorized over numpy arrays.
-Coverage scans add up the binomial pmf over each grid point's covering
-range instead: one saddle-point pmf (Loader 2000) at the range's largest
-term, then a ratio walk, so that scans with hundreds of thousands of grid
-points stay cheap.  All reductions are
-performed in ascending-p order with ties broken toward the smallest p, and
-parallel runs are required to reproduce the sequential result bit for bit.
+Endpoint arrays and mean coverage run the continued-fraction and Halley
+steps of :mod:`binomci.special` (each written once there) under its numpy
+namespace, in the compacting lane loops below.  Coverage scans add up the
+binomial pmf over each grid point's covering range instead: one saddle-point
+pmf (Loader 2000) at the range's largest term, then a ratio walk, so that
+scans with hundreds of thousands of grid points stay cheap; they run in this
+process.  All reductions are performed in ascending-p order with ties broken
+toward the smallest p.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,31 +26,22 @@ import numpy as np
 from .errors import CalibrationError, ConvergenceError, DomainError
 from .methods import ConfidenceLevel, Family, MethodSpec, Side, _endpoints
 from .special import (
-    _BETACF_EPS as _CF_EPS,
-    _BETACF_FPMIN as _FPMIN,
     _BETACF_MAXIT as _CF_MAXIT,
-    _HALF_LOG_TWO_PI,
-    _LANCZOS_C,
-    _LANCZOS_G,
     _QUANTILE_MAXIT,
+    VECTOR,
+    _halley_round,
+    _inc_beta_front,
+    _inc_beta_value,
+    _lentz_round,
+    _lentz_start,
+    _log_beta,
+    _log_gamma,
+    _quantile_seed,
 )
 
 
 # ---------------------------------------------------------------------------
-# vectorized special-function kernel (same algorithms as binomci.special)
-
-def _log_gamma_vec(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    s = np.full_like(x, _LANCZOS_C[0])
-    for k in range(1, 15):
-        s += _LANCZOS_C[k] / (x + (k - 1.0))
-    t = x + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_TWO_PI + (x - 0.5) * np.log(t) - t + np.log(s)
-
-
-def _log_beta_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _log_gamma_vec(a) + _log_gamma_vec(b) - _log_gamma_vec(a + b)
-
+# lane drivers of the special-function kernel (its steps are in binomci.special)
 
 def _retire(out, lanes, done, *state):
     """Once at most half the lanes still iterate, put the values of state[0] at
@@ -70,34 +60,15 @@ def _retire(out, lanes, done, *state):
 
 def _betacf_vec(a, b, x):
     out = lanes = None
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-    d = 1.0 / d
-    h = d.copy()
+    qab, qap, qam, d = _lentz_start(VECTOR, a, b, x)
+    c = 1.0
+    h = d
     done = np.zeros(x.shape, dtype=bool)
     for m in range(1, _CF_MAXIT + 1):
-        m2 = 2.0 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        h_mid = h * d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h = np.where(done, h, h_mid * delta)
-        done |= np.abs(delta - 1.0) < _CF_EPS
-        del aa, h_mid, delta  # free this round's temporaries before _retire copies
+        h_next, c, d, converged = _lentz_round(VECTOR, m, a, b, x, qab, qap, qam, c, d, h)
+        h = np.where(done, h, h_next)
+        done |= converged
+        del h_next, converged  # free this round's temporaries before _retire copies
         out, lanes, done, h, a, b, x, c, d, qab, qap, qam = _retire(
             out, lanes, done, h, a, b, x, c, d, qab, qap, qam
         )
@@ -112,7 +83,7 @@ def _betacf_vec(a, b, x):
 def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
     """Vectorized regularized incomplete beta I_x(a, b).
 
-    lgb, if given, is _log_beta_vec(a, b) already computed by the caller.
+    lgb, if given, is ln B(a, b) already computed by the caller.
     """
     x, a, b = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -127,87 +98,30 @@ def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
         xi = x[interior]
         ai = a[interior]
         bi = b[interior]
-        lgb = _log_beta_vec(ai, bi) if lgb is None else lgb[interior]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            log_front = ai * np.log(xi) + bi * np.log1p(-xi) - lgb
-            front = np.exp(log_front)
-            swap = ~(xi < (ai + 1.0) / (ai + bi + 2.0))
-            aa = np.where(swap, bi, ai)
-            bb = np.where(swap, ai, bi)
-            xx = np.where(swap, 1.0 - xi, xi)
-            del xi, ai, bi, lgb, log_front  # not needed while the fraction runs
-            res = front * _betacf_vec(aa, bb, xx) / aa
-        out[interior] = np.where(swap, 1.0 - res, res)
+        lgb = _log_beta(VECTOR, ai, bi) if lgb is None else lgb[interior]
+        with np.errstate(all="ignore"):
+            front, direct, fa, fb, fx = _inc_beta_front(VECTOR, xi, ai, bi, lgb)
+            del xi, ai, bi, lgb  # not needed while the fraction runs
+            out[interior] = _inc_beta_value(VECTOR, front, direct, _betacf_vec(fa, fb, fx), fa)
     return out
-
-
-def _quantile_seed_vec(q, a, b):
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        # both-shapes-at-least-one branch
-        pp = np.where(q < 0.5, q, 1.0 - q)
-        t = np.sqrt(-2.0 * np.log(pp))
-        w = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
-        w = np.where(q < 0.5, -w, w)
-        al = (w * w - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        ww = w * np.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
-            al + 5.0 / 6.0 - 2.0 / (3.0 * h)
-        )
-        x_big = a / (a + b * np.exp(2.0 * ww))
-        # small-shape branch
-        lna = np.log(a / (a + b))
-        lnb = np.log(b / (a + b))
-        tt = np.exp(a * lna) / a
-        uu = np.exp(b * lnb) / b
-        ws = tt + uu
-        x_small = np.where(
-            q < tt / ws,
-            (a * ws * q) ** (1.0 / a),
-            1.0 - (b * ws * (1.0 - q)) ** (1.0 / b),
-        )
-        x = np.where((a >= 1.0) & (b >= 1.0), x_big, x_small)
-    x = np.where(x <= 0.0, 1e-300, x)
-    x = np.where(x >= 1.0, 1.0 - 1e-16, x)
-    return x
 
 
 def _solve_beta_quantile_vec(q, a, b):
     out = lanes = None
-    lgb = _log_beta_vec(a, b)
-    x = _quantile_seed_vec(q, a, b)
+    lgb = _log_beta(VECTOR, a, b)
+    with np.errstate(all="ignore"):
+        x = _quantile_seed(VECTOR, q, a, b)
     lo = np.zeros_like(x)
     hi = np.ones_like(x)
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(_QUANTILE_MAXIT):
         err = _betainc_vec(x, a, b, lgb) - q
         done |= err == 0.0
-        pos = err > 0.0
-        upd = ~done
-        hi = np.where(upd & pos, x, hi)
-        lo = np.where(upd & ~pos, x, lo)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            log_pdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lgb
-            # Halley step: u = err / pdf is the Newton step and g = (ln pdf)'
-            u = err * np.exp(-log_pdf)
-            g = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
-            den = 1.0 - 0.5 * u * g
-            trial = x - np.where((den > 0.5) & (den < 2.0), u / den, u)
-            # a step that rounds to zero is convergence, although x sits on
-            # the bracket edge this round has just moved to it
-            inside = ((trial > lo) & (trial < hi)) | (trial == x)
-            ok = (log_pdf > -700.0) & inside & np.isfinite(trial)
-            xn = np.where(ok, trial, 0.5 * (lo + hi))
-            dx = np.abs(xn - x)
-            x = np.where(done, x, xn)
-            # Newton's predicted remaining error after an accepted step is
-            # |g| / 2 * dx^2; below 1e-15 x a further round only chases the
-            # rounding noise of I_x
-            done |= (
-                (dx <= 1e-15 * x + 1e-18)
-                | ((hi - lo) <= 1e-15 * lo)
-                | (ok & (0.5 * np.abs(g) * dx * dx <= 1e-15 * x))
-            )
-        del err, pos, upd, log_pdf, u, g, den, trial, inside, ok, xn, dx  # before _retire
+        with np.errstate(all="ignore"):
+            xn, lo, hi, stop = _halley_round(VECTOR, x, err, a, b, lgb, lo, hi)
+        x = np.where(done, x, xn)
+        done |= stop
+        del err, xn, stop  # before _retire
         out, lanes, done, x, q, a, b, lgb, lo, hi = _retire(
             out, lanes, done, x, q, a, b, lgb, lo, hi
         )
@@ -224,7 +138,8 @@ def _beta_quantile_vec(q, a, b) -> np.ndarray:
     q, a, b = np.broadcast_arrays(
         np.asarray(q, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
-    swap = _quantile_seed_vec(q, a, b) > 0.5
+    with np.errstate(all="ignore"):
+        swap = _quantile_seed(VECTOR, q, a, b) > 0.5
     qq = np.where(swap, 1.0 - q, q)
     aa = np.where(swap, b, a)
     bb = np.where(swap, a, b)
@@ -418,21 +333,9 @@ def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.
     return out
 
 
-def _coverage_chunk_worker(args):
-    p, L, U, n = args
-    return _coverage_values(p, L, U, n)
-
-
-def _coverage_over(p: np.ndarray, L, U, n: int, workers: int = 1) -> np.ndarray:
-    if workers == 0:
-        workers = multiprocessing.cpu_count()
-    if workers <= 1 or p.size < 4096:
-        return _coverage_values(p, L, U, n)
-    chunks = np.array_split(p, workers)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
-        parts = pool.map(_coverage_chunk_worker, [(c, L, U, n) for c in chunks])
-    return np.concatenate(parts)
+# The scans of _min_scan call coverage through this name, which the
+# benchmark's tracer wraps; coverage_probability calls _coverage_values.
+_coverage_over = _coverage_values
 
 
 def coverage_probability(
@@ -476,9 +379,10 @@ def min_coverage(
     endpoint e inside [lo, hi] is also probed at e and e * (1 +/- 1e-12),
     capturing both one-sided limits.  The reduction runs in ascending-p
     order and breaks ties toward the smallest p; the grid-only minimum is
-    reported alongside for comparison.
+    reported alongside for comparison.  `workers` is accepted and ignored:
+    the scan runs in this process.
     """
-    grid_p, grid_cov, min_p, min_cov = _min_scan(method, n, level, grid, workers)
+    grid_p, grid_cov, min_p, min_cov = _min_scan(method, n, level, grid)
     i_grid = int(np.argmin(grid_cov))
     return CoverageReport(
         min_coverage=min_cov,
@@ -491,19 +395,17 @@ def min_coverage(
     )
 
 
-def _min_scan(method, n, level, grid, workers):
+def _min_scan(method, n, level, grid):
     """min_coverage's scan without the mean: (grid p, grid coverage, argmin p, min)."""
     L, U = _bounds_arrays(method, n, level)
     grid_p = grid.values()
-    grid_cov = _coverage_over(grid_p, L, U, n, workers)
+    grid_cov = _coverage_over(grid_p, L, U, n)
 
     ends = np.concatenate([L, U])
     ends = ends[(ends >= grid.lo) & (ends <= grid.hi)]
     probes = np.concatenate([ends * (1.0 - _REFINE_EPS), ends, ends * (1.0 + _REFINE_EPS)])
     probes = np.clip(probes, grid.lo, grid.hi)
-    probe_cov = (
-        _coverage_over(probes, L, U, n, workers) if probes.size else np.empty(0)
-    )
+    probe_cov = _coverage_over(probes, L, U, n) if probes.size else np.empty(0)
 
     p_all = np.concatenate([grid_p, probes])
     cov_all = np.concatenate([grid_cov, probe_cov])
@@ -545,7 +447,7 @@ def expected_widths_batch(
     if not ns:
         return []
     quantile = method.family in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR)
-    lf = _log_gamma_vec(np.arange(max(ns) + 1, dtype=float) + 1.0)  # lf[k] = ln k!
+    lf = _log_gamma(VECTOR, np.arange(max(ns) + 1, dtype=float) + 1.0)  # lf[k] = ln k!
     pmfs = []
     xs = []
     for n in ns:
@@ -574,10 +476,10 @@ def expected_widths_batch(
 # ---------------------------------------------------------------------------
 # calibration
 
-def _criterion_value(method, n, criterion, gamma, workers):
+def _criterion_value(method, n, criterion, gamma):
     level = ConfidenceLevel(gamma)
     if isinstance(criterion, MinCoverage):
-        return _min_scan(method, n, level, criterion.grid, workers)[3]
+        return _min_scan(method, n, level, criterion.grid)[3]
     if isinstance(criterion, MeanCoverage):
         return mean_coverage(method, n, level)
     raise DomainError(f"unknown calibration criterion {criterion!r}")
@@ -600,12 +502,13 @@ def calibrate_alpha(
     Minimum-coverage criterion: the largest gamma whose minimum coverage is
     still at least 1 - alpha (bisection plus a local descending rescan when
     the sawtooth breaks monotonicity).  Mean-coverage criterion: the gamma
-    whose mean coverage equals 1 - alpha within 1e-5.
+    whose mean coverage equals 1 - alpha within 1e-5.  `workers` is
+    accepted and ignored, as in min_coverage.
     """
     target = 1.0 - level.alpha
 
     def crit(gamma: float) -> float:
-        return _criterion_value(method, n, criterion, gamma, workers)
+        return _criterion_value(method, n, criterion, gamma)
 
     if isinstance(criterion, MeanCoverage):
         lo, hi = _GAMMA_LO, _GAMMA_HI

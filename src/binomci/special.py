@@ -2,13 +2,19 @@
 
 Scalar routines for the log-gamma function, the regularized incomplete beta
 function and its inverse, the standard normal quantile, and the binomial
-mass/distribution functions.  Everything here is pure and deterministic;
-heavier grid work uses the vectorized twins in :mod:`binomci.exact_eval`.
+mass/distribution functions.  Everything here is pure and deterministic.
+The steps of ln Gamma, the incomplete beta and its inverse are written once,
+over an injected float (SCALAR) or numpy (VECTOR) namespace; this module
+drives them one value at a time and :mod:`binomci.exact_eval` drives them
+over arrays of lanes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -49,6 +55,45 @@ JEFFREYS_PRIOR = BetaParams(0.5, 0.5)
 UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 
 
+# ---------------------------------------------------------------------------
+# The L0 kernel.  Each step below is written once, as plain arithmetic over an
+# injected namespace `xp`: SCALAR for Python floats (the loops of this module,
+# behind interval()) or VECTOR for numpy arrays (the lane loops of
+# binomci.exact_eval).  Only the loop drivers are written twice.
+#
+# Floats raise where numpy returns inf or nan (math.exp overflows, a division
+# by zero raises), so SCALAR.select(cond, f, g) calls only the branch it takes,
+# while VECTOR.select calls both and picks per lane.  guard(v) is the modified
+# Lentz guard: v, with 1e-300 wherever |v| < 1e-300 (numpy's in place, on the
+# fresh array each caller passes).
+
+_BETACF_FPMIN = 1e-300
+_BETACF_EPS = 1e-15
+_BETACF_MAXIT = 2000
+_QUANTILE_MAXIT = 200
+
+
+def _guard_array(v):
+    np.copyto(v, _BETACF_FPMIN, where=np.abs(v) < _BETACF_FPMIN)
+    return v
+
+
+SCALAR = SimpleNamespace(
+    log=math.log, log1p=math.log1p, exp=math.exp, sqrt=math.sqrt, isfinite=math.isfinite,
+    where=lambda cond, f, g: f if cond else g,
+    maximum=max,
+    select=lambda cond, f, g: f() if cond else g(),
+    guard=lambda v, tiny=_BETACF_FPMIN: tiny if abs(v) < tiny else v,
+)
+VECTOR = SimpleNamespace(
+    log=np.log, log1p=np.log1p, exp=np.exp, sqrt=np.sqrt, isfinite=np.isfinite,
+    where=np.where,
+    maximum=np.maximum,
+    select=lambda cond, f, g: np.where(cond, f(), g()),
+    guard=_guard_array,
+)
+
+
 # Lanczos approximation of ln Gamma, g = 607/128, 15 coefficients
 # (P. Godfrey 2001, "A note on the computation of the convergent Lanczos
 # complex Gamma approximation"; same data as used by the GSL and numerous
@@ -75,20 +120,145 @@ _LANCZOS_C = (
 _HALF_LOG_TWO_PI = 0.91893853320467274178
 
 
-def log_gamma(x: float) -> float:
-    """Natural logarithm of the gamma function for x > 0."""
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+def _log_gamma(xp, x):
     s = _LANCZOS_C[0]
     for k in range(1, 15):
         s += _LANCZOS_C[k] / (x + k - 1.0)
     t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(s)
+    return _HALF_LOG_TWO_PI + (x - 0.5) * xp.log(t) - t + xp.log(s)
+
+
+def _log_beta(xp, a, b):
+    return _log_gamma(xp, a) + _log_gamma(xp, b) - _log_gamma(xp, a + b)
+
+
+def _lentz_start(xp, a, b, x):
+    """Shape sums a + b, a + 1, a - 1 and the first d of the modified Lentz
+    evaluation of the incomplete-beta continued fraction; c = 1 and h = d."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    return qab, qap, qam, 1.0 / xp.guard(1.0 - qab * x / qap)
+
+
+def _lentz_round(xp, m, a, b, x, qab, qap, qam, c, d, h):
+    """Round m of the fraction, both partial terms: the new (h, c, d) and
+    whether the round's last factor d * c is within 1e-15 of 1."""
+    guard = xp.guard
+    m2 = 2 * m
+    aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    d = 1.0 / guard(1.0 + aa * d)
+    c = guard(1.0 + aa / c)
+    h = h * (d * c)
+    aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+    d = 1.0 / guard(1.0 + aa * d)
+    c = guard(1.0 + aa / c)
+    delta = d * c
+    return h * delta, c, d, abs(delta - 1.0) < _BETACF_EPS
+
+
+def _inc_beta_front(xp, x, a, b, lgb):
+    """Front factor x^a (1 - x)^b / B(a, b) of I_x(a, b) for 0 < x < 1, and
+    the mirror rule: below the switch point (a + 1)/(a + b + 2) the fraction
+    runs on (a, b, x), else on (b, a, 1 - x), where it converges fastest.
+    Returns (front, direct, the fraction's a, b and x)."""
+    front = xp.exp(a * xp.log(x) + b * xp.log1p(-x) - lgb)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    fx = xp.where(direct, x, 1.0 - x)
+    return front, direct, xp.where(direct, a, b), xp.where(direct, b, a), fx
+
+
+def _inc_beta_value(xp, front, direct, cf, a):
+    """I_x from the front factor and the fraction cf on the side `direct` chose,
+    a being that side's first shape: I_x = 1 - I_{1-x}(b, a) when mirrored."""
+    res = front * cf / a
+    return xp.where(direct, res, 1.0 - res)
+
+
+def _quantile_seed(xp, q, a, b):
+    """Starting point of the beta-quantile solve: a normal approximation
+    (Abramowitz & Stegun 26.5.22 via the Numerical Recipes invbetai
+    construction) where both shapes are at least 1, else the small-shape
+    power-law tails; kept inside (0, 1)."""
+
+    def large_shapes():
+        pp = xp.where(q < 0.5, q, 1.0 - q)
+        t = xp.sqrt(-2.0 * xp.log(pp))
+        w = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+        w = xp.where(q < 0.5, -w, w)
+        al = (w * w - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        ww = w * xp.sqrt(al + h) / h - (
+            1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)
+        ) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        return a / (a + b * xp.exp(2.0 * ww))
+
+    def small_shapes():
+        t = xp.exp(a * xp.log(a / (a + b))) / a
+        u = xp.exp(b * xp.log(b / (a + b))) / b
+        w = t + u
+        return xp.select(
+            q < t / w,
+            lambda: (a * w * q) ** (1.0 / a),
+            lambda: 1.0 - (b * w * (1.0 - q)) ** (1.0 / b),
+        )
+
+    x = xp.select((a >= 1.0) & (b >= 1.0), large_shapes, small_shapes)
+    x = xp.where(x <= 0.0, 1e-300, x)
+    return xp.where(x >= 1.0, 1.0 - 1e-16, x)
+
+
+def _halley_round(xp, x, err, a, b, lgb, lo, hi):
+    """One safeguarded Halley round of the beta-quantile solve at x, where
+    err = I_x(a, b) - q is nonzero.  Returns the next x, the bracket [lo, hi]
+    shrunk to x's side, and whether the solve stops there.
+
+    u = err / pdf is the Newton step and g = (ln pdf)'; the round steps to
+    x - u / (1 - u g / 2), or to x - u where that divisor is outside
+    (0.5, 2), and bisects where the pdf underflows or the step leaves the
+    bracket.  A step that rounds to zero is convergence, although x sits on
+    the bracket edge this round has just moved to it.  The solve stops on a
+    step below 1e-15 x + 1e-18, on a bracket narrower than 1e-15 of its
+    lower end, or after an accepted step whose Newton-predicted remaining
+    error |g| / 2 * dx^2 is at most 1e-15 x: a further round would only
+    chase the rounding noise of I_x.
+    """
+    pos = err > 0.0
+    hi = xp.where(pos, x, hi)
+    lo = xp.where(pos, lo, x)
+    log_pdf = (a - 1.0) * xp.log(x) + (b - 1.0) * xp.log1p(-x) - lgb
+    # floored exponent and unit divisor: a refused step must not raise on floats
+    u = err * xp.exp(-xp.maximum(log_pdf, -700.0))
+    g = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
+    den = 1.0 - 0.5 * u * g
+    trial = x - u / xp.where((den > 0.5) & (den < 2.0), den, 1.0)
+    inside = ((lo < trial) & (trial < hi)) | (trial == x)
+    ok = (log_pdf > -700.0) & inside & xp.isfinite(trial)
+    xn = xp.where(ok, trial, 0.5 * (lo + hi))
+    dx = abs(xn - x)
+    stop = (
+        (dx <= 1e-15 * xn + 1e-18)
+        | ((hi - lo) <= 1e-15 * lo)
+        | (ok & (0.5 * abs(g) * dx * dx <= 1e-15 * xn))
+    )
+    return xn, lo, hi, stop
+
+
+# ---------------------------------------------------------------------------
+# scalar drivers
+
+def log_gamma(x: float) -> float:
+    """Natural logarithm of the gamma function for x > 0."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    return _log_gamma(SCALAR, x)
 
 
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
+        raise DomainError(f"log_beta requires a, b > 0, got a={a}, b={b}")
+    return _log_beta(SCALAR, a, b)
 
 
 def log_binom_coeff(n: int, k: int) -> float:
@@ -100,44 +270,14 @@ def log_binom_coeff(n: int, k: int) -> float:
     return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
 
 
-_BETACF_FPMIN = 1e-300
-_BETACF_EPS = 1e-15
-_BETACF_MAXIT = 2000
-
-
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    qab, qap, qam, d = _lentz_start(SCALAR, a, b, x)
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
-    d = 1.0 / d
     h = d
     for m in range(1, _BETACF_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
+        h, c, d, converged = _lentz_round(SCALAR, m, a, b, x, qab, qap, qam, c, d, h)
+        if converged:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
@@ -159,48 +299,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    log_front = (
-        a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _beta_quantile_seed(q: float, a: float, b: float) -> float:
-    # Normal-approximation starting point (Abramowitz & Stegun 26.5.22 via
-    # the Numerical Recipes invbetai construction).
-    if a >= 1.0 and b >= 1.0:
-        pp = q if q < 0.5 else 1.0 - q
-        t = math.sqrt(-2.0 * math.log(pp))
-        w = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
-        if q < 0.5:
-            w = -w
-        al = (w * w - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        ww = w * math.sqrt(al + h) / h - (
-            1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)
-        ) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
-        x = a / (a + b * math.exp(2.0 * ww))
-    else:
-        lna = math.log(a / (a + b))
-        lnb = math.log(b / (a + b))
-        t = math.exp(a * lna) / a
-        u = math.exp(b * lnb) / b
-        w = t + u
-        if q < t / w:
-            x = (a * w * q) ** (1.0 / a)
-        else:
-            x = 1.0 - (b * w * (1.0 - q)) ** (1.0 / b)
-    if x <= 0.0:
-        x = 1e-300
-    if x >= 1.0:
-        x = 1.0 - 1e-16
-    return x
-
-
-_QUANTILE_MAXIT = 200
+    front, direct, fa, fb, fx = _inc_beta_front(SCALAR, x, a, b, log_beta(a, b))
+    return _inc_beta_value(SCALAR, front, direct, _betacf(fa, fb, fx), fa)
 
 
 def beta_quantile(q: float, a: float, b: float) -> float:
@@ -221,52 +321,29 @@ def beta_quantile(q: float, a: float, b: float) -> float:
         raise DomainError(f"beta_quantile requires a, b > 0, got a={a}, b={b}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"beta_quantile requires 0 < q < 1, got q={q}")
-    if _beta_quantile_seed(q, a, b) > 0.5:
+    if _quantile_seed(SCALAR, q, a, b) > 0.5:
         return 1.0 - _solve_beta_quantile(1.0 - q, b, a)
     return _solve_beta_quantile(q, a, b)
 
 
 def _solve_beta_quantile(q: float, a: float, b: float) -> float:
     lgb = log_beta(a, b)
-    x = _beta_quantile_seed(q, a, b)
+    x = _quantile_seed(SCALAR, q, a, b)
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAXIT):
         err = reg_inc_beta(x, a, b) - q
         if err == 0.0:
             return x
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        log_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - lgb
-        step_ok = False
-        if log_pdf > -700.0:
-            # Halley step: u = err / pdf is the Newton step and g = (ln pdf)'
-            u = err * math.exp(-log_pdf)
-            g = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
-            den = 1.0 - 0.5 * u * g
-            if 0.5 < den < 2.0:
-                u = u / den
-            xn = x - u
-            # a step that rounds to zero is convergence, although x sits on
-            # the bracket edge this round has just moved to it
-            if lo < xn < hi or xn == x:
-                step_ok = True
-        if not step_ok:
-            xn = 0.5 * (lo + hi)
-        dx = abs(xn - x)
-        x = xn
-        if dx <= 1e-15 * x + 1e-18 or (hi - lo) <= 1e-15 * lo:
-            return x
-        # Newton's predicted remaining error after an accepted step is
-        # |g| / 2 * dx^2; below 1e-15 x a further round only chases the
-        # rounding noise of I_x
-        if step_ok and 0.5 * abs(g) * dx * dx <= 1e-15 * x:
+        x, lo, hi, stop = _halley_round(SCALAR, x, err, a, b, lgb, lo, hi)
+        if stop:
             return x
     raise ConvergenceError(
         f"beta_quantile did not converge for q={q}, a={a}, b={b}"
     )
 
+
+# ---------------------------------------------------------------------------
+# normal quantile and binomial distribution
 
 # Rational approximation of the normal quantile, algorithm AS 241 (Wichura
 # 1988, PPND16).  Absolute error below 1e-15 across (0, 1).

@@ -16,7 +16,6 @@ from binomci.exact_eval import (
     _binom_pmf_vec,
     _bounds_arrays,
     _coverage_values,
-    _log_gamma_vec,
     calibrate_alpha,
     coverage_probability,
     expected_width_exact,
@@ -100,7 +99,7 @@ class TestVectorKernel:
             x = np.arange(1.0, n + 1.0)
             q = np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], x.size)
             _beta_quantile_vec(q, np.tile(x, 2), np.tile(n + 1.0 - x, 2))
-            assert len(rounds) <= most, n
+            assert 1 <= len(rounds) <= most, n
 
     def test_quantiles_match_scipy_at_every_n(self):
         # the stop rule may end a solve early only where the kernel's own
@@ -191,8 +190,9 @@ class TestVectorKernel:
                     assert abs(float(g / ref) - 1.0) <= tol, (n, ki, pi)
 
     def test_log_gamma_matches_scalar(self):
+        # the one Lanczos ln-gamma under numpy against its math-module run
         xs = np.array([0.5, 1.0, 2.5, 10.0, 123.4, 5000.0])
-        vec = _log_gamma_vec(xs)
+        vec = sp._log_gamma(sp.VECTOR, xs)
         for x, v in zip(xs, vec):
             assert v == pytest.approx(sp.log_gamma(float(x)), rel=1e-14)
 
@@ -213,9 +213,9 @@ class TestVectorKernel:
         # over every x at n <= 5000, alpha in {0.01, 0.05, 0.2}: 1.19e-14).
         # Where a shape is 0.001 (x = 0 or n under a Beta(0.001, 0.001)
         # prior) a relative error e in I_x moves the quantile by about
-        # e / 0.001, and the two kernels' I_x differ by up to ~1e-12 at
-        # n = 1000 (Lanczos ln-gamma rounding); there they agree to 2e-9
-        # (largest 9.13e-10, at n = 1000, x = 0, alpha = 0.01).
+        # e / 0.001.  Both drivers run the same kernel steps, so their I_x
+        # differ only by math vs numpy libm rounding; there they agree to
+        # 2e-12 (largest 6.7e-13, at n = 5000, x = 0, alpha = 0.01).
         tiny = BetaParams(0.001, 0.001)
         specs = (
             [MethodSpec.clopper_pearson(s) for s in Side]
@@ -241,7 +241,7 @@ class TestVectorKernel:
                     edge = x in (0, n)
                     for scalar, engine in ((est.lower, L[i]), (est.upper, U[i])):
                         if spec.family is Family.BETA_PRIOR:
-                            rel = 2e-9 if edge and spec.prior == tiny else 2e-14
+                            rel = 2e-12 if edge and spec.prior == tiny else 2e-14
                             assert scalar == pytest.approx(engine, rel=rel, abs=0.0)
                         elif spec.family is Family.CLOPPER_PEARSON and not edge:
                             assert scalar == pytest.approx(engine, rel=2e-14, abs=0.0)
