@@ -44,14 +44,19 @@ _METHODS = {
 }
 
 
+def _parse_beta(text: str, message: str) -> BetaParams:
+    """Beta shapes written "a,b"; anything else is a UsageError with message."""
+    try:
+        a_txt, b_txt = text.split(",")
+        return BetaParams(float(a_txt), float(b_txt))
+    except ValueError as exc:
+        raise UsageError(message) from exc
+
+
 def _parse_method(text: str, side: Side) -> MethodSpec:
     name = text.strip().lower()
     if name.startswith("beta:"):
-        try:
-            a_txt, b_txt = name[5:].split(",")
-            prior = BetaParams(float(a_txt), float(b_txt))
-        except (ValueError, IndexError) as exc:
-            raise UsageError(f"--method beta:a,b needs two numbers, got {text!r}") from exc
+        prior = _parse_beta(name[5:], f"--method beta:a,b needs two numbers, got {text!r}")
         return MethodSpec.beta_prior(prior, side)
     if name not in _METHODS:
         raise UsageError(
@@ -218,16 +223,12 @@ def _cmd_sample_size(args) -> int:
         raise UsageError("sample-size supports --method cp only")
     side = _parse_side(args.side)
     level = ConfidenceLevel(args.alpha)
-    mode = FormulaMode.DERIVED_ALGEBRA if args.formula == "derived" else FormulaMode.PAPER_VERBATIM
+    mode = FormulaMode(args.formula)
     if (args.p0 is None) == (args.prior is None):
         raise UsageError("give exactly one of --p0 and --prior")
     prior = None
     if args.prior is not None:
-        try:
-            a_txt, b_txt = args.prior.split(",")
-            prior = BetaParams(float(a_txt), float(b_txt))
-        except (ValueError, IndexError) as exc:
-            raise UsageError(f"--prior needs a,b, got {args.prior!r}") from exc
+        prior = _parse_beta(args.prior, f"--prior needs a,b, got {args.prior!r}")
     query = SampleSizeQuery(args.d, level, side, args.p0, prior)
     if args.mode == "exact":
         if args.p0 is None:
@@ -257,7 +258,7 @@ def _cmd_sample_size(args) -> int:
 
 def _cmd_cost(args) -> int:
     level = ConfidenceLevel(args.alpha)
-    mode = FormulaMode.DERIVED_ALGEBRA if args.formula == "derived" else FormulaMode.PAPER_VERBATIM
+    mode = FormulaMode(args.formula)
     vs = args.vs.strip().lower()
     if vs == "one-sided":
         value = sample_size.n_plus_one_sided(args.d, args.p0, level, mode)
@@ -268,12 +269,9 @@ def _cmd_cost(args) -> int:
             raise UsageError(f"--vs adjusted:gamma needs a number, got {args.vs!r}") from exc
         value = sample_size.n_plus_adjusted(args.d, args.p0, level, gamma)
     else:
-        fam = {
-            "jeffreys": ApproxFamily.JEFFREYS,
-            "wilson": ApproxFamily.WILSON,
-            "ac": ApproxFamily.AGRESTI_COULL,
-        }.get(vs)
-        if fam is None:
+        try:
+            fam = ApproxFamily(vs)
+        except ValueError:
             raise UsageError(
                 f"unknown --vs {args.vs!r}; expected jeffreys|wilson|ac|one-sided|adjusted:gamma"
             )
@@ -306,7 +304,7 @@ def _parse_n_list(text: str) -> list[int]:
 
 def _figure_rows(args):
     level = ConfidenceLevel(args.alpha)
-    mode = FormulaMode.DERIVED_ALGEBRA if args.formula == "derived" else FormulaMode.PAPER_VERBATIM
+    mode = FormulaMode(args.formula)
     fid = args.id
     if fid in ("1", "4"):
         side = Side.TWO_SIDED if fid == "1" else Side.UPPER

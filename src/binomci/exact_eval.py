@@ -106,11 +106,9 @@ def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
     return out
 
 
-def _solve_beta_quantile_vec(q, a, b):
+def _solve_beta_quantile_vec(q, a, b, x):
     out = lanes = None
     lgb = _log_beta(VECTOR, a, b)
-    with np.errstate(all="ignore"):
-        x = _quantile_seed(VECTOR, q, a, b)
     lo = np.zeros_like(x)
     hi = np.ones_like(x)
     done = np.zeros(x.shape, dtype=bool)
@@ -139,11 +137,14 @@ def _beta_quantile_vec(q, a, b) -> np.ndarray:
         np.asarray(q, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
     with np.errstate(all="ignore"):
-        swap = _quantile_seed(VECTOR, q, a, b) > 0.5
-    qq = np.where(swap, 1.0 - q, q)
-    aa = np.where(swap, b, a)
-    bb = np.where(swap, a, b)
-    w = _solve_beta_quantile_vec(qq, aa, bb)
+        seed = _quantile_seed(VECTOR, q, a, b)
+        swap = seed > 0.5
+        qq = np.where(swap, 1.0 - q, q)
+        aa = np.where(swap, b, a)
+        bb = np.where(swap, a, b)
+        if swap.any():  # mirrored lanes are seeded on their mirrored shapes
+            seed[swap] = _quantile_seed(VECTOR, qq[swap], aa[swap], bb[swap])
+    w = _solve_beta_quantile_vec(qq, aa, bb, seed)
     return np.where(swap, 1.0 - w, w)
 
 
@@ -490,6 +491,17 @@ _GAMMA_HI = 0.5
 _GAMMA_TOL = 1e-5
 
 
+def _bisect(lo: float, hi: float, tol: float, keeps_lo) -> tuple[float, float]:
+    """Halve [lo, hi] to width tol, moving lo up to each midpoint that keeps_lo."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if keeps_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def calibrate_alpha(
     method: MethodSpec,
     n: int,
@@ -518,12 +530,7 @@ def calibrate_alpha(
             raise CalibrationError(
                 f"mean coverage cannot reach {target} for gamma in ({lo}, {hi})"
             )
-        while hi - lo > 1e-7:
-            mid = 0.5 * (lo + hi)
-            if crit(mid) - target >= 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lo, hi, 1e-7, lambda mid: crit(mid) - target >= 0.0)
         gamma = 0.5 * (lo + hi)
         if abs(crit(gamma) - target) > _GAMMA_TOL:
             raise CalibrationError("mean-coverage calibration did not meet tolerance")
@@ -540,14 +547,7 @@ def calibrate_alpha(
     # minimum coverage already meets the target is left untouched.
     if passes(level.alpha):
         return ConfidenceLevel(level.alpha)
-    lo, hi = _GAMMA_LO, level.alpha
-    while hi - lo > _GAMMA_TOL:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    gamma = lo
+    gamma, _ = _bisect(_GAMMA_LO, level.alpha, _GAMMA_TOL, passes)
     # Sawtooth minima are not perfectly monotone in gamma.  Verify the
     # bracketing witness; if gamma + 1e-3 unexpectedly still passes, rescan
     # downward on a 1e-4 lattice from just above the wobble zone and keep

@@ -6,6 +6,11 @@ prior-averaged variants, the printed sample-size formulas for the
 approximate comparison methods, an exact enumeration search, and the
 n-plus quantities measuring how many extra observations exactness costs.
 
+Every derived closed form inverts an expansion t_half n^(-1/2) + t_one / n
+= d through one root, _root_n, which never divides by t_one and so keeps
+its digits when t_one is near zero; the point-guess forms read their
+coefficients from `expansions`.
+
 Several printed displays disagree with their own derivations; those
 operations therefore run in one of two modes.  DERIVED_ALGEBRA (the
 default) evaluates the algebraically consistent form, PAPER_VERBATIM the
@@ -19,6 +24,7 @@ from enum import Enum
 
 from . import exact_eval
 from .errors import DomainError, SearchBudgetError
+from .expansions import expected_distance_expansion, expected_length_expansion
 from .methods import ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side
 from .special import BetaParams, log_gamma, normal_quantile
 
@@ -94,9 +100,21 @@ def _require_prior(q: SampleSizeQuery) -> BetaParams:
     return q.prior
 
 
-def _two_sided_n(z: float, m2: float, m4: float, d: float) -> float:
-    # Solves 2 z sqrt(m2) n^(-1/2) + n^(-1) = d; m2 plays p0*q0, m4 its square.
-    return (2.0 * z * z * m2 + 2.0 * z * math.sqrt(z * z * m4 + d * m2) + d) / (d * d)
+def _root_n(t_half: float, t_one: float, d: float, where: str = "") -> float:
+    """The n solving t_half n^(-1/2) + t_one / n = d, a quadratic in sqrt(n).
+
+    Solved as sqrt(n) = (t_half + sqrt(t_half^2 + 4 t_one d)) / (2 d), which
+    never divides by t_one and, for t_half > 0, adds two nonnegative terms,
+    so a t_one of either sign, or zero, loses no digits (Goldberg 1991, "What
+    every computer scientist should know about floating-point arithmetic",
+    section 1.4).  A t_one < 0 makes the expansion peak at a finite n; a d
+    above the peak leaves a negative discriminant and is unattainable.
+    """
+    disc = t_half * t_half + 4.0 * t_one * d
+    root_n = (t_half + math.sqrt(disc)) / (2.0 * d) if disc >= 0.0 else math.nan
+    if not (root_n > 0.0):
+        raise DomainError(f"target d={d} is unattainable{where}")
+    return root_n * root_n
 
 
 def cp_n_two_sided(query: SampleSizeQuery) -> SampleSizeResult:
@@ -104,9 +122,8 @@ def cp_n_two_sided(query: SampleSizeQuery) -> SampleSizeResult:
     if query.side is not Side.TWO_SIDED:
         raise DomainError("cp_n_two_sided requires a two-sided query")
     p0 = _require_point(query)
-    q0 = 1.0 - p0
-    pq = p0 * q0
-    n = _two_sided_n(query.level.z_half, pq, pq * pq, query.d)
+    terms = expected_length_expansion(1, p0, query.level)  # coefficients do not depend on n
+    n = _root_n(terms.t_half, terms.t_one, query.d, f" for p0={p0}")
     return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
 
 
@@ -114,9 +131,8 @@ def cp_n_two_sided_prior(query: SampleSizeQuery) -> SampleSizeResult:
     """Two-sided sample size with p integrated out against a Beta prior."""
     if query.side is not Side.TWO_SIDED:
         raise DomainError("cp_n_two_sided_prior requires a two-sided query")
-    r = prior_moment(_require_prior(query))
-    r2 = r * r
-    n = _two_sided_n(query.level.z_half, r2, r2 * r2, query.d)
+    t_half = 2.0 * query.level.z_half * prior_moment(_require_prior(query))
+    n = _root_n(t_half, 1.0, query.d, " for this prior")
     return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
 
 
@@ -125,33 +141,31 @@ def cp_n_one_sided(
 ) -> SampleSizeResult:
     """Sample size for a target expected distance of the upper CP bound to p.
 
-    DERIVED_ALGEBRA solves the second-order approximation
-    d = z sqrt(p0 q0) n^(-1/2) + C/(3n), C = 2(1/2 - p0) z^2 + 1 + q0,
-    as a quadratic in sqrt(n).  PAPER_VERBATIM evaluates the printed display
-    exactly as typeset (which is inconsistent with that derivation).
+    DERIVED_ALGEBRA inverts the second-order expected_distance_expansion,
+    d = t_half n^(-1/2) + t_one / n, as a quadratic in sqrt(n).
+    PAPER_VERBATIM evaluates the printed display exactly as typeset (which
+    is inconsistent with that derivation).  For p0 well above 1/2, t_one < 0
+    and the expansion peaks at a finite n; a d above the peak is unattainable
+    in both modes.
     """
     if query.side is not Side.UPPER:
         raise DomainError("cp_n_one_sided requires an upper one-sided query")
     p0 = _require_point(query)
+    d = query.d
+    if formula is FormulaMode.DERIVED_ALGEBRA:
+        terms = expected_distance_expansion(1, p0, query.level)  # coefficients do not depend on n
+        n = _root_n(terms.t_half, terms.t_one, d, f" for p0={p0}")
+        return SampleSizeResult(math.ceil(n), n, formula)
     q0 = 1.0 - p0
     pq = p0 * q0
-    d = query.d
     z = query.level.z_full
     z2 = z * z
-    c = 2.0 * (0.5 - p0) * z2 + 1.0 + q0
-    # C < 0 for p0 above about 0.6: the expansion then peaks at a finite n,
-    # and a d above the peak leaves a negative discriminant.
-    if formula is FormulaMode.DERIVED_ALGEBRA:
-        disc = z2 * pq + (4.0 * d / 3.0) * c
-        root_n = (z * math.sqrt(pq) + math.sqrt(max(disc, 0.0))) / (2.0 * d)
-        n = root_n * root_n
-    else:
-        disc = 3.0 * z2 * pq + 4.0 * (d * z2 - 2.0 * d * z2 * p0 + d * (1.0 + q0))
-        n = (
-            9.0 * z2 * pq
-            + 3.0 * z * math.sqrt(3.0 * pq) * math.sqrt(max(disc, 0.0))
-            + 6.0 * (2.0 * z2 * (0.5 - p0) + (1.0 + q0))
-        ) / (2.0 * d * d)
+    disc = 3.0 * z2 * pq + 4.0 * (d * z2 - 2.0 * d * z2 * p0 + d * (1.0 + q0))
+    n = (
+        9.0 * z2 * pq
+        + 3.0 * z * math.sqrt(3.0 * pq) * math.sqrt(max(disc, 0.0))
+        + 6.0 * (2.0 * z2 * (0.5 - p0) + (1.0 + q0))
+    ) / (2.0 * d * d)
     if disc < 0.0 or not (n > 0.0):
         raise DomainError(f"target d={d} is unattainable for p0={p0}")
     return SampleSizeResult(math.ceil(n), n, formula)
@@ -181,25 +195,17 @@ def _one_sided_prior_coeffs(prior: BetaParams, z: float) -> tuple[float, float]:
 def cp_n_one_sided_prior(query: SampleSizeQuery) -> SampleSizeResult:
     """One-sided sample size with p integrated out against a Beta prior.
 
-    Solves A n^(-1/2) + B n^(-1) = d, where A and B are the prior-averaged
-    expansion coefficients; for the Jeffreys prior A = z/6 and B = pi/16.
+    Inverts A n^(-1/2) + B n^(-1) = d, where A and B are the prior-averaged
+    expansion coefficients (for the Jeffreys prior A = z/6 and B = pi/16),
+    by the same root as the point-guess forms, without cancellation: B is a
+    difference of two terms and is zero, tiny or negative for some priors.
     """
     if query.side is not Side.UPPER:
         raise DomainError("cp_n_one_sided_prior requires an upper one-sided query")
     coeff_half, coeff_one = _one_sided_prior_coeffs(
         _require_prior(query), query.level.z_full
     )
-    d = query.d
-    if coeff_one == 0.0:
-        u = d / coeff_half
-    else:
-        disc = coeff_half * coeff_half + 4.0 * coeff_one * d
-        if disc < 0.0:
-            raise DomainError("target d is unattainable for this prior")
-        u = (-coeff_half + math.sqrt(disc)) / (2.0 * coeff_one)
-    if not (u > 0.0):
-        raise DomainError("target d is unattainable for this prior")
-    n = 1.0 / (u * u)
+    n = _root_n(coeff_half, coeff_one, query.d, " for this prior")
     return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
 
 

@@ -32,11 +32,6 @@ __all__ = [
     "binom_cdf",
 ]
 
-# A probability is carried as a plain float in [0, 1]; constructors and
-# operations validate the range at their boundaries.
-Probability = float
-
-
 @dataclass(frozen=True)
 class BetaParams:
     """Shape parameters of a Beta(a, b) distribution, both strictly positive."""
@@ -321,14 +316,15 @@ def beta_quantile(q: float, a: float, b: float) -> float:
         raise DomainError(f"beta_quantile requires a, b > 0, got a={a}, b={b}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"beta_quantile requires 0 < q < 1, got q={q}")
-    if _quantile_seed(SCALAR, q, a, b) > 0.5:
-        return 1.0 - _solve_beta_quantile(1.0 - q, b, a)
-    return _solve_beta_quantile(q, a, b)
-
-
-def _solve_beta_quantile(q: float, a: float, b: float) -> float:
-    lgb = log_beta(a, b)
     x = _quantile_seed(SCALAR, q, a, b)
+    if x > 0.5:
+        return 1.0 - _solve_beta_quantile(1.0 - q, b, a, _quantile_seed(SCALAR, 1.0 - q, b, a))
+    return _solve_beta_quantile(q, a, b, x)
+
+
+def _solve_beta_quantile(q: float, a: float, b: float, x: float) -> float:
+    """Halley loop of beta_quantile from the seed x."""
+    lgb = log_beta(a, b)
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAXIT):
         err = reg_inc_beta(x, a, b) - q

@@ -112,6 +112,18 @@ class TestSampleSize:
         assert code == 0
         assert parse_keyvals(out)["n"] == "208"
 
+    def test_prior_with_vanishing_n_inverse_coefficient(self, capsys):
+        # this prior's one-sided n^(-1) coefficient is 2.5e-14 at alpha .05
+        code, out, _ = invoke(
+            ["sample-size", "--method", "cp", "--d", "0.02", "--prior",
+             "1.7241029864823263,1.9", "--alpha", "0.05", "--side", "upper"],
+            capsys,
+        )
+        assert code == 0
+        vals = parse_keyvals(out)
+        assert vals["n"] == "26997"
+        assert vals["n_unrounded"] == "26996.9302"
+
     def test_both_guesses_rejected(self, capsys):
         code, _, err = invoke(
             ["sample-size", "--method", "cp", "--d", "0.05", "--p0", "0.5",

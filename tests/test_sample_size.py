@@ -156,6 +156,69 @@ class TestOneSidedPrior:
         assert jeffreys_one_sided_n_verbatim(0.02, LEVEL) == pytest.approx(85216.2, abs=0.5)
 
 
+def _point_coeffs(two_sided, p0, level):
+    # the printed expansion coefficients, written out independently here
+    pq = p0 * (1.0 - p0)
+    if two_sided:
+        return 2.0 * level.z_half * math.sqrt(pq), 1.0
+    z = level.z_full
+    return z * math.sqrt(pq), (2.0 * (0.5 - p0) * z * z + 1.0 + (1.0 - p0)) / 3.0
+
+
+def _prior_coeffs(two_sided, prior, level):
+    from binomci.sample_size import _one_sided_prior_coeffs
+
+    if two_sided:
+        return 2.0 * level.z_half * prior_moment(prior), 1.0
+    return _one_sided_prior_coeffs(prior, level.z_full)
+
+
+# At alpha .05, Beta(1.7241029864823263, 1.9) has a one-sided n^(-1)
+# coefficient of 2.5e-14 and Beta(1.72410298, 1.9) one of -1.3e-7; the root
+# that divided by it returned n = 12544 for 26996.93 on the first, and was
+# off by 1.4e-7 relative in the residual on the second.
+RESIDUAL_PRIORS = [
+    JEFFREYS_PRIOR,
+    UNIFORM_PRIOR,
+    BetaParams(0.5, 1.0),
+    BetaParams(1.5, 0.7),
+    BetaParams(1.7241029864823263, 1.9),
+    BetaParams(1.72410298, 1.9),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("d", [0.005, 0.02, 0.1])
+@pytest.mark.parametrize(
+    "form,guesses,coeffs",
+    [
+        (cp_n_two_sided, [0.02, 0.1, 0.3, 0.5, 0.7, 0.9], _point_coeffs),
+        (cp_n_one_sided, [0.02, 0.1, 0.3, 0.5, 0.7, 0.9], _point_coeffs),
+        (cp_n_two_sided_prior, RESIDUAL_PRIORS, _prior_coeffs),
+        (cp_n_one_sided_prior, RESIDUAL_PRIORS, _prior_coeffs),
+    ],
+    ids=["two_sided", "one_sided", "two_sided_prior", "one_sided_prior"],
+)
+def test_closed_form_solves_its_expansion(form, guesses, coeffs, alpha, d):
+    # t_half / sqrt(n) + t_one / n = d at the returned unrounded n
+    level = ConfidenceLevel(alpha)
+    two_sided = form in (cp_n_two_sided, cp_n_two_sided_prior)
+    side = Side.TWO_SIDED if two_sided else Side.UPPER
+    for guess in guesses:
+        if isinstance(guess, BetaParams):
+            query = SampleSizeQuery(d, level, side, prior=guess)
+        else:
+            query = SampleSizeQuery(d, level, side, guess)
+        t_half, t_one = coeffs(two_sided, guess, level)
+        if t_half * t_half + 4.0 * t_one * d < 0.0:
+            with pytest.raises(DomainError, match="unattainable"):
+                form(query)
+            continue
+        n = form(query).n_unrounded
+        residual = t_half / math.sqrt(n) + t_one / n - d
+        assert abs(residual) <= 1e-13 * d, (guess, n, residual)
+
+
 class TestApproxMethodN:
     def test_jeffreys_formula(self):
         res = approx_method_n(ApproxFamily.JEFFREYS, 0.05, 0.5, LEVEL)
