@@ -6,10 +6,9 @@ prior-averaged variants, the printed sample-size formulas for the
 approximate comparison methods, an exact enumeration search, and the
 n-plus quantities measuring how many extra observations exactness costs.
 
-Every derived closed form inverts an expansion t_half n^(-1/2) + t_one / n
-= d through one root, _root_n, which never divides by t_one and so keeps
-its digits when t_one is near zero; the point-guess forms read their
-coefficients from `expansions`.
+Every derived closed form inverts t_half n^(-1/2) + t_one / n = d by one
+root, _root_n, which never divides by t_one; the point-guess forms read
+their coefficients from `expansions`.
 
 Several printed displays disagree with their own derivations; those
 operations therefore run in one of two modes.  DERIVED_ALGEBRA (the
@@ -103,12 +102,10 @@ def _require_prior(q: SampleSizeQuery) -> BetaParams:
 def _root_n(t_half: float, t_one: float, d: float, where: str = "") -> float:
     """The n solving t_half n^(-1/2) + t_one / n = d, a quadratic in sqrt(n).
 
-    Solved as sqrt(n) = (t_half + sqrt(t_half^2 + 4 t_one d)) / (2 d), which
-    never divides by t_one and, for t_half > 0, adds two nonnegative terms,
-    so a t_one of either sign, or zero, loses no digits (Goldberg 1991, "What
-    every computer scientist should know about floating-point arithmetic",
-    section 1.4).  A t_one < 0 makes the expansion peak at a finite n; a d
-    above the peak leaves a negative discriminant and is unattainable.
+    sqrt(n) = (t_half + sqrt(t_half^2 + 4 t_one d)) / (2 d) never divides by
+    t_one, so a t_one near zero costs no digits (Goldberg 1991, section 1.4).
+    A t_one < 0 makes the expansion peak at a finite n; a d above the peak
+    leaves a negative discriminant and is unattainable.
     """
     disc = t_half * t_half + 4.0 * t_one * d
     root_n = (t_half + math.sqrt(disc)) / (2.0 * d) if disc >= 0.0 else math.nan
@@ -141,12 +138,11 @@ def cp_n_one_sided(
 ) -> SampleSizeResult:
     """Sample size for a target expected distance of the upper CP bound to p.
 
-    DERIVED_ALGEBRA inverts the second-order expected_distance_expansion,
-    d = t_half n^(-1/2) + t_one / n, as a quadratic in sqrt(n).
-    PAPER_VERBATIM evaluates the printed display exactly as typeset (which
-    is inconsistent with that derivation).  For p0 well above 1/2, t_one < 0
-    and the expansion peaks at a finite n; a d above the peak is unattainable
-    in both modes.
+    DERIVED_ALGEBRA inverts the second-order expected_distance_expansion as a
+    quadratic in sqrt(n).  PAPER_VERBATIM evaluates the printed display
+    exactly as typeset (which is inconsistent with that derivation).  For p0
+    well above 1/2 the expansion peaks at a finite n, and a d above the peak
+    is unattainable in both modes.
     """
     if query.side is not Side.UPPER:
         raise DomainError("cp_n_one_sided requires an upper one-sided query")
@@ -250,8 +246,6 @@ def approx_method_n(
 
 
 def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLevel) -> float:
-    q0 = 1.0 - p0
-    pq = p0 * q0
     if method.side is Side.TWO_SIDED:
         if method.family is Family.CLOPPER_PEARSON:
             return cp_n_two_sided(SampleSizeQuery(d, level, Side.TWO_SIDED, p0)).n_unrounded
@@ -263,7 +257,7 @@ def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLeve
     if method.family is Family.CLOPPER_PEARSON:
         return cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
     z = level.z_full
-    return z * z * pq / (d * d)
+    return z * z * (p0 * (1.0 - p0)) / (d * d)
 
 
 _EXACT_WINDOW = 25
