@@ -99,7 +99,7 @@ def _require_prior(q: SampleSizeQuery) -> BetaParams:
     return q.prior
 
 
-def _root_n(t_half: float, t_one: float, d: float, where: str = "") -> float:
+def _root_n(t_half: float, t_one: float, d: float, where: str) -> float:
     """The n solving t_half n^(-1/2) + t_one / n = d, a quadratic in sqrt(n).
 
     sqrt(n) = (t_half + sqrt(t_half^2 + 4 t_one d)) / (2 d) never divides by
