@@ -147,9 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", required=True, choices=["min", "mean"])
 
     p = sub.add_parser("figure", help="write a figure-reproduction CSV table")
-    p.add_argument(
-        "--id", required=True, choices=["1", "2", "3", "4", "5", "6", "coverage"]
-    )
+    p.add_argument("--id", required=True, choices=list(_FIGURES))
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
     _add_common(p, "grid")
@@ -302,77 +300,65 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _figure_rows(args):
-    level = ConfidenceLevel(args.alpha)
-    mode = FormulaMode(args.formula)
-    fid = args.id
-    if fid in ("1", "4"):
-        side = Side.TWO_SIDED if fid == "1" else Side.UPPER
-        spec = MethodSpec.clopper_pearson(side)
-        header = ["n", "p", "exact", "expansion"]
-        rows = []
-        for n in _parse_n_list(args.n_list):
-            for p in exact_eval.PGrid(0.002, 0.998, 499).values():
-                p = float(p)
-                exact = exact_eval.expected_width_exact(spec, n, p, level)
-                if fid == "1":
-                    approx = expansions.expected_length_expansion(n, p, level).value
-                else:
-                    approx = expansions.expected_distance_expansion(n, p, level).value
-                rows.append([n, p, exact, approx])
-        return header, rows
-    if fid == "2":
-        header = ["alpha", "p0", "n"]
-        rows = []
-        for alpha in (0.01, 0.05, 0.1):
-            lvl = ConfidenceLevel(alpha)
-            for p0 in exact_eval.PGrid(0.002, 0.998, 499).values():
-                q = SampleSizeQuery(args.d, lvl, Side.TWO_SIDED, float(p0))
-                rows.append([alpha, float(p0), sample_size.cp_n_two_sided(q).n])
-        return header, rows
-    if fid == "3":
-        header = ["vs", "p0", "d", "n_plus"]
-        rows = []
-        for fam in (ApproxFamily.JEFFREYS, ApproxFamily.WILSON, ApproxFamily.AGRESTI_COULL):
-            for p0 in (0.1, 0.3, 0.5):
-                for d in exact_eval.PGrid(0.01, 0.15, 141).values():
-                    rows.append(
-                        [
-                            fam.value,
-                            p0,
-                            float(d),
-                            sample_size.n_plus_two_sided(fam, float(d), p0, level, mode),
-                        ]
-                    )
-        return header, rows
-    if fid == "5":
-        header = ["series", "d", "n"]
-        rows = []
-        for alpha in (0.01, 0.05, 0.1):
-            lvl = ConfidenceLevel(alpha)
-            for d in exact_eval.PGrid(0.005, 0.1, 96).values():
-                q = SampleSizeQuery(float(d), lvl, Side.UPPER, 0.5)
-                rows.append([f"p0=0.5,alpha={alpha}", float(d), sample_size.cp_n_one_sided(q).n])
-        for label, prior in (
-            ("jeffreys-prior", BetaParams(0.5, 0.5)),
-            ("uniform-prior", BetaParams(1.0, 1.0)),
-            ("beta(0.5,1)-prior", BetaParams(0.5, 1.0)),
-        ):
-            for d in exact_eval.PGrid(0.005, 0.1, 96).values():
-                q = SampleSizeQuery(float(d), level, Side.UPPER, prior=prior)
-                rows.append([label, float(d), sample_size.cp_n_one_sided_prior(q).n])
-        return header, rows
-    if fid == "6":
-        header = ["p0", "d", "n_plus"]
-        rows = []
-        for p0 in (0.3, 0.4, 0.5):
+def _width_figure_rows(args, level, side, expansion):
+    """Figures 1 and 4: exact expected length or distance beside its expansion."""
+    spec = MethodSpec.clopper_pearson(side)
+    rows = []
+    for n in _parse_n_list(args.n_list):
+        for p in exact_eval.PGrid(0.002, 0.998, 499).values():
+            p = float(p)
+            exact = exact_eval.expected_width_exact(spec, n, p, level)
+            rows.append([n, p, exact, expansion(n, p, level).value])
+    return ["n", "p", "exact", "expansion"], rows
+
+
+def _figure_2_rows(args, level, mode):
+    rows = []
+    for alpha in (0.01, 0.05, 0.1):
+        lvl = ConfidenceLevel(alpha)
+        for p0 in exact_eval.PGrid(0.002, 0.998, 499).values():
+            q = SampleSizeQuery(args.d, lvl, Side.TWO_SIDED, float(p0))
+            rows.append([alpha, float(p0), sample_size.cp_n_two_sided(q).n])
+    return ["alpha", "p0", "n"], rows
+
+
+def _figure_3_rows(args, level, mode):
+    rows = []
+    for fam in (ApproxFamily.JEFFREYS, ApproxFamily.WILSON, ApproxFamily.AGRESTI_COULL):
+        for p0 in (0.1, 0.3, 0.5):
             for d in exact_eval.PGrid(0.01, 0.15, 141).values():
-                rows.append(
-                    [p0, float(d), sample_size.n_plus_one_sided(float(d), p0, level, mode)]
-                )
-        return header, rows
-    # coverage figure
-    header = ["method", "lo", "hi", "n", "min_coverage", "argmin_p"]
+                n_plus = sample_size.n_plus_two_sided(fam, float(d), p0, level, mode)
+                rows.append([fam.value, p0, float(d), n_plus])
+    return ["vs", "p0", "d", "n_plus"], rows
+
+
+def _figure_5_rows(args, level, mode):
+    rows = []
+    for alpha in (0.01, 0.05, 0.1):
+        lvl = ConfidenceLevel(alpha)
+        for d in exact_eval.PGrid(0.005, 0.1, 96).values():
+            q = SampleSizeQuery(float(d), lvl, Side.UPPER, 0.5)
+            rows.append([f"p0=0.5,alpha={alpha}", float(d), sample_size.cp_n_one_sided(q).n])
+    for label, prior in (
+        ("jeffreys-prior", BetaParams(0.5, 0.5)),
+        ("uniform-prior", BetaParams(1.0, 1.0)),
+        ("beta(0.5,1)-prior", BetaParams(0.5, 1.0)),
+    ):
+        for d in exact_eval.PGrid(0.005, 0.1, 96).values():
+            q = SampleSizeQuery(float(d), level, Side.UPPER, prior=prior)
+            rows.append([label, float(d), sample_size.cp_n_one_sided_prior(q).n])
+    return ["series", "d", "n"], rows
+
+
+def _figure_6_rows(args, level, mode):
+    rows = []
+    for p0 in (0.3, 0.4, 0.5):
+        for d in exact_eval.PGrid(0.01, 0.15, 141).values():
+            rows.append([p0, float(d), sample_size.n_plus_one_sided(float(d), p0, level, mode)])
+    return ["p0", "d", "n_plus"], rows
+
+
+def _coverage_figure_rows(args, level, mode):
     points = 200000 if args.full_grid else args.points
     rows = []
     for name, spec in (
@@ -385,11 +371,27 @@ def _figure_rows(args):
             for n in _parse_n_list(args.coverage_n_list):
                 report = exact_eval.min_coverage(spec, n, level, exact_eval.PGrid(lo, hi, points))
                 rows.append([name, lo, hi, n, report.min_coverage, report.argmin_p])
-    return header, rows
+    return ["method", "lo", "hi", "n", "min_coverage", "argmin_p"], rows
+
+
+# figure id -> builder(args, level, formula mode) of its (header, rows)
+_FIGURES = {
+    "1": lambda args, level, mode: _width_figure_rows(
+        args, level, Side.TWO_SIDED, expansions.expected_length_expansion
+    ),
+    "2": _figure_2_rows,
+    "3": _figure_3_rows,
+    "4": lambda args, level, mode: _width_figure_rows(
+        args, level, Side.UPPER, expansions.expected_distance_expansion
+    ),
+    "5": _figure_5_rows,
+    "6": _figure_6_rows,
+    "coverage": _coverage_figure_rows,
+}
 
 
 def _cmd_figure(args) -> int:
-    header, rows = _figure_rows(args)
+    header, rows = _FIGURES[args.id](args, ConfidenceLevel(args.alpha), FormulaMode(args.formula))
     mode = "w" if args.force else "x"
     try:
         handle = open(args.out, mode, newline="")

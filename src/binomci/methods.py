@@ -158,6 +158,10 @@ def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
     The one table of the interval formulas, shared by interval() and the
     enumeration engine.  quantile(q, a, b) solves beta quantiles over lanes:
     interval() maps the scalar beta_quantile, the engine its vector kernel.
+    Both ends' quantile lanes go to quantile in one call, so that the vector
+    kernel pays its per-round numpy overhead once per endpoint array; each
+    lane goes through the same operations as when solved alone, so the
+    batch does not move a result.
     """
     fam = method.family
     # one-sided bounds put the whole alpha in their tail; the other end is 0 or 1
@@ -167,22 +171,27 @@ def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
     x, n = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(n, dtype=float))
     L = np.zeros(x.size)
     U = np.ones(x.size)
-    if fam is Family.CLOPPER_PEARSON:
-        if lower:
-            inner, at_n = x > 0, x == n
-            L[inner] = quantile(tail, x[inner], n[inner] - x[inner] + 1.0)
+    if fam in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
+        # Row 0 of these (2, lanes) arrays is the lower end, row 1 the upper.
+        # CP's ends are quantiles of the posteriors of priors (0, 1) and (1, 0),
+        # solved where no shape is 0; closed forms fill its other lanes.
+        cp = fam is Family.CLOPPER_PEARSON
+        prior = [[0.0, 1.0], [1.0, 0.0]] if cp else [[method.prior.a, method.prior.b]] * 2
+        pa, pb = np.array(prior).T[:, :, None]
+        a = x + pa
+        b = (n - x) + pb
+        solve = (a > 0.0) & (b > 0.0) & np.array([[lower], [upper]])
+        q = np.broadcast_to([[tail], [1.0 - tail]], a.shape)
+        lanes = q[solve], a[solve], b[solve]
+        del a, b  # keep the shape grids, and ends below, out of the solve's memory peak
+        w = quantile(*lanes)
+        ends = np.array([L, U])
+        ends[solve] = w
+        L, U = ends
+        if cp:
+            at_n, at_zero = (x == n) & lower, (x == 0) & upper
             L[at_n] = tail ** (1.0 / n[at_n])
-        if upper:
-            inner, at_zero = x < n, x == 0
-            U[inner] = quantile(1.0 - tail, x[inner] + 1.0, n[inner] - x[inner])
             U[at_zero] = 1.0 - tail ** (1.0 / n[at_zero])
-    elif fam is Family.BETA_PRIOR:
-        a = x + method.prior.a
-        b = (n - x) + method.prior.b
-        if lower:
-            L = quantile(tail, a, b)
-        if upper:
-            U = quantile(1.0 - tail, a, b)
     elif fam is Family.WALD:
         ph = x / n
         se = np.sqrt(ph * (1.0 - ph) / n)

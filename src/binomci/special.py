@@ -279,12 +279,13 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
+def reg_inc_beta(x: float, a: float, b: float, lgb: float | None = None) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
     Uses the continued fraction directly for x below the mode-leaning switch
     point (a + 1)/(a + b + 2) and the mirrored fraction I_x = 1 - I_{1-x}(b, a)
-    above it, where the fraction converges fastest.
+    above it, where the fraction converges fastest.  lgb, if given, is
+    log_beta(a, b) already computed by the caller.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
@@ -294,7 +295,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    front, direct, fa, fb, fx = _inc_beta_front(SCALAR, x, a, b, log_beta(a, b))
+    lgb = log_beta(a, b) if lgb is None else lgb
+    front, direct, fa, fb, fx = _inc_beta_front(SCALAR, x, a, b, lgb)
     return _inc_beta_value(SCALAR, front, direct, _betacf(fa, fb, fx), fa)
 
 
@@ -327,7 +329,7 @@ def _solve_beta_quantile(q: float, a: float, b: float, x: float) -> float:
     lgb = log_beta(a, b)
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAXIT):
-        err = reg_inc_beta(x, a, b) - q
+        err = reg_inc_beta(x, a, b, lgb) - q
         if err == 0.0:
             return x
         x, lo, hi, stop = _halley_round(SCALAR, x, err, a, b, lgb, lo, hi)

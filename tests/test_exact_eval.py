@@ -81,6 +81,37 @@ class TestVectorKernel:
             lane = slice(i, i + 1)
             assert x[i] == _beta_quantile_vec(q[lane], a[lane], b[lane])[0]
             assert inc[i] == _betainc_vec(x[lane], a[lane], b[lane])[0]
+        # so a two-sided endpoint array, whose ends are solved in one batch,
+        # gets each end's bits from the one-sided spec with the same tail:
+        # x = 0 and n (CP's closed forms), several n in one call as
+        # expected_widths_batch passes them, and Beta(0.001, 0.001) lanes
+        obs = [(x, n) for n in (1, 2, 17, 300) for x in sorted({0, 1, n // 2, n - 1, n})]
+        xs, ns = (np.array(v, dtype=float) for v in zip(*obs))
+        tiny = BetaParams(0.001, 0.001)
+        bounds = exact_eval._bounds_for_x
+        for spec in (MethodSpec.clopper_pearson, MethodSpec.jeffreys,
+                     lambda side: MethodSpec.beta_prior(tiny, side)):
+            for alpha in (0.01, 0.1):
+                # two-sided at 2 alpha puts alpha in each tail
+                L, U = bounds(spec(Side.TWO_SIDED), ns, ConfidenceLevel(2 * alpha), xs)
+                lower = bounds(spec(Side.LOWER), ns, ConfidenceLevel(alpha), xs)[0]
+                upper = bounds(spec(Side.UPPER), ns, ConfidenceLevel(alpha), xs)[1]
+                assert L.tolist() == lower.tolist() and U.tolist() == upper.tolist()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MethodSpec.clopper_pearson(), MethodSpec.jeffreys(),
+         MethodSpec.beta_prior(BetaParams(0.001, 0.001))],
+        ids=str,
+    )
+    def test_both_ends_in_one_quantile_call(self, monkeypatch, spec):
+        calls = []
+        quantile = exact_eval._beta_quantile_vec
+        monkeypatch.setattr(
+            exact_eval, "_beta_quantile_vec", lambda *args: calls.append(1) or quantile(*args)
+        )
+        exact_eval._bounds_for_x(spec, 40, LEVEL, np.arange(41.0))
+        assert len(calls) == 1
 
     def test_zero_newton_step_ends_the_solve(self, monkeypatch):
         # every CP endpoint lane at n=200, alpha=0.03: lower bounds solve
@@ -487,6 +518,17 @@ class TestMinCoverage:
 
 
 class TestMeanCoverage:
+    def test_both_tails_in_one_betainc_call(self, monkeypatch):
+        spec = MethodSpec.clopper_pearson()
+        _bounds_arrays(spec, 40, LEVEL)  # cached: its quantile solves are not counted
+        calls = []
+        betainc = exact_eval._betainc_vec
+        monkeypatch.setattr(
+            exact_eval, "_betainc_vec", lambda *args: calls.append(1) or betainc(*args)
+        )
+        mean_coverage(spec, 40, LEVEL)
+        assert len(calls) == 1
+
     def test_cp_mean_between_level_and_one(self):
         got = mean_coverage(MethodSpec.clopper_pearson(), 25, LEVEL)
         assert 0.95 < got < 1.0
