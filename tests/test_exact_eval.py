@@ -349,6 +349,57 @@ class TestExpectedWidth:
         for n, v in zip(ns, batch):
             assert v == expected_width_exact(spec, n, 0.37, LEVEL)
 
+    def test_cached_arrays_give_the_subset_solve_bits(self):
+        # expected_width_exact reads the cached endpoint arrays where its pmf
+        # reaches at least half of x = 0..n, or the arrays are held, and
+        # solves only the x it reads otherwise; expected_widths_batch always
+        # solves the subset.  All three must give the same bits.
+        tiny = BetaParams(0.001, 0.001)
+        specs = [MethodSpec.clopper_pearson(side) for side in Side] + [
+            MethodSpec.jeffreys(), MethodSpec.beta_prior(tiny), MethodSpec.wilson(),
+            MethodSpec.wald(), MethodSpec.agresti_coull(),
+        ]
+        level = ConfidenceLevel(0.0731)  # a level no other test uses, so no key is held
+        ps = [1e-3, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999]
+        paths = set()
+        for spec in specs:
+            for n in (1, 2, 20, 50, 100, 500):
+                for p in ps:
+                    before = _bounds_arrays.cache_info()
+                    single = expected_width_exact(spec, n, p, level)
+                    after = _bounds_arrays.cache_info()
+                    paths.add((after.misses - before.misses, after.hits - before.hits))
+                    assert single == expected_widths_batch(spec, [n], p, level)[0], (spec, n, p)
+        # array solved, array read, subset solved
+        assert paths == {(1, 0), (0, 1), (0, 0)}
+
+    def test_repeated_key_solves_no_quantile(self, monkeypatch):
+        spec = MethodSpec.clopper_pearson()
+        level = ConfidenceLevel(0.0732)
+        calls = []
+        quantile = exact_eval._beta_quantile_vec
+        monkeypatch.setattr(
+            exact_eval, "_beta_quantile_vec", lambda *args: calls.append(1) or quantile(*args)
+        )
+        expected_width_exact(spec, 50, 0.3, level)
+        assert len(calls) >= 1
+        calls.clear()
+        # the same key again, a sweep over p, and a tail p whose pmf reaches
+        # few x: all read the held arrays
+        for p in (0.3, 0.31, 0.6, 0.9, 0.001):
+            expected_width_exact(spec, 50, p, level)
+        assert calls == []
+
+    def test_below_half_query_leaves_the_cache_alone(self):
+        spec = MethodSpec.clopper_pearson()
+        level = ConfidenceLevel(0.0733)
+        before = _bounds_arrays.cache_info()
+        expected_width_exact(spec, 500, 0.01, level)
+        after = _bounds_arrays.cache_info()
+        assert (after.misses, after.hits, after.entries) == (
+            before.misses, before.hits, before.entries
+        )
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             expected_width_exact(MethodSpec.wilson(), 10, 0.0, LEVEL)
@@ -499,6 +550,26 @@ class TestMinCoverage:
         first = min(p for p, c in values.items() if c == best)
         assert rep.grid_argmin_p == first
 
+    @pytest.mark.parametrize(
+        "spec, n, alpha, grid",
+        [
+            (MethodSpec.clopper_pearson(), 100, 0.05, PGrid(0.01, 0.99, 20001)),
+            (MethodSpec.jeffreys(), 50, 0.05, PGrid(0.01, 0.99, 20001)),
+            (MethodSpec.jeffreys(), 20, 0.1, PGrid(0.1, 0.9, 1001)),
+            (MethodSpec.wilson(), 100, 0.05, PGrid(0.01, 0.99, 20001)),
+            (MethodSpec.agresti_coull(), 250, 0.05, PGrid(0.01, 0.99, 20001)),
+        ],
+        ids=["cp-100", "jeffreys-50", "jeffreys-20-edges", "wilson-100", "ac-250"],
+    )
+    def test_mirror_minima_report_the_smaller_p(self, spec, n, alpha, grid):
+        # coverage is symmetric under p -> 1 - p for these families, and the
+        # two mirror minima differ only by rounding; each case here used to
+        # report the one above 1/2
+        rep = min_coverage(spec, n, ConfidenceLevel(alpha), grid, keep_per_point=True)
+        assert rep.argmin_p <= 0.5 and rep.grid_argmin_p <= 0.5
+        # the minimum itself does not move
+        assert rep.grid_min_coverage == min(c for _, c in rep.per_point)
+
     def test_workers_reproduce_sequential(self):
         grid = PGrid(0.05, 0.95, 5000)
         seq = min_coverage(MethodSpec.jeffreys(), 73, LEVEL, grid, workers=1)
@@ -515,6 +586,25 @@ class TestMinCoverage:
             PGrid(0.1, 0.9, 1)
         with pytest.raises(DomainError):
             PGrid(0.1, 0.9, 2.5)
+
+
+class TestBoundsCache:
+    def test_byte_bound_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(exact_eval, "_BOUNDS_CACHE_BYTES", 2000)
+        cache = exact_eval._ByteBoundedLRU(lambda k: (np.full(k, 1.0), np.full(k, 2.0)))
+        cache(50)  # 800 bytes
+        cache(50)  # a hit
+        cache(60)  # 960 bytes: 1,760 held
+        cache(50)  # a hit makes 60 the least recently used
+        cache(40)  # 640 bytes: 60 goes
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.entries, info.bytes) == (2, 3, 2, 1440)
+        assert (50,) in cache and (40,) in cache and (60,) not in cache
+        assert cache(300)[1][0] == 2.0  # 4,800 bytes: returned, not held
+        info = cache.cache_info()
+        assert info.bytes <= 2000 and (300,) not in cache and info.misses == 4
+        cache.cache_clear()
+        assert cache.cache_info() == (0, 0, 0, 0)
 
 
 class TestMeanCoverage:
