@@ -85,9 +85,10 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
             choices=["two-sided", "upper", "lower"],
             help="interval sidedness (default two-sided)",
         )
-    if "grid" in names:
-        p.add_argument("--lo", type=float, default=0.01, help="grid lower end (default 0.01)")
-        p.add_argument("--hi", type=float, default=0.99, help="grid upper end (default 0.99)")
+    if "range" in names:
+        p.add_argument("--lo", type=float, default=0.01, help="lower end of p (default 0.01)")
+        p.add_argument("--hi", type=float, default=0.99, help="upper end of p (default 0.99)")
+    if "points" in names:
         p.add_argument(
             "--points", type=int, default=20001, help="grid points (default 20001)"
         )
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="coverage report over a probability grid")
     p.add_argument("--method", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, "alpha", "grid")
+    _add_common(p, "alpha", "range", "points")
     p.add_argument("--criterion", default="min", choices=["min", "mean"])
     p.add_argument("--dump", action="store_true", help="also dump per-point coverage CSV")
 
@@ -143,14 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="nominal level hitting a coverage criterion")
     p.add_argument("--method", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, "alpha", "grid")
+    _add_common(p, "alpha", "range")
     p.add_argument("--criterion", required=True, choices=["min", "mean"])
 
     p = sub.add_parser("figure", help="write a figure-reproduction CSV table")
     p.add_argument("--id", required=True, choices=list(_FIGURES))
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
-    _add_common(p, "grid")
+    _add_common(p, "range", "points")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--d", type=float, default=0.05, help="target length (figure 2)")
     p.add_argument(
@@ -282,7 +283,7 @@ def _cmd_calibrate(args) -> int:
     spec = _parse_method(args.method, Side.TWO_SIDED)
     level = ConfidenceLevel(args.alpha)
     if args.criterion == "min":
-        criterion = exact_eval.MinCoverage(exact_eval.PGrid(args.lo, args.hi, args.points))
+        criterion = exact_eval.MinCoverage(exact_eval.PGrid(args.lo, args.hi, 2))
     else:
         criterion = exact_eval.MeanCoverage()
     calibrated = exact_eval.calibrate_alpha(spec, args.n, level, criterion)

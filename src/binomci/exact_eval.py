@@ -1,7 +1,7 @@
 """Exact enumeration engine: expected widths, coverage and calibration.
 
 Expected interval width and bound distance by full enumeration over the
-success count, pointwise and minimum coverage over probability grids, the
+success count, pointwise coverage and its exact minimum over a p range, the
 closed-form mean coverage under a uniform pseudo-prior, and calibration of
 the nominal level against a coverage criterion.
 
@@ -11,8 +11,9 @@ namespace, in the compacting lane loops below.  Coverage scans add up the
 binomial pmf over each grid point's covering range instead: one saddle-point
 pmf (Loader 2000) at the range's largest term, then a ratio walk, so that
 scans with hundreds of thousands of grid points stay cheap; they run in this
-process.  A coverage minimum is reported at the smallest p whose coverage
-ties with it, within a relative 1e-9, so mirror minima do not flip.
+process.  The minimum coverage needs no grid (see _exact_min); it is
+reported at the smallest p whose coverage ties with it, within a relative
+1e-9, so mirror minima do not flip.
 """
 from __future__ import annotations
 
@@ -264,7 +265,7 @@ class PGrid:
 
 @dataclass(frozen=True)
 class MinCoverage:
-    """Criterion: minimum coverage over a grid (plus endpoint refinements)."""
+    """Criterion: exact minimum coverage over [grid.lo, grid.hi]; only lo and hi are read."""
 
     grid: PGrid
 
@@ -287,6 +288,11 @@ class CoverageReport:
 
 # ---------------------------------------------------------------------------
 # interval endpoint arrays
+
+def _check_n(n) -> None:
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"need an integer n >= 1, got {n!r}")
+
 
 def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray):
     """The family table's (L, U) for the success counts x, solved by the vector kernel."""
@@ -346,6 +352,7 @@ class _ByteBoundedLRU:
 @_ByteBoundedLRU
 def _bounds_arrays(method: MethodSpec, n: int, level: ConfidenceLevel):
     """(L, U) endpoint arrays over x = 0..n, nondecreasing in x."""
+    _check_n(n)  # a bad key raises here, on a miss, so it is never held
     L, U = _bounds_for_x(method, n, level, np.arange(n + 1, dtype=float))
     if np.any(np.diff(L) < 0.0) or np.any(np.diff(U) < 0.0):
         raise RuntimeError(
@@ -390,7 +397,7 @@ def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.
     return out
 
 
-# The scans of _min_scan call coverage through this name, which the
+# min_coverage and _exact_min call coverage through this name, which the
 # benchmark's tracer wraps; coverage_probability calls _coverage_values.
 _coverage_over = _coverage_values
 
@@ -433,16 +440,17 @@ def min_coverage(
     keep_per_point: bool = False,
     workers: int = 1,
 ) -> CoverageReport:
-    """Minimum coverage over the grid, refined at realized interval endpoints.
+    """Exact minimum coverage over [grid.lo, grid.hi] (see _exact_min).
 
-    A pure grid scan can miss the sawtooth infimum, so every realized
-    endpoint e inside [lo, hi] is also probed at e and e * (1 +/- 1e-12),
-    capturing both one-sided limits.  argmin_p and grid_argmin_p are the
-    smallest p whose coverage is within a relative 1e-9 of the minimum (see
-    _argmin_p); the grid-only minimum is reported alongside for comparison.
-    `workers` is accepted and ignored: the scan runs in this process.
+    The grid is scanned only for grid_min_coverage, grid_argmin_p and
+    per_point.  argmin_p and grid_argmin_p are the smallest p whose coverage
+    is within a relative 1e-9 of the minimum (see _argmin_p).  `workers` is
+    accepted and ignored: the scan runs in this process.
     """
-    grid_p, grid_cov, min_p, min_cov = _min_scan(method, n, level, grid)
+    L, U = _bounds_arrays(method, n, level)
+    grid_p = grid.values()
+    grid_cov = _coverage_over(grid_p, L, U, n)
+    min_p, min_cov = _exact_min(L, U, n, grid.lo, grid.hi)
     return CoverageReport(
         min_coverage=min_cov,
         argmin_p=min_p,
@@ -454,21 +462,20 @@ def min_coverage(
     )
 
 
-def _min_scan(method, n, level, grid):
-    """min_coverage's scan without the mean: (grid p, grid coverage, argmin p, min)."""
-    L, U = _bounds_arrays(method, n, level)
-    grid_p = grid.values()
-    grid_cov = _coverage_over(grid_p, L, U, n)
+def _exact_min(L, U, n, lo, hi):
+    """(argmin p, minimum) of the coverage over [lo, hi], with no grid.
 
+    Between consecutive realized endpoints the covering range [a, b] of x is
+    fixed, and P(a <= X <= b) rises, then falls in p (H. Wang 2007, Statist.
+    Sinica 17, 361-368).  So the infimum lies at lo, hi or one side of an
+    endpoint e in [lo, hi], probed at e and e * (1 +/- 1e-12).
+    """
     ends = np.concatenate([L, U])
-    ends = ends[(ends >= grid.lo) & (ends <= grid.hi)]
-    probes = np.concatenate([ends * (1.0 - _REFINE_EPS), ends, ends * (1.0 + _REFINE_EPS)])
-    probes = np.clip(probes, grid.lo, grid.hi)
-    probe_cov = _coverage_over(probes, L, U, n) if probes.size else np.empty(0)
-
-    p_all = np.concatenate([grid_p, probes])
-    cov_all = np.concatenate([grid_cov, probe_cov])
-    return grid_p, grid_cov, _argmin_p(p_all, cov_all), float(cov_all.min())
+    ends = ends[(ends >= lo) & (ends <= hi)]
+    probes = np.concatenate([[lo, hi], ends * (1.0 - _REFINE_EPS), ends, ends * (1.0 + _REFINE_EPS)])
+    probes = np.clip(probes, lo, hi)
+    cov = _coverage_over(probes, L, U, n)
+    return _argmin_p(probes, cov), float(cov.min())
 
 
 # Relative gap below which two coverages tie for the minimum.  The coverage
@@ -501,8 +508,7 @@ def _support(method: MethodSpec, n: int, p: float, lf: np.ndarray):
     For the quantile-based families these are the x whose pmf exceeds 1e-17;
     for the closed forms, every x.  lf[k] = ln k! for k = 0..n at least.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    _check_n(n)
     log_pmf = _log_pmf_all(n, p, lf)
     if method.family in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
         x = np.nonzero(log_pmf > _PMF_FLOOR)[0]
@@ -586,7 +592,8 @@ def expected_widths_batch(
 def _criterion_value(method, n, criterion, gamma):
     level = ConfidenceLevel(gamma)
     if isinstance(criterion, MinCoverage):
-        return _min_scan(method, n, level, criterion.grid)[3]
+        L, U = _bounds_arrays(method, n, level)
+        return _exact_min(L, U, n, criterion.grid.lo, criterion.grid.hi)[1]
     if isinstance(criterion, MeanCoverage):
         return mean_coverage(method, n, level)
     raise DomainError(f"unknown calibration criterion {criterion!r}")
@@ -617,11 +624,11 @@ def calibrate_alpha(
 ) -> ConfidenceLevel:
     """Nominal level gamma at which the coverage criterion hits 1 - alpha.
 
-    Minimum-coverage criterion: the largest gamma whose minimum coverage is
-    still at least 1 - alpha (bisection plus a local descending rescan when
-    the sawtooth breaks monotonicity).  Mean-coverage criterion: the gamma
-    whose mean coverage equals 1 - alpha within 1e-5.  `workers` is
-    accepted and ignored, as in min_coverage.
+    Minimum-coverage criterion: the largest gamma, within 1e-5, whose exact
+    minimum coverage over [lo, hi] is still at least 1 - alpha; intervals nest
+    in alpha, so that minimum never rises in gamma and plain bisection finds
+    it.  Mean-coverage criterion: the gamma whose mean coverage equals
+    1 - alpha within 1e-5.  `workers` is accepted and ignored.
     """
     target = 1.0 - level.alpha
 
@@ -654,14 +661,4 @@ def calibrate_alpha(
     if passes(level.alpha):
         return ConfidenceLevel(level.alpha)
     gamma, _ = _bisect(_GAMMA_LO, level.alpha, _GAMMA_TOL, passes)
-    # Sawtooth minima are not perfectly monotone in gamma.  Verify the
-    # bracketing witness; if gamma + 1e-3 unexpectedly still passes, rescan
-    # downward on a 1e-4 lattice from just above the wobble zone and keep
-    # the largest passing value.
-    probe = gamma + 1e-3
-    if probe < level.alpha and passes(probe):
-        g = min(level.alpha, gamma + 0.02)
-        while g > gamma and not passes(g):
-            g -= 1e-4
-        gamma = max(gamma, g)
     return ConfidenceLevel(gamma)

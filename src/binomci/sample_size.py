@@ -18,6 +18,7 @@ display exactly as typeset.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -291,8 +292,8 @@ def exact_n(
         raise DomainError(f"target d must be positive, got {d}")
     if not (0.0 < p0 < 1.0):
         raise DomainError(f"p0 must be in (0, 1), got {p0}")
-    if n_max < 2:
-        raise DomainError(f"n_max must be at least 2, got {n_max}")
+    if not isinstance(n_max, numbers.Integral) or n_max < 2:
+        raise DomainError(f"n_max must be an integer of at least 2, got {n_max!r}")
 
     cache: dict[int, float] = {}
 

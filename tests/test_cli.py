@@ -2,7 +2,9 @@ import csv
 
 import pytest
 
-from binomci.cli import run
+from binomci.cli import _fmt, run
+from binomci.exact_eval import MinCoverage, PGrid, calibrate_alpha
+from binomci.methods import ConfidenceLevel, MethodSpec
 
 
 def invoke(argv, capsys):
@@ -213,6 +215,32 @@ class TestCoverageAndCalibrate:
         )
         assert code == 0
         assert float(parse_keyvals(out)["gamma"]) > 0.05
+
+    def test_calibrate_min_reads_only_the_range(self, capsys):
+        code, out, _ = invoke(
+            ["calibrate", "--method", "jeffreys", "--n", "100", "--alpha", "0.05",
+             "--criterion", "min"],
+            capsys,
+        )
+        assert code == 0
+        want = calibrate_alpha(
+            MethodSpec.jeffreys(), 100, ConfidenceLevel(0.05), MinCoverage(PGrid(0.01, 0.99, 4001))
+        )
+        assert out == f"gamma {_fmt(want.alpha)}\n"
+
+    def test_calibrate_has_no_points_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["calibrate", "--method", "jeffreys", "--n", "100", "--alpha", "0.05",
+                 "--criterion", "min", "--points", "11"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n, criterion", [("0", "min"), ("-3", "mean")])
+    def test_coverage_bad_n_is_computation_error(self, capsys, n, criterion):
+        code, out, err = invoke(
+            ["coverage", "--method", "cp", "--n", n, "--alpha", "0.05", "--criterion", criterion],
+            capsys,
+        )
+        assert code == 1 and out == "" and "integer n >= 1" in err
 
     def test_threads_env_reproduces_sequential(self, capsys, monkeypatch):
         args = ["coverage", "--method", "jeffreys", "--n", "60", "--alpha", "0.05",

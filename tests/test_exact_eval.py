@@ -407,6 +407,31 @@ class TestExpectedWidth:
             expected_width_exact(MethodSpec.wilson(), 0, 0.5, LEVEL)
 
 
+CP = MethodSpec.clopper_pearson()
+BAD_N_CALLS = {
+    "min_coverage": lambda n: min_coverage(CP, n, LEVEL, PGrid(0.1, 0.9, 11)),
+    "mean_coverage": lambda n: mean_coverage(CP, n, LEVEL),
+    "coverage_probability": lambda n: coverage_probability(MethodSpec.wilson(), n, 0.5, LEVEL),
+    "expected_width_exact": lambda n: expected_width_exact(CP, n, 0.5, LEVEL),
+    "expected_widths_batch": lambda n: expected_widths_batch(MethodSpec.wald(), [5, n], 0.5, LEVEL),
+    "calibrate_mean": lambda n: calibrate_alpha(MethodSpec.jeffreys(), n, LEVEL, MeanCoverage()),
+    "calibrate_min": lambda n: calibrate_alpha(
+        MethodSpec.jeffreys(), n, LEVEL, MinCoverage(PGrid(0.01, 0.99, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+@pytest.mark.parametrize("call", BAD_N_CALLS.values(), ids=BAD_N_CALLS.keys())
+def test_bad_n_rejected_and_never_cached(call, n):
+    # n = 0 and -3 used to give coverage 1 and -0, and calibrate to gamma 0.202;
+    # n = 2.5 raised ValueError or IndexError
+    with pytest.raises(DomainError, match="integer n >= 1"):
+        call(n)
+    for spec in (MethodSpec.clopper_pearson(), MethodSpec.wilson(), MethodSpec.jeffreys()):
+        assert (spec, n, LEVEL) not in exact_eval._held_bounds
+
+
 class TestCoverageProbability:
     def test_matches_brute_force(self):
         rng = random.Random(41)
@@ -508,6 +533,15 @@ class TestCoverageScan:
                 assert batch[i] == _coverage_values(ps[i : i + 1], L, U, n)[0], (n, p)
 
 
+MIN_FAMILIES = [
+    MethodSpec.clopper_pearson(),
+    MethodSpec.jeffreys(),
+    MethodSpec.wilson(),
+    MethodSpec.agresti_coull(),
+    MethodSpec.wald(),
+]
+
+
 class TestMinCoverage:
     def test_wilson_and_ac_at_n250(self):
         grid = PGrid(0.01, 0.99, 20001)
@@ -520,10 +554,18 @@ class TestMinCoverage:
         rep = min_coverage(MethodSpec.clopper_pearson(), 100, LEVEL, PGrid(0.1, 0.9, 10001))
         assert rep.min_coverage >= 0.95 - 1e-9
 
-    def test_refinement_not_above_grid_minimum(self):
-        rep = min_coverage(MethodSpec.wilson(), 250, LEVEL, PGrid(0.01, 0.99, 2001))
-        assert rep.min_coverage <= rep.grid_min_coverage + 1e-15
-        assert rep.grid.points == 2001
+    @pytest.mark.parametrize("alpha", [0.2, 0.01])
+    @pytest.mark.parametrize("n", [10, 250, 2000])
+    @pytest.mark.parametrize("spec", MIN_FAMILIES, ids=str)
+    def test_refinement_not_above_grid_minimum(self, spec, n, alpha):
+        # the minimum reads no grid point, so a dense grid must never go below it
+        level = ConfidenceLevel(alpha)
+        grid = PGrid(0.01, 0.99, 20001)
+        rep = min_coverage(spec, n, level, grid)
+        assert rep.min_coverage <= rep.grid_min_coverage
+        assert rep.min_coverage <= coverage_probability(spec, n, grid.lo, level)
+        assert rep.min_coverage <= coverage_probability(spec, n, grid.hi, level)
+        assert rep.grid.points == 20001
 
     def test_per_point_retention_and_smoothness(self):
         grid = PGrid(0.2, 0.8, 601)
@@ -651,10 +693,23 @@ class TestCalibration:
         assert got.alpha < 0.05
         at = min_coverage(MethodSpec.jeffreys(), 100, got, grid).min_coverage
         assert at >= 0.95 - 1e-9
-        above = min_coverage(
-            MethodSpec.jeffreys(), 100, ConfidenceLevel(got.alpha + 1e-3), grid
-        ).min_coverage
-        assert above < 0.95 - 1e-9
+        for step in (1e-3, exact_eval._GAMMA_TOL):
+            above = min_coverage(
+                MethodSpec.jeffreys(), 100, ConfidenceLevel(got.alpha + step), grid
+            ).min_coverage
+            assert above < 0.95 - 1e-9, step
+
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("spec", MIN_FAMILIES, ids=str)
+    def test_min_criterion_nonincreasing_in_gamma(self, spec, n):
+        # intervals nest in alpha, so the exact minimum never rises as gamma
+        # grows; the bisection in calibrate_alpha relies on it
+        criterion = MinCoverage(PGrid(0.01, 0.99, 2))
+        mins = [
+            exact_eval._criterion_value(spec, n, criterion, gamma)
+            for gamma in np.linspace(1e-3, 0.2, 40)
+        ]
+        assert all(b <= a for a, b in zip(mins, mins[1:]))
 
     def test_cp_mean_criterion_moves_up(self):
         got = calibrate_alpha(MethodSpec.clopper_pearson(), 50, LEVEL, MeanCoverage())

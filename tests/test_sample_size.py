@@ -276,6 +276,11 @@ class TestExactSearch:
         with pytest.raises(DomainError):
             exact_n(MethodSpec.clopper_pearson(), 0.5, 0.5, LEVEL, n_max=1)
 
+    def test_n_max_must_be_an_integer(self):
+        # used to raise TypeError from range()
+        with pytest.raises(DomainError, match="integer"):
+            exact_n(MethodSpec.clopper_pearson(), 0.5, 0.5, LEVEL, n_max=2.5)
+
     def test_target_above_one_sided_expansion_peak(self):
         # the closed form has no solution here, but n = 2 already meets d
         res = exact_n(MethodSpec.clopper_pearson(Side.UPPER), 0.2, 0.9, LEVEL)
