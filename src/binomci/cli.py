@@ -85,13 +85,26 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
             choices=["two-sided", "upper", "lower"],
             help="interval sidedness (default two-sided)",
         )
-    if "range" in names:
-        p.add_argument("--lo", type=float, default=0.01, help="lower end of p (default 0.01)")
-        p.add_argument("--hi", type=float, default=0.99, help="upper end of p (default 0.99)")
+    if "range" in names:  # no parser default: see _p_range
+        p.add_argument("--lo", type=float, help="lower end of p (default 0.01)")
+        p.add_argument("--hi", type=float, help="upper end of p (default 0.99)")
     if "points" in names:
-        p.add_argument(
-            "--points", type=int, default=20001, help="grid points (default 20001)"
-        )
+        p.add_argument("--points", type=int, help="grid points (default 20001)")
+
+
+_RANGE_DEFAULTS = {"lo": 0.01, "hi": 0.99, "points": 20001}
+
+
+def _p_range(args, *names: str) -> None:
+    """Fill in the defaults of the p-range options `names` (of lo, hi, points,
+    dump).  The mean criterion scans no p grid, so giving one of them with
+    --criterion mean is a usage error that names the option."""
+    for name in names:
+        value = getattr(args, name)
+        if args.criterion == "mean" and value not in (None, False):
+            raise UsageError(f"--criterion mean scans no p grid; drop --{name}")
+        if value is None:
+            setattr(args, name, _RANGE_DEFAULTS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
     _add_common(p, "range", "points")
+    p.set_defaults(**_RANGE_DEFAULTS)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--d", type=float, default=0.05, help="target length (figure 2)")
     p.add_argument(
@@ -199,6 +213,7 @@ def _cmd_expected_length(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    _p_range(args, "lo", "hi", "points", "dump")
     spec = _parse_method(args.method, Side.TWO_SIDED)
     level = ConfidenceLevel(args.alpha)
     if args.criterion == "mean":
@@ -280,6 +295,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _p_range(args, "lo", "hi")
     spec = _parse_method(args.method, Side.TWO_SIDED)
     level = ConfidenceLevel(args.alpha)
     if args.criterion == "min":

@@ -226,15 +226,23 @@ def _walk_sum(term, num, r, steps, n):
 
     Lanes are sorted by step count, so the lanes still walking at step j are
     a prefix; each lane goes through the same operations as it would alone.
+    Each step works in place, in two buffers allocated once.
     """
     steps = steps.astype(np.intp)
     order = np.argsort(-steps)
     live = steps.size - np.cumsum(np.bincount(steps))  # live[j] = #lanes with steps > j
     term, num, r = term[order], num[order], r[order]
     acc = np.zeros(term.size)
+    ratio = np.empty(term.size)
+    denom = np.empty(term.size)
     for j, k in enumerate(live[:-1]):
-        term[:k] *= (num[:k] - j) * r[:k] / ((n + 1.0 + j) - num[:k])
-        acc[:k] += term[:k]
+        t, a, f, d = term[:k], acc[:k], ratio[:k], denom[:k]
+        np.subtract(num[:k], j, out=f)
+        np.multiply(f, r[:k], out=f)
+        np.subtract(n + 1.0 + j, num[:k], out=d)
+        np.divide(f, d, out=f)
+        np.multiply(t, f, out=t)
+        np.add(a, t, out=a)
     out = np.empty(acc.size)
     out[order] = acc
     return out
@@ -371,6 +379,14 @@ _held_bounds = _bounds_arrays
 # ---------------------------------------------------------------------------
 # coverage
 
+# Grid points per block of a coverage scan.  A block's lane-sized
+# temporaries (64 KB each) stay in cache while the ratio walk runs: a
+# 200,000-point Jeffreys scan at n = 2000, 99 %, took 0.21 s in one block,
+# 0.16 s in blocks of 2,048 and 0.10 s in blocks of 8,192 to 25,000 points
+# (2-CPU machine, numpy 2.4.6), with the same bits.
+_SCAN_BLOCK = 8192
+
+
 def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.ndarray:
     """Coverage at each p: mass of the contiguous covering range of x.
 
@@ -379,7 +395,17 @@ def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.
     term.  The sum starts at the window's largest term, s = floor((n + 1) p)
     clipped into the window, evaluated by `_binom_pmf_vec`, and walks up and
     down from s with the ratio pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q.
+    p is scanned in blocks of _SCAN_BLOCK points; every point goes through
+    the same operations in any block, so blocking does not move a result.
     """
+    out = np.zeros(p.shape)
+    for start in range(0, p.size, _SCAN_BLOCK):
+        out[start : start + _SCAN_BLOCK] = _coverage_block(p[start : start + _SCAN_BLOCK], L, U, n)
+    return out
+
+
+def _coverage_block(p, L, U, n):
+    """_coverage_values over one block of p, in one pass."""
     x_hi = np.searchsorted(L, p, side="right") - 1
     x_lo = np.searchsorted(U, p, side="left")
     out = np.zeros(p.shape)
@@ -390,10 +416,16 @@ def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.
     hi = x_hi[idx]
     s = np.clip(np.floor((n + 1.0) * pc), lo, hi)
     top = _binom_pmf_vec(s, n, pc)
-    # the walk down from s is the walk up from n - s under Binomial(n, q)
-    up = _walk_sum(top, n - s, pc / qc, hi - s, n)
-    down = _walk_sum(top, s, qc / pc, s - lo, n)
-    out[idx] = np.clip(top + up + down, 0.0, 1.0)
+    # the walk down from s is the walk up from n - s under Binomial(n, q);
+    # both walks are one lane batch, up in the first half, down in the second
+    walks = _walk_sum(
+        np.tile(top, 2),
+        np.concatenate([n - s, s]),
+        np.concatenate([pc / qc, qc / pc]),
+        np.concatenate([hi - s, s - lo]),
+        n,
+    )
+    out[idx] = np.clip(top + walks[: idx.size] + walks[idx.size :], 0.0, 1.0)
     return out
 
 
@@ -604,17 +636,6 @@ _GAMMA_HI = 0.5
 _GAMMA_TOL = 1e-5
 
 
-def _bisect(lo: float, hi: float, tol: float, keeps_lo) -> tuple[float, float]:
-    """Halve [lo, hi] to width tol, moving lo up to each midpoint that keeps_lo."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if keeps_lo(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def calibrate_alpha(
     method: MethodSpec,
     n: int,
@@ -628,7 +649,9 @@ def calibrate_alpha(
     minimum coverage over [lo, hi] is still at least 1 - alpha; intervals nest
     in alpha, so that minimum never rises in gamma and plain bisection finds
     it.  Mean-coverage criterion: the gamma whose mean coverage equals
-    1 - alpha within 1e-5.  `workers` is accepted and ignored.
+    1 - alpha within 1e-10 (or in a bracket at most 1e-12 wide), a root of
+    mean coverage, which is smooth and falls in gamma, found by regula falsi
+    on (1e-6, 0.5).  `workers` is accepted and ignored.
     """
     target = 1.0 - level.alpha
 
@@ -643,10 +666,27 @@ def calibrate_alpha(
             raise CalibrationError(
                 f"mean coverage cannot reach {target} for gamma in ({lo}, {hi})"
             )
-        lo, hi = _bisect(lo, hi, 1e-7, lambda mid: crit(mid) - target >= 0.0)
-        gamma = 0.5 * (lo + hi)
-        if abs(crit(gamma) - target) > _GAMMA_TOL:
-            raise CalibrationError("mean-coverage calibration did not meet tolerance")
+        # Illinois regula falsi (Dowell & Jarratt 1971, BIT 11, 168-174): when
+        # one end is kept twice in a row its f is halved, so the bracket
+        # closes from both sides; at most 60 evaluations, the ends included
+        gamma, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+        evals, moved = 2, None
+        while abs(f) > 1e-10 and hi - lo > 1e-12 and evals < 60:
+            gamma = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            f = crit(gamma) - target
+            evals += 1
+            if f > 0.0:
+                if moved == "lo":
+                    f_hi *= 0.5
+                lo, f_lo, moved = gamma, f, "lo"
+            else:
+                if moved == "hi":
+                    f_lo *= 0.5
+                hi, f_hi, moved = gamma, f, "hi"
+        if abs(f) > _GAMMA_TOL:
+            raise CalibrationError(
+                f"mean coverage missed {target} by {f} at gamma={gamma}, n={n}"
+            )
         return ConfidenceLevel(gamma)
 
     def passes(gamma: float) -> bool:
@@ -660,5 +700,11 @@ def calibrate_alpha(
     # minimum coverage already meets the target is left untouched.
     if passes(level.alpha):
         return ConfidenceLevel(level.alpha)
-    gamma, _ = _bisect(_GAMMA_LO, level.alpha, _GAMMA_TOL, passes)
-    return ConfidenceLevel(gamma)
+    lo, hi = _GAMMA_LO, level.alpha
+    while hi - lo > _GAMMA_TOL:  # lo passes, hi fails
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return ConfidenceLevel(lo)

@@ -228,6 +228,20 @@ class TestCoverageAndCalibrate:
         )
         assert out == f"gamma {_fmt(want.alpha)}\n"
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("calibrate", ["--lo", "0.5"]), ("calibrate", ["--hi", "0.4"]),
+         ("coverage", ["--lo", "0.5"]), ("coverage", ["--hi", "0.4"]),
+         ("coverage", ["--points", "3"]), ("coverage", ["--dump"])],
+    )
+    def test_mean_criterion_rejects_range_options(self, capsys, command, option):
+        code, out, err = invoke(
+            [command, "--method", "cp", "--n", "50", "--alpha", "0.05",
+             "--criterion", "mean", *option],
+            capsys,
+        )
+        assert code == 2 and out == "" and option[0] in err
+
     def test_calibrate_has_no_points_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["calibrate", "--method", "jeffreys", "--n", "100", "--alpha", "0.05",

@@ -532,6 +532,37 @@ class TestCoverageScan:
             for i, p in enumerate(ps):
                 assert batch[i] == _coverage_values(ps[i : i + 1], L, U, n)[0], (n, p)
 
+    @pytest.mark.parametrize("spec", [MethodSpec.clopper_pearson(), MethodSpec.jeffreys()], ids=str)
+    def test_blocks_do_not_change_a_bit(self, spec):
+        n, block = 2000, exact_eval._SCAN_BLOCK
+        L, U = _bounds_arrays(spec, n, ConfidenceLevel(0.01))
+        for size in (0, 1, block - 1, block, block + 1, 2 * block + 1, 200_000):
+            ps = np.linspace(0.01, 0.99, size)
+            got = _coverage_values(ps, L, U, n)
+            assert got.shape == (size,)
+            assert np.array_equal(got, exact_eval._coverage_block(ps, L, U, n)), size
+
+    def test_one_walk_over_both_directions_equals_two(self):
+        # the windows of a real scan, walked up and down from their largest term
+        n = 300
+        L, U = _bounds_arrays(MethodSpec.jeffreys(), n, LEVEL)
+        p = np.linspace(0.01, 0.99, 3001)
+        lo, hi = _window(p, L, U)
+        assert np.all(lo <= hi)  # every p is covered
+        s = np.clip(np.floor((n + 1.0) * p), lo, hi)
+        top = _binom_pmf_vec(s, n, p)
+        walk = exact_eval._walk_sum
+        up = walk(top, n - s, p / (1 - p), hi - s, n)
+        down = walk(top, s, (1 - p) / p, s - lo, n)
+        both = walk(
+            np.tile(top, 2),
+            np.concatenate([n - s, s]),
+            np.concatenate([p / (1 - p), (1 - p) / p]),
+            np.concatenate([hi - s, s - lo]),
+            n,
+        )
+        assert np.array_equal(both, np.concatenate([up, down]))
+
 
 MIN_FAMILIES = [
     MethodSpec.clopper_pearson(),
@@ -725,6 +756,35 @@ class TestCalibration:
             calibrate_alpha(
                 MethodSpec.wald(), 10, LEVEL, MinCoverage(PGrid(0.001, 0.999, 501))
             )
+
+    def test_unattainable_mean_criterion_raises(self):
+        with pytest.raises(CalibrationError, match="cannot reach"):
+            calibrate_alpha(MethodSpec.wald(), 20, LEVEL, MeanCoverage())
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01])
+    @pytest.mark.parametrize("n", [20, 200, 1200])
+    @pytest.mark.parametrize("spec", MIN_FAMILIES[:4], ids=str)  # Wald cannot reach some
+    def test_mean_criterion_root(self, monkeypatch, spec, n, alpha):
+        calls = []
+        mean = exact_eval.mean_coverage
+        monkeypatch.setattr(
+            exact_eval, "mean_coverage", lambda *args: calls.append(1) or mean(*args)
+        )
+        got = calibrate_alpha(spec, n, ConfidenceLevel(alpha), MeanCoverage())
+        assert len(calls) <= 12
+        assert abs(mean(spec, n, got) - (1.0 - alpha)) <= 1e-10
+
+    def test_mean_criterion_matches_fine_bisection(self):
+        spec = MethodSpec.clopper_pearson()
+        got = calibrate_alpha(spec, 50, LEVEL, MeanCoverage()).alpha
+        lo, hi = 1e-6, 0.5  # mean coverage falls in gamma
+        while hi - lo > 1e-11:
+            mid = 0.5 * (lo + hi)
+            if mean_coverage(spec, 50, ConfidenceLevel(mid)) >= 0.95:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(got - 0.5 * (lo + hi)) <= 1e-9
 
 
 class TestReportShape:
