@@ -68,13 +68,6 @@ def _parse_method(text: str, side: Side) -> MethodSpec:
         raise UsageError(f"--method {name} defines no one-sided bound; drop --side") from exc
 
 
-def _parse_side(text: str) -> Side:
-    try:
-        return Side(text)
-    except ValueError:
-        raise UsageError(f"--side must be two-sided|upper|lower, got {text!r}")
-
-
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "alpha" in names:
         p.add_argument("--alpha", type=float, required=True, help="nominal error rate in (0,1)")
@@ -186,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_interval(args) -> int:
-    spec = _parse_method(args.method, _parse_side(args.side))
+    spec = _parse_method(args.method, Side(args.side))
     est = interval(spec, Observation(args.x, args.n), ConfidenceLevel(args.alpha))
     print(f"lower {_fmt(est.lower)}")
     print(f"upper {_fmt(est.upper)}")
@@ -194,7 +187,7 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_expected_length(args) -> int:
-    side = _parse_side(args.side)
+    side = Side(args.side)
     level = ConfidenceLevel(args.alpha)
     if args.mode == "exact":
         spec = _parse_method(args.method, side)
@@ -235,7 +228,7 @@ def _cmd_coverage(args) -> int:
 def _cmd_sample_size(args) -> int:
     if args.method.strip().lower() != "cp":
         raise UsageError("sample-size supports --method cp only")
-    side = _parse_side(args.side)
+    side = Side(args.side)
     level = ConfidenceLevel(args.alpha)
     mode = FormulaMode(args.formula)
     if (args.p0 is None) == (args.prior is None):

@@ -31,6 +31,7 @@ from .special import (
     _BETACF_MAXIT as _CF_MAXIT,
     _QUANTILE_MAXIT,
     VECTOR,
+    _binom_pmf_inner,
     _halley_round,
     _inc_beta_front,
     _inc_beta_value,
@@ -160,50 +161,10 @@ def _log_pmf_all(n: int, p: float, lf: np.ndarray) -> np.ndarray:
     return log_coeff + x * math.log(p) + (n - x) * math.log1p(-p)
 
 
-# ln k! - ln(sqrt(2 pi k) (k / e)^k) for k = 0..15 (0 at k = 0 by convention)
-_STIRLERR = np.array([
-    0.0,
-    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
-
-
-def _stirlerr_vec(k: np.ndarray) -> np.ndarray:
-    """Stirling-formula error of ln k!: the table up to 15, the asymptotic series above."""
-    kb = np.maximum(k, 16.0)
-    kk = kb * kb
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / kb
-    return np.where(k <= 15.0, _STIRLERR[np.minimum(k, 15.0).astype(np.intp)], series)
-
-
-def _bd0_vec(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x ln(x / m) + m - x for x, m > 0, by a series where x is within 10 % of m."""
-    d = x - m
-    v = d / (x + m)
-    direct = x * np.log(x / m) + m - x
-    # x ln(x/m) + m - x = d v + 2 x sum_j v^(2j+1) / (2j + 1) with |v| < 0.1
-    # there, so the ninth term is below 1e-17 of the sum
-    s = d * v
-    term = 2.0 * x * v
-    v2 = v * v
-    for j in range(1, 10):
-        term = term * v2
-        s = s + term / (2 * j + 1)
-    return np.where(np.abs(d) < 0.1 * (x + m), s, direct)
-
-
 def _binom_pmf_vec(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """P(X = k) under Binomial(n, p) for integer 0 <= k <= n and 0 < p < 1.
-
-    Loader's (2000) saddle-point form: exp(stirlerr(n) - stirlerr(k) -
-    stirlerr(n - k) - bd0(k, n p) - bd0(n - k, n q)) / sqrt(2 pi k (n - k) / n),
-    which has no cancellation between ln-gamma values; q^n = exp(n log1p(-p))
-    at k = 0 and p^n at k = n.  (The log form of the square root,
-    log1p(-k / n), loses n eps relative at k = n - 1.)
-    """
+    """P(X = k) under Binomial(n, p) for integer 0 <= k <= n and 0 < p < 1:
+    the kernel's saddle-point step (Loader 2000) for 0 < k < n,
+    q^n = exp(n log1p(-p)) at k = 0 and p^n at k = n."""
     k, p = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(p, dtype=float))
     out = np.empty(k.shape)
     lo = k == 0.0
@@ -211,12 +172,7 @@ def _binom_pmf_vec(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     out[lo] = np.exp(n * np.log1p(-p[lo]))
     out[hi] = np.exp(n * np.log(p[hi]))
     mid = ~(lo | hi)
-    k, p = k[mid], p[mid]
-    lc = (
-        _stirlerr_vec(float(n)) - _stirlerr_vec(k) - _stirlerr_vec(n - k)
-        - _bd0_vec(k, n * p) - _bd0_vec(n - k, n * (1.0 - p))
-    )
-    out[mid] = np.exp(lc) * np.sqrt(n / (2.0 * math.pi * k * (n - k)))
+    out[mid] = _binom_pmf_inner(VECTOR, k[mid], float(n), p[mid])
     return out
 
 
@@ -540,7 +496,6 @@ def _support(method: MethodSpec, n: int, p: float, lf: np.ndarray):
     For the quantile-based families these are the x whose pmf exceeds 1e-17;
     for the closed forms, every x.  lf[k] = ln k! for k = 0..n at least.
     """
-    _check_n(n)
     log_pmf = _log_pmf_all(n, p, lf)
     if method.family in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
         x = np.nonzero(log_pmf > _PMF_FLOOR)[0]
@@ -583,6 +538,7 @@ def expected_width_exact(
     expected_widths_batch.
     """
     _check_p(p)
+    _check_n(n)
     x, pmf = _support(method, n, p, _log_gamma(VECTOR, np.arange(n + 1.0) + 1.0))
     if 2 * x.size >= n + 1 or (method, n, level) in _held_bounds:
         L, U = _bounds_arrays(method, n, level)
@@ -605,6 +561,8 @@ def expected_widths_batch(
     _check_p(p)
     if not ns:
         return []
+    for n in ns:
+        _check_n(n)  # before the ln k! table is sized
     lf = _log_gamma(VECTOR, np.arange(max(ns) + 1, dtype=float) + 1.0)  # lf[k] = ln k!
     supports = [_support(method, n, p, lf) for n in ns]
     n_all = np.concatenate([np.full(x.size, float(n)) for (x, _), n in zip(supports, ns)])
@@ -641,7 +599,6 @@ def calibrate_alpha(
     n: int,
     level: ConfidenceLevel,
     criterion: MinCoverage | MeanCoverage,
-    workers: int = 1,
 ) -> ConfidenceLevel:
     """Nominal level gamma at which the coverage criterion hits 1 - alpha.
 
@@ -651,7 +608,7 @@ def calibrate_alpha(
     it.  Mean-coverage criterion: the gamma whose mean coverage equals
     1 - alpha within 1e-10 (or in a bracket at most 1e-12 wide), a root of
     mean coverage, which is smooth and falls in gamma, found by regula falsi
-    on (1e-6, 0.5).  `workers` is accepted and ignored.
+    on (1e-6, 0.5).
     """
     target = 1.0 - level.alpha
 

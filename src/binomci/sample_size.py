@@ -270,7 +270,6 @@ def exact_n(
     d: float,
     p0: float,
     level: ConfidenceLevel,
-    side: Side | None = None,
     n_max: int = 10**6,
 ) -> SampleSizeResult:
     """Smallest n in [2, n_max] whose exact expected width/distance is <= d.
@@ -284,8 +283,6 @@ def exact_n(
     once the walk has gone past the estimate.  The re-check window is solved
     in one pass of its own.
     """
-    if side is not None and side is not method.side:
-        method = MethodSpec(method.family, side, method.prior)
     if method.side is Side.LOWER:
         raise DomainError("exact_n takes side two-sided or upper")
     if d <= 0.0:

@@ -3,14 +3,15 @@
 Scalar routines for the log-gamma function, the regularized incomplete beta
 function and its inverse, the standard normal quantile, and the binomial
 mass/distribution functions.  Everything here is pure and deterministic.
-The steps of ln Gamma, the incomplete beta and its inverse are written once,
-over an injected float (SCALAR) or numpy (VECTOR) namespace; this module
-drives them one value at a time and :mod:`binomci.exact_eval` drives them
-over arrays of lanes.
+The steps of ln Gamma, the incomplete beta and its inverse and the binomial
+pmf are written once, over an injected float (SCALAR) or numpy (VECTOR)
+namespace; this module drives them one value at a time and
+:mod:`binomci.exact_eval` drives them over arrays of lanes.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -24,7 +25,6 @@ __all__ = [
     "UNIFORM_PRIOR",
     "log_gamma",
     "log_beta",
-    "log_binom_coeff",
     "reg_inc_beta",
     "beta_quantile",
     "normal_quantile",
@@ -60,7 +60,8 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 # by zero raises), so SCALAR.select(cond, f, g) calls only the branch it takes,
 # while VECTOR.select calls both and picks per lane.  guard(v) is the modified
 # Lentz guard: v, with 1e-300 wherever |v| < 1e-300 (numpy's in place, on the
-# fresh array each caller passes).
+# fresh array each caller passes).  lookup(table, i) reads a numpy table at
+# the integer-valued floats i.
 
 _BETACF_FPMIN = 1e-300
 _BETACF_EPS = 1e-15
@@ -76,14 +77,16 @@ def _guard_array(v):
 SCALAR = SimpleNamespace(
     log=math.log, log1p=math.log1p, exp=math.exp, sqrt=math.sqrt, isfinite=math.isfinite,
     where=lambda cond, f, g: f if cond else g,
-    maximum=max,
+    maximum=max, minimum=min,
+    lookup=lambda table, i: float(table[int(i)]),
     select=lambda cond, f, g: f() if cond else g(),
     guard=lambda v, tiny=_BETACF_FPMIN: tiny if abs(v) < tiny else v,
 )
 VECTOR = SimpleNamespace(
     log=np.log, log1p=np.log1p, exp=np.exp, sqrt=np.sqrt, isfinite=np.isfinite,
     where=np.where,
-    maximum=np.maximum,
+    maximum=np.maximum, minimum=np.minimum,
+    lookup=lambda table, i: table[i.astype(np.intp)],
     select=lambda cond, f, g: np.where(cond, f(), g()),
     guard=_guard_array,
 )
@@ -239,6 +242,55 @@ def _halley_round(xp, x, err, a, b, lgb, lo, hi):
     return xn, lo, hi, stop
 
 
+# ln k! - ln(sqrt(2 pi k) (k / e)^k) for k = 0..15 (0 at k = 0 by convention)
+_STIRLERR = np.array([
+    0.0,
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(xp, k):
+    """Stirling-formula error of ln k!: the table up to 15, the asymptotic series above."""
+    kb = xp.maximum(k, 16.0)
+    kk = kb * kb
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / kb
+    return xp.where(k <= 15.0, xp.lookup(_STIRLERR, xp.minimum(k, 15.0)), series)
+
+
+def _bd0(xp, x, m):
+    """x ln(x / m) + m - x for x, m > 0, by a series where x is within 10 % of m."""
+    d = x - m
+    v = d / (x + m)
+    direct = x * xp.log(x / m) + m - x
+    # x ln(x/m) + m - x = d v + 2 x sum_j v^(2j+1) / (2j + 1) with |v| < 0.1
+    # there, so the ninth term is below 1e-17 of the sum
+    s = d * v
+    term = 2.0 * x * v
+    v2 = v * v
+    for j in range(1, 10):
+        term = term * v2
+        s = s + term / (2 * j + 1)
+    return xp.where(abs(d) < 0.1 * (x + m), s, direct)
+
+
+def _binom_pmf_inner(xp, k, n, p):
+    """P(X = k) under Binomial(n, p) for integer-valued floats 0 < k < n and
+    0 < p < 1, in Loader's (2000) saddle-point form: exp(stirlerr(n) -
+    stirlerr(k) - stirlerr(n - k) - bd0(k, n p) - bd0(n - k, n q)) /
+    sqrt(2 pi k (n - k) / n), which has no cancellation between ln-gamma
+    values.  (The log form of the square root, log1p(-k / n), loses n eps
+    relative at k = n - 1.)"""
+    lc = (
+        _stirlerr(xp, n) - _stirlerr(xp, k) - _stirlerr(xp, n - k)
+        - _bd0(xp, k, n * p) - _bd0(xp, n - k, n * (1.0 - p))
+    )
+    return xp.exp(lc) * xp.sqrt(n / (2.0 * math.pi * k * (n - k)))
+
+
 # ---------------------------------------------------------------------------
 # scalar drivers
 
@@ -254,15 +306,6 @@ def log_beta(a: float, b: float) -> float:
     if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
         raise DomainError(f"log_beta requires a, b > 0, got a={a}, b={b}")
     return _log_beta(SCALAR, a, b)
-
-
-def log_binom_coeff(n: int, k: int) -> float:
-    """ln C(n, k) for integers 0 <= k <= n."""
-    if not (0 <= k <= n):
-        raise DomainError(f"log_binom_coeff requires 0 <= k <= n, got k={k}, n={n}")
-    if k == 0 or k == n:
-        return 0.0
-    return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -454,12 +497,19 @@ def normal_quantile(q: float) -> float:
     return _ppnd16_low_half(q)
 
 
-def binom_pmf(k: int, n: int, p: float) -> float:
-    """P(X = k) for X ~ Binomial(n, p)."""
+def _check_binom_args(name: str, k, n, p) -> None:
+    if not (isinstance(k, numbers.Integral) and isinstance(n, numbers.Integral)):
+        raise DomainError(f"{name} requires integer k and n, got k={k!r}, n={n!r}")
     if not (0 <= k <= n) or n < 1:
-        raise DomainError(f"binom_pmf requires 0 <= k <= n, n >= 1, got k={k}, n={n}")
+        raise DomainError(f"{name} requires 0 <= k <= n, n >= 1, got k={k}, n={n}")
     if not (0.0 <= p <= 1.0):
-        raise DomainError(f"binom_pmf requires 0 <= p <= 1, got p={p}")
+        raise DomainError(f"{name} requires 0 <= p <= 1, got p={p}")
+
+
+def binom_pmf(k: int, n: int, p: float) -> float:
+    """P(X = k) for X ~ Binomial(n, p): the saddle-point step of the kernel
+    for 0 < k < n and 0 < p < 1, (1 - p)^n at k = 0 and p^n at k = n."""
+    _check_binom_args("binom_pmf", k, n, p)
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
@@ -468,24 +518,12 @@ def binom_pmf(k: int, n: int, p: float) -> float:
         return (1.0 - p) ** n
     if k == n:
         return p**n
-    if n <= 1000:
-        # Exact integer coefficient keeps the relative error at a few ulp.
-        pk = p**k
-        qk = (1.0 - p) ** (n - k)
-        if pk > 0.0 and qk > 0.0:
-            return math.comb(n, k) * pk * qk
-    log_pmf = (
-        log_binom_coeff(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
+    return _binom_pmf_inner(SCALAR, float(k), float(n), p)
 
 
 def binom_cdf(k: int, n: int, p: float) -> float:
     """P(X <= k) for X ~ Binomial(n, p), via the incomplete beta identity."""
-    if not (0 <= k <= n) or n < 1:
-        raise DomainError(f"binom_cdf requires 0 <= k <= n, n >= 1, got k={k}, n={n}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"binom_cdf requires 0 <= p <= 1, got p={p}")
+    _check_binom_args("binom_cdf", k, n, p)
     if k == n:
         return 1.0
     if p == 0.0:

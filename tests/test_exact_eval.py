@@ -193,7 +193,10 @@ class TestVectorKernel:
         # 12 eps |ln pmf|, since exp() turns the rounding of an exponent
         # near -500 into ~5e-14 relative error (5.2 eps |ln pmf| seen).
         # The Lanczos ln-gamma differences reach 1.3e-12 at 10^3 and 6e-8
-        # at 10^7 on the same lanes.
+        # at 10^7 on the same lanes.  The scalar binom_pmf runs the same
+        # kernel step for 0 < k < n and is checked there; its k = 0 and
+        # k = n edges are (1 - p)^n and p^n, whose rounding of 1 - p grows
+        # n-fold.
         mp = pytest.importorskip("mpmath")
         bounds = {
             10: 1.5e-14, 100: 6e-14, 1000: 5e-14, 10**4: 8e-14,
@@ -219,6 +222,9 @@ class TestVectorKernel:
                         continue
                     tol = bound + 12 * 2.0**-52 * abs(float(mp.log(ref)))
                     assert abs(float(g / ref) - 1.0) <= tol, (n, ki, pi)
+                    if 0 < x < n:
+                        scalar = sp.binom_pmf(x, n, float(pi))
+                        assert abs(float(scalar / ref) - 1.0) <= tol, ("scalar", n, ki, pi)
 
     def test_log_gamma_matches_scalar(self):
         # the one Lanczos ln-gamma under numpy against its math-module run
@@ -421,11 +427,12 @@ BAD_N_CALLS = {
 }
 
 
-@pytest.mark.parametrize("n", [0, -3, 2.5])
+@pytest.mark.parametrize("n", [0, -3, 2.5, float("inf"), float("nan")])
 @pytest.mark.parametrize("call", BAD_N_CALLS.values(), ids=BAD_N_CALLS.keys())
 def test_bad_n_rejected_and_never_cached(call, n):
     # n = 0 and -3 used to give coverage 1 and -0, and calibrate to gamma 0.202;
-    # n = 2.5 raised ValueError or IndexError
+    # n = 2.5 raised ValueError or IndexError, and inf or nan a ValueError
+    # from the expected widths' ln k! table
     with pytest.raises(DomainError, match="integer n >= 1"):
         call(n)
     for spec in (MethodSpec.clopper_pearson(), MethodSpec.wilson(), MethodSpec.jeffreys()):

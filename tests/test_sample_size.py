@@ -254,11 +254,6 @@ class TestExactSearch:
         assert res.n == 1738
         assert res.achieved <= 0.02
 
-    def test_side_override(self):
-        a = exact_n(MethodSpec.clopper_pearson(), 0.02, 0.5, LEVEL, side=Side.UPPER)
-        b = exact_n(MethodSpec.clopper_pearson(Side.UPPER), 0.02, 0.5, LEVEL)
-        assert a.n == b.n
-
     def test_trivial_target(self):
         res = exact_n(MethodSpec.wilson(), 1.0, 0.5, LEVEL)
         assert res.n == 2

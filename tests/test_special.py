@@ -232,6 +232,13 @@ class TestBinomial:
             sp.binom_pmf(11, 10, 0.5)
         with pytest.raises(DomainError):
             sp.binom_cdf(3, 10, 1.5)
+        # non-integer k or n: binom_cdf used to return 0.519 and 0.609 here,
+        # binom_pmf 1.38e-302 at n = 2000.5 and a TypeError at k = 2.5
+        for k, n in [(2.5, 10), (3, 10.5), (3, 2000.5), (3.0, 10)]:
+            with pytest.raises(DomainError, match="integer k and n"):
+                sp.binom_cdf(k, n, 0.3)
+            with pytest.raises(DomainError, match="integer k and n"):
+                sp.binom_pmf(k, n, 0.3)
 
 
 class TestBetaParams:
