@@ -157,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, choices=list(_FIGURES))
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
-    _add_common(p, "range", "points")
-    p.set_defaults(**_RANGE_DEFAULTS)
+    _add_common(p, "range")
+    p.set_defaults(lo=_RANGE_DEFAULTS["lo"], hi=_RANGE_DEFAULTS["hi"])
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--d", type=float, default=0.05, help="target length (figure 2)")
     p.add_argument(
@@ -168,11 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--coverage-n-list",
         default="50,100,250,500,1000,2000",
         help="comma-separated n values for the coverage figure",
-    )
-    p.add_argument(
-        "--full-grid",
-        action="store_true",
-        help="use the full 200000-point coverage grid instead of --points",
     )
     p.add_argument("--formula", default="paper", choices=["derived", "paper"])
     return root
@@ -369,7 +364,8 @@ def _figure_6_rows(args, level, mode):
 
 
 def _coverage_figure_rows(args, level, mode):
-    points = 200000 if args.full_grid else args.points
+    """The exact minimum coverage and its argmin, which read no p grid: the
+    two-point grid only fixes the range [lo, hi]."""
     rows = []
     for name, spec in (
         ("jeffreys", MethodSpec.jeffreys()),
@@ -379,7 +375,7 @@ def _coverage_figure_rows(args, level, mode):
     ):
         for lo, hi in ((args.lo, args.hi), (0.1, 0.9)):
             for n in _parse_n_list(args.coverage_n_list):
-                report = exact_eval.min_coverage(spec, n, level, exact_eval.PGrid(lo, hi, points))
+                report = exact_eval.min_coverage(spec, n, level, exact_eval.PGrid(lo, hi, 2))
                 rows.append([name, lo, hi, n, report.min_coverage, report.argmin_p])
     return ["method", "lo", "hi", "n", "min_coverage", "argmin_p"], rows
 

@@ -19,6 +19,7 @@ from .methods import (
     MethodSpec,
     Observation,
     Side,
+    _check_member,
 )
 
 
@@ -59,24 +60,27 @@ def _require_interior(p: float, what: str) -> None:
         raise DomainError(f"{what} requires 0 < p < 1, got p={p}")
 
 
-def _third_order_bracket_upper(ph: float, z: float) -> float:
+def _require_n(n) -> None:
+    if not (n >= 1):
+        raise DomainError(f"need n >= 1, got {n}")
+
+
+def _third_order_bracket(ph: float, z: float, tilt: float) -> float:
+    """The n^(-3/2) bracket of either CP bound; `tilt` is the side's own term."""
     qh = 1.0 - ph
     return (
         -53.0 / 36.0
-        + (0.5 - ph) / qh
+        + tilt
         + (z * z + 11.0) / (36.0 * ph * qh)
         - 13.0 * z * z / 36.0
     )
 
 
-def _third_order_bracket_lower(ph: float, z: float) -> float:
-    qh = 1.0 - ph
-    return (
-        -53.0 / 36.0
-        - (0.5 - ph) / ph
-        + (z * z + 11.0) / (36.0 * ph * qh)
-        - 13.0 * z * z / 36.0
-    )
+def _length_coeff(pq: float, z: float, c: float) -> float:
+    """n^(-3/2) coefficient of the CP length at pq = p(1 - p): c = 2 for the
+    realized length, c = -2.5 for its expectation."""
+    z2 = z * z  # 13 * pq * z * z would round differently
+    return (z / 18.0) / math.sqrt(pq) * (z2 + c - 17.0 * pq - 13.0 * pq * z2)
 
 
 def cp_bound_expansion(
@@ -91,6 +95,7 @@ def cp_bound_expansion(
     exact closed forms instead, so this fails loudly there.  One-sided bounds
     substitute the one-sided normal quantile.
     """
+    _check_member(order, ExpansionOrder, "order")
     x, n = obs.x, obs.n
     if not (1 <= x <= n - 1):
         raise DomainError(
@@ -106,8 +111,8 @@ def cp_bound_expansion(
     p_hi = ph + z * s / rn + (2.0 * (0.5 - ph) * z2 + 1.0 + qh) / (3.0 * n)
     if order is ExpansionOrder.THIRD_ORDER:
         scale = z * s / (n * rn)
-        p_lo -= scale * _third_order_bracket_lower(ph, z)
-        p_hi += scale * _third_order_bracket_upper(ph, z)
+        p_lo -= scale * _third_order_bracket(ph, z, -(0.5 - ph) / ph)
+        p_hi += scale * _third_order_bracket(ph, z, (0.5 - ph) / qh)
     spec = MethodSpec.clopper_pearson(side)
     if side is Side.TWO_SIDED:
         return IntervalEstimate(p_lo, p_hi, spec, level)
@@ -119,17 +124,13 @@ def cp_bound_expansion(
 def expected_length_expansion(n: int, p: float, level: ConfidenceLevel) -> ExpansionTerms:
     """Expansion of the expected two-sided Clopper-Pearson length at fixed p."""
     _require_interior(p, "expected_length_expansion")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    _require_n(n)
     z = level.z_half
-    q = 1.0 - p
-    pq = p * q
-    z2 = z * z
-    t_threehalf = (z / 18.0) / math.sqrt(pq) * (z2 - 2.5 - 17.0 * pq - 13.0 * pq * z2)
+    pq = p * (1.0 - p)
     return ExpansionTerms(
         t_half=2.0 * z * math.sqrt(pq),
         t_one=1.0,
-        t_threehalf=t_threehalf,
+        t_threehalf=_length_coeff(pq, z, -2.5),
         n=n,
     )
 
@@ -137,8 +138,7 @@ def expected_length_expansion(n: int, p: float, level: ConfidenceLevel) -> Expan
 def expected_distance_expansion(n: int, p: float, level: ConfidenceLevel) -> ExpansionTerms:
     """Expansion of the expected distance from the upper CP bound to p."""
     _require_interior(p, "expected_distance_expansion")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    _require_n(n)
     z = level.z_full
     q = 1.0 - p
     pq = p * q
@@ -159,9 +159,7 @@ def expected_distance_expansion(n: int, p: float, level: ConfidenceLevel) -> Exp
 def length_correction_coeff(p: float, z: float) -> float:
     """n^(-3/2) coefficient of the realized length before taking expectations."""
     _require_interior(p, "length_correction_coeff")
-    pq = p * (1.0 - p)
-    z2 = z * z
-    return (z / 18.0) / math.sqrt(pq) * (z2 + 2.0 - 17.0 * pq - 13.0 * pq * z2)
+    return _length_coeff(p * (1.0 - p), z, 2.0)
 
 
 def excess_length(
@@ -177,9 +175,10 @@ def excess_length(
     refinement for Wilson and Agresti-Coull subtracts their printed n^(-3/2)
     corrections; the Jeffreys comparison has no n^(-3/2) term.
     """
+    _check_member(vs, ApproxFamily, "vs")
+    _check_member(order, ExpansionOrder, "order")
     _require_interior(p, "excess_length")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    _require_n(n)
     base = 1.0 / n
     if order is ExpansionOrder.SECOND_ORDER or vs is ApproxFamily.JEFFREYS:
         return base
@@ -196,6 +195,5 @@ def excess_length(
 
 def excess_distance_one_sided(n: int) -> float:
     """Leading excess of the expected CP upper-bound distance over approximate bounds."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    _require_n(n)
     return 1.0 / (2.0 * n)

@@ -45,6 +45,12 @@ class ApproxFamily(Enum):
     AGRESTI_COULL = "ac"
 
 
+def _check_member(value, kind: type[Enum], name: str) -> None:
+    """DomainError naming `name` unless value is a member of the enum `kind`."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Observation:
     """x successes out of n trials."""
@@ -93,6 +99,8 @@ class MethodSpec:
     prior: BetaParams | None = None
 
     def __post_init__(self):
+        _check_member(self.family, Family, "family")
+        _check_member(self.side, Side, "side")
         if self.family is Family.BETA_PRIOR:
             if self.prior is None:
                 raise DomainError("beta-prior method requires prior parameters")
@@ -216,8 +224,6 @@ def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
         halfwidth = z * np.sqrt(p_t * (1.0 - p_t) / n_t)
         L = np.clip(p_t - halfwidth, 0.0, 1.0)
         U = np.clip(p_t + halfwidth, 0.0, 1.0)
-    else:
-        raise DomainError(f"unknown method family {fam!r}")
     return L, U
 
 
@@ -283,6 +289,7 @@ def beta_prior_interval(
 
 def approx_method_spec(family: ApproxFamily, side: Side = Side.TWO_SIDED) -> MethodSpec:
     """MethodSpec for one of the approximate comparison families."""
+    _check_member(family, ApproxFamily, "family")
     if family is ApproxFamily.JEFFREYS:
         return MethodSpec.jeffreys(side)
     if family is ApproxFamily.WILSON:

@@ -25,7 +25,7 @@ from enum import Enum
 from . import exact_eval
 from .errors import DomainError, SearchBudgetError
 from .expansions import expected_distance_expansion, expected_length_expansion
-from .methods import ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side
+from .methods import ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side, _check_member
 from .special import BetaParams, log_gamma, normal_quantile
 
 
@@ -52,8 +52,8 @@ class SampleSizeQuery:
     def __post_init__(self):
         if not (0.0 < self.d < 1.0):
             raise DomainError(f"target d must be in (0, 1), got {self.d}")
-        if self.side is Side.LOWER:
-            raise DomainError("sample-size queries take side two-sided or upper")
+        if self.side not in (Side.TWO_SIDED, Side.UPPER):
+            raise DomainError(f"sample sizes take side TWO_SIDED or UPPER, got {self.side!r}")
         if (self.p0 is None) == (self.prior is None):
             raise DomainError("exactly one of p0 and prior must be given")
         if self.p0 is not None and not (0.0 < self.p0 < 1.0):
@@ -98,6 +98,15 @@ def _require_prior(q: SampleSizeQuery) -> BetaParams:
     if q.prior is None:
         raise DomainError("this operation needs a Beta prior")
     return q.prior
+
+
+def _check_target(d: float, p0: float) -> None:
+    if not (0.0 < d < 1.0) or not (0.0 < p0 < 1.0):
+        raise DomainError(f"need 0 < d < 1 and 0 < p0 < 1, got d={d}, p0={p0}")
+
+
+def _first_order_n(z: float, p0: float, d: float) -> float:
+    return z * z * (p0 * (1.0 - p0)) / (d * d)
 
 
 def _root_n(t_half: float, t_one: float, d: float, where: str) -> float:
@@ -145,6 +154,7 @@ def cp_n_one_sided(
     well above 1/2 the expansion peaks at a finite n, and a d above the peak
     is unattainable in both modes.
     """
+    _check_member(formula, FormulaMode, "formula")
     if query.side is not Side.UPPER:
         raise DomainError("cp_n_one_sided requires an upper one-sided query")
     p0 = _require_point(query)
@@ -224,10 +234,8 @@ def approx_method_n(
     family: ApproxFamily, d: float, p0: float, level: ConfidenceLevel
 ) -> SampleSizeResult:
     """Printed sample-size formulas for the approximate comparison intervals."""
-    if not (0.0 < d < 1.0):
-        raise DomainError(f"target d must be in (0, 1), got {d}")
-    if not (0.0 < p0 < 1.0):
-        raise DomainError(f"p0 must be in (0, 1), got {p0}")
+    _check_member(family, ApproxFamily, "family")
+    _check_target(d, p0)
     z = level.z_half
     z2 = z * z
     q0 = 1.0 - p0
@@ -257,8 +265,7 @@ def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLeve
         return approx_method_n(ApproxFamily.JEFFREYS, d, p0, level).n_unrounded
     if method.family is Family.CLOPPER_PEARSON:
         return cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
-    z = level.z_full
-    return z * z * (p0 * (1.0 - p0)) / (d * d)
+    return _first_order_n(level.z_full, p0, d)
 
 
 _EXACT_WINDOW = 25
@@ -285,7 +292,7 @@ def exact_n(
     """
     if method.side is Side.LOWER:
         raise DomainError("exact_n takes side two-sided or upper")
-    if d <= 0.0:
+    if not (d > 0.0):
         raise DomainError(f"target d must be positive, got {d}")
     if not (0.0 < p0 < 1.0):
         raise DomainError(f"p0 must be in (0, 1), got {p0}")
@@ -357,8 +364,9 @@ def n_plus_two_sided(
     Jeffreys and Agresti-Coull comparisons the two modes coincide
     identically, for Wilson they differ in the sign of one d^2 z^2 term.
     """
-    if not (0.0 < d < 1.0) or not (0.0 < p0 < 1.0):
-        raise DomainError(f"need 0 < d < 1 and 0 < p0 < 1, got d={d}, p0={p0}")
+    _check_member(vs, ApproxFamily, "vs")
+    _check_member(formula, FormulaMode, "formula")
+    _check_target(d, p0)
     z = level.z_half
     z2 = z * z
     q0 = 1.0 - p0
@@ -383,15 +391,15 @@ def n_plus_one_sided(
 ) -> float:
     """Extra observations the exact upper bound needs versus the naive
     first-order sample size z^2 p0 q0 / d^2 for an approximate bound."""
-    if not (0.0 < d < 1.0) or not (0.0 < p0 < 1.0):
-        raise DomainError(f"need 0 < d < 1 and 0 < p0 < 1, got d={d}, p0={p0}")
+    _check_member(formula, FormulaMode, "formula")
+    _check_target(d, p0)
     z = level.z_full
+    if formula is FormulaMode.DERIVED_ALGEBRA:
+        n_cp = cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
+        return n_cp - _first_order_n(z, p0, d)
     z2 = z * z
     q0 = 1.0 - p0
     pq = p0 * q0
-    if formula is FormulaMode.DERIVED_ALGEBRA:
-        n_cp = cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
-        return n_cp - z2 * pq / (d * d)
     omega = 9.0 * z2 * pq + 12.0 * d * z2 - 24.0 * d * z2 * p0
     if omega + 12.0 * d * (0.5 - p0) < 0.0:
         raise DomainError(f"target d={d} is unattainable for p0={p0}")
@@ -406,8 +414,7 @@ def n_plus_adjusted(d: float, p0: float, level: ConfidenceLevel, gamma: float) -
     """Extra observations of the exact interval versus a gamma-adjusted
     Jeffreys interval (nominal level 1 - gamma), as printed; negative values
     mean the exact interval needs fewer observations."""
-    if not (0.0 < d < 1.0) or not (0.0 < p0 < 1.0):
-        raise DomainError(f"need 0 < d < 1 and 0 < p0 < 1, got d={d}, p0={p0}")
+    _check_target(d, p0)
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"gamma must be in (0, 1), got {gamma}")
     z_a = level.z_half

@@ -447,38 +447,29 @@ _PPND_F = (
 )
 
 
+def _rational(num, den, r: float) -> tuple[float, float]:
+    """AS 241's rational form at r by Horner's rule: the numerator and the
+    denominator, whose constant term 1 the table leaves out."""
+    top = num[-1]
+    for cf in reversed(num[:-1]):
+        top = top * r + cf
+    bottom = den[-1]
+    for cf in reversed(den[:-1]):
+        bottom = bottom * r + cf
+    return top, bottom * r + 1.0
+
+
 def _ppnd16_low_half(q: float) -> float:
     # q in (0, 0.5]; returns the (nonpositive) quantile.
     r = q - 0.5
     if abs(r) <= 0.425:
-        s = 0.180625 - r * r
-        num = _PPND_A[7]
-        for cf in reversed(_PPND_A[:7]):
-            num = num * s + cf
-        den = _PPND_B[6]
-        for cf in reversed(_PPND_B[:6]):
-            den = den * s + cf
-        den = den * s + 1.0
-        return r * num / den
+        num, den = _rational(_PPND_A, _PPND_B, 0.180625 - r * r)
+        return r * num / den  # not r * (num / den), which rounds differently
     r = math.sqrt(-math.log(q))
     if r <= 5.0:
-        r -= 1.6
-        num = _PPND_C[7]
-        for cf in reversed(_PPND_C[:7]):
-            num = num * r + cf
-        den = _PPND_D[6]
-        for cf in reversed(_PPND_D[:6]):
-            den = den * r + cf
-        den = den * r + 1.0
-        return -(num / den)
-    r -= 5.0
-    num = _PPND_E[7]
-    for cf in reversed(_PPND_E[:7]):
-        num = num * r + cf
-    den = _PPND_F[6]
-    for cf in reversed(_PPND_F[:6]):
-        den = den * r + cf
-    den = den * r + 1.0
+        num, den = _rational(_PPND_C, _PPND_D, r - 1.6)
+    else:
+        num, den = _rational(_PPND_E, _PPND_F, r - 5.0)
     return -(num / den)
 
 
@@ -507,17 +498,17 @@ def _check_binom_args(name: str, k, n, p) -> None:
 
 
 def binom_pmf(k: int, n: int, p: float) -> float:
-    """P(X = k) for X ~ Binomial(n, p): the saddle-point step of the kernel
-    for 0 < k < n and 0 < p < 1, (1 - p)^n at k = 0 and p^n at k = n."""
+    """P(X = k) for X ~ Binomial(n, p): the kernel's saddle-point step for
+    0 < k < n, exp(n log1p(-p)) at k = 0 and exp(n log p) at k = n."""
     _check_binom_args("binom_pmf", k, n, p)
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
         return 1.0 if k == n else 0.0
     if k == 0:
-        return (1.0 - p) ** n
+        return math.exp(n * math.log1p(-p))
     if k == n:
-        return p**n
+        return math.exp(n * math.log(p))
     return _binom_pmf_inner(SCALAR, float(k), float(n), p)
 
 

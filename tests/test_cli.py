@@ -248,6 +248,13 @@ class TestCoverageAndCalibrate:
                  "--criterion", "min", "--points", "11"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option", [["--points", "11"], ["--full-grid"]])
+    def test_figure_has_no_grid_options(self, tmp_path, capsys, option):
+        # the coverage figure's exact minimum and argmin read no p grid
+        with pytest.raises(SystemExit) as exc:
+            run(["figure", "--id", "coverage", "--out", str(tmp_path / "cov.csv"), *option])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("n, criterion", [("0", "min"), ("-3", "mean")])
     def test_coverage_bad_n_is_computation_error(self, capsys, n, criterion):
         code, out, err = invoke(
@@ -314,7 +321,7 @@ class TestFigures:
         target = tmp_path / "cov.csv"
         code, _, _ = invoke(
             ["figure", "--id", "coverage", "--out", str(target),
-             "--coverage-n-list", "250", "--points", "20001"],
+             "--coverage-n-list", "250"],
             capsys,
         )
         assert code == 0

@@ -127,6 +127,8 @@ class TestExpectedLengthExpansion:
             expected_length_expansion(100, 0.0, LEVEL)
         with pytest.raises(DomainError):
             expected_length_expansion(100, 1.0, LEVEL)
+        with pytest.raises(DomainError):
+            expected_length_expansion(math.nan, 0.5, LEVEL)
 
 
 class TestExpectedDistanceExpansion:
@@ -157,6 +159,8 @@ class TestExpectedDistanceExpansion:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             expected_distance_expansion(100, 1.0, LEVEL)
+        with pytest.raises(DomainError):
+            expected_distance_expansion(math.nan, 0.5, LEVEL)
 
 
 class TestCoefficientIdentities:
@@ -238,6 +242,8 @@ class TestExcessLength:
             excess_length(ApproxFamily.WILSON, 100, 0.0, LEVEL)
         with pytest.raises(DomainError):
             excess_length(ApproxFamily.WILSON, 0, 0.5, LEVEL)
+        with pytest.raises(DomainError):
+            excess_length(ApproxFamily.WILSON, math.nan, 0.5, LEVEL)
 
 
 class TestExcessDistance:
@@ -253,3 +259,5 @@ class TestExcessDistance:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             excess_distance_one_sided(0)
+        with pytest.raises(DomainError):
+            excess_distance_one_sided(math.nan)

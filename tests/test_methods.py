@@ -22,6 +22,14 @@ from binomci.methods import (
 )
 from binomci.special import BetaParams, JEFFREYS_PRIOR, UNIFORM_PRIOR, binom_pmf
 from binomci import exact_eval
+from binomci.expansions import cp_bound_expansion, excess_length
+from binomci.sample_size import (
+    SampleSizeQuery,
+    approx_method_n,
+    cp_n_one_sided,
+    n_plus_one_sided,
+    n_plus_two_sided,
+)
 
 from oracles import binom_cdf_exact
 
@@ -83,6 +91,41 @@ class TestTypes:
             MethodSpec(Family.WILSON, Side.UPPER)
         with pytest.raises(UnsupportedSideError):
             MethodSpec(Family.AGRESTI_COULL, Side.LOWER)
+
+    # One raw enum value per entry point; each used to fall through an `is`
+    # chain to another branch, e.g. approx_method_spec("jeffreys") gave
+    # Agresti-Coull and cp_bound_expansion(..., "upper") the lower bound.
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            pytest.param("family", lambda: MethodSpec("cp"), id="MethodSpec-family"),
+            pytest.param("side", lambda: MethodSpec.clopper_pearson("upper"), id="MethodSpec-side"),
+            pytest.param("side", lambda: SampleSizeQuery(0.05, LEVEL, "upper", 0.3),
+                         id="SampleSizeQuery-side"),
+            pytest.param("side", lambda: cp_bound_expansion(Observation(25, 50), LEVEL, "upper"),
+                         id="cp_bound_expansion-side"),
+            pytest.param("order", lambda: cp_bound_expansion(Observation(25, 50), LEVEL, order=3),
+                         id="cp_bound_expansion-order"),
+            pytest.param("formula", lambda: cp_n_one_sided(
+                SampleSizeQuery(0.05, LEVEL, Side.UPPER, 0.3), "derived"), id="cp_n_one_sided"),
+            pytest.param("vs", lambda: n_plus_two_sided("wilson", 0.05, 0.3, LEVEL),
+                         id="n_plus_two_sided-vs"),
+            pytest.param("formula", lambda: n_plus_two_sided(
+                ApproxFamily.WILSON, 0.05, 0.3, LEVEL, "derived"), id="n_plus_two_sided-formula"),
+            pytest.param("formula", lambda: n_plus_one_sided(0.05, 0.3, LEVEL, "derived"),
+                         id="n_plus_one_sided"),
+            pytest.param("family", lambda: approx_method_n("wilson", 0.05, 0.3, LEVEL),
+                         id="approx_method_n"),
+            pytest.param("family", lambda: approx_method_spec("jeffreys"), id="approx_method_spec"),
+            pytest.param("vs", lambda: excess_length("wilson", 50, 0.3, LEVEL),
+                         id="excess_length-vs"),
+            pytest.param("order", lambda: excess_length(ApproxFamily.WILSON, 50, 0.3, LEVEL, 2),
+                         id="excess_length-order"),
+        ],
+    )
+    def test_raw_enum_value_rejected(self, name, call):
+        with pytest.raises(DomainError, match=rf"\b{name}\b"):
+            call()
 
     def test_interval_estimate_endpoint_order(self):
         with pytest.raises(DomainError):

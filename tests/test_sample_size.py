@@ -267,6 +267,12 @@ class TestExactSearch:
         with pytest.raises(SearchBudgetError):
             exact_n(MethodSpec.clopper_pearson(), 0.001, 0.5, LEVEL, n_max=100)
 
+    @pytest.mark.parametrize("d", [0.0, -0.1, math.nan])
+    def test_bad_target_rejected(self, d):
+        # a nan d used to pass `d <= 0` and walk to n_max
+        with pytest.raises(DomainError, match="target d"):
+            exact_n(MethodSpec.clopper_pearson(), d, 0.5, LEVEL, n_max=3000)
+
     def test_n_max_below_two_rejected(self):
         with pytest.raises(DomainError):
             exact_n(MethodSpec.clopper_pearson(), 0.5, 0.5, LEVEL, n_max=1)
