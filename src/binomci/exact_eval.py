@@ -11,14 +11,14 @@ namespace, in the compacting lane loops below.  Coverage scans add up the
 binomial pmf over each grid point's covering range instead: one saddle-point
 pmf (Loader 2000) at the range's largest term, then a ratio walk, so that
 scans with hundreds of thousands of grid points stay cheap; they run in this
-process.  The minimum coverage needs no grid (see _exact_min); it is
-reported at the smallest p whose coverage ties with it, within a relative
-1e-9, so mirror minima do not flip.
+process.  Expected widths weight x by the same ratio walk, from the mode,
+normalized by its sum (see _support).  The minimum coverage needs no grid
+(see _exact_min); it is reported at the smallest p whose coverage ties with
+it, within a relative 1e-9, so mirror minima do not flip.
 """
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -38,7 +38,6 @@ from .special import (
     _lentz_round,
     _lentz_start,
     _log_beta,
-    _log_gamma,
     _quantile_seed,
 )
 
@@ -149,16 +148,6 @@ def _beta_quantile_vec(q, a, b) -> np.ndarray:
             seed[swap] = _quantile_seed(VECTOR, qq[swap], aa[swap], bb[swap])
     w = _solve_beta_quantile_vec(qq, aa, bb, seed)
     return np.where(swap, 1.0 - w, w)
-
-
-def _log_pmf_all(n: int, p: float, lf: np.ndarray) -> np.ndarray:
-    """log P(X = x) for x = 0..n under Binomial(n, p), 0 < p < 1.
-
-    lf[k] = ln k! for k = 0..n at least; a longer table is sliced.
-    """
-    x = np.arange(n + 1, dtype=float)
-    log_coeff = lf[n] - lf[: n + 1] - lf[n::-1]
-    return log_coeff + x * math.log(p) + (n - x) * math.log1p(-p)
 
 
 def _binom_pmf_vec(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
@@ -487,21 +476,30 @@ def _argmin_p(p: np.ndarray, cov: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # expected width / distance
 
-_PMF_FLOOR = math.log(1e-17)
-
-
-def _support(method: MethodSpec, n: int, p: float, lf: np.ndarray):
+def _support(method: MethodSpec, n: int, p: float):
     """(x, pmf): the success counts an expected width sums over, and their pmf.
 
-    For the quantile-based families these are the x whose pmf exceeds 1e-17;
-    for the closed forms, every x.  lf[k] = ln k! for k = 0..n at least.
+    The pmf is 1 at the mode s = floor((n + 1) p), then cumulative products
+    of pmf(k + 1) / pmf(k) = (n - k) p / ((k + 1) q) up and of its reciprocal
+    down: no factor is above about 1, so a tail underflows to 0 and nothing
+    overflows, and the sum normalizes it.  p and q stay apart in each factor,
+    so the rounding of p / q does not repeat down the walk.  x are the counts
+    whose pmf exceeds 1e-17 for the quantile-based families, and every x for
+    the closed forms.
     """
-    log_pmf = _log_pmf_all(n, p, lf)
+    s = min(int((n + 1) * p), n)
+    num = np.arange(n, 0.0, -1.0) * p  # pmf(k + 1) / pmf(k) = num[k] / den[k]
+    den = np.arange(1.0, n + 1.0) * (1.0 - p)
+    pmf = np.empty(n + 1)
+    pmf[s] = 1.0
+    np.cumprod(num[s:] / den[s:], out=pmf[s + 1 :])
+    np.cumprod(den[:s][::-1] / num[:s][::-1], out=pmf[:s][::-1])
+    pmf /= pmf.sum()
     if method.family in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
-        x = np.nonzero(log_pmf > _PMF_FLOOR)[0]
+        x = np.flatnonzero(pmf > 1e-17)
     else:
         x = np.arange(n + 1)
-    return x, np.exp(log_pmf[x])
+    return x, pmf[x]
 
 
 def _expected_width(side: Side, p: float, pmf, L, U) -> float:
@@ -539,7 +537,7 @@ def expected_width_exact(
     """
     _check_p(p)
     _check_n(n)
-    x, pmf = _support(method, n, p, _log_gamma(VECTOR, np.arange(n + 1.0) + 1.0))
+    x, pmf = _support(method, n, p)
     if 2 * x.size >= n + 1 or (method, n, level) in _held_bounds:
         L, U = _bounds_arrays(method, n, level)
         L, U = L[x], U[x]
@@ -562,9 +560,8 @@ def expected_widths_batch(
     if not ns:
         return []
     for n in ns:
-        _check_n(n)  # before the ln k! table is sized
-    lf = _log_gamma(VECTOR, np.arange(max(ns) + 1, dtype=float) + 1.0)  # lf[k] = ln k!
-    supports = [_support(method, n, p, lf) for n in ns]
+        _check_n(n)
+    supports = [_support(method, n, p) for n in ns]
     n_all = np.concatenate([np.full(x.size, float(n)) for (x, _), n in zip(supports, ns)])
     L_all, U_all = _bounds_for_x(
         method, n_all, level, np.concatenate([x for x, _ in supports]).astype(float)

@@ -293,5 +293,5 @@ def approx_method_spec(family: ApproxFamily, side: Side = Side.TWO_SIDED) -> Met
     if family is ApproxFamily.JEFFREYS:
         return MethodSpec.jeffreys(side)
     if family is ApproxFamily.WILSON:
-        return MethodSpec.wilson()
-    return MethodSpec.agresti_coull()
+        return MethodSpec(Family.WILSON, side)
+    return MethodSpec(Family.AGRESTI_COULL, side)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from binomci.methods import (
 )
 from binomci import special as sp
 from binomci.special import BetaParams
-from oracles import beta_quantile_bisect, binom_tail_exact, reg_inc_beta_int
+from oracles import beta_quantile_bisect, binom_pmf_exact, binom_tail_exact, reg_inc_beta_int
 
 LEVEL = ConfidenceLevel(0.05)
 
@@ -411,6 +412,67 @@ class TestExpectedWidth:
         with pytest.raises(DomainError):
             expected_width_exact(MethodSpec.wilson(), 0, 0.5, LEVEL)
 
+    def test_weights_match_mpmath_per_n(self):
+        # the ratio walk's weights against 40-digit mpmath, on about 80
+        # lanes spread over the x with pmf above 1e-17, both ends of that
+        # range and the mode; each bound is about twice the worst error seen,
+        # which grows with the walk's length
+        mp = pytest.importorskip("mpmath")
+        bounds = {
+            1: 5e-16, 2: 5e-16, 20: 2.5e-15, 100: 8e-15, 2600: 3.5e-14,
+            20_000: 9e-14, 154_055: 2.5e-13, 10**6: 6e-13, 10**7: 1.6e-12,
+        }
+        with mp.workdps(40):
+            for n, bound in bounds.items():
+                for p in (0.3, 0.5) if n == 10**7 else (0.002, 0.02, 0.3, 0.5, 0.97):
+                    x, pmf = exact_eval._support(CP, n, p)
+                    mode = min(int((n + 1) * p), n)
+                    lanes = np.linspace(0, x.size - 1, 80).round().astype(int)
+                    lanes = np.union1d(lanes, np.flatnonzero(x == mode))
+                    for i in lanes:
+                        k = int(x[i])
+                        ref = mp.binomial(n, k) * mp.mpf(p) ** k * (1 - mp.mpf(p)) ** (n - k)
+                        assert abs(float(pmf[i] / ref) - 1.0) <= bound, (n, p, k)
+
+    def test_weights_match_exact_rationals(self):
+        for n in (1, 2, 3, 7, 16, 30):
+            for p in (0.002, 0.02, 0.3, 0.5, 0.97, 0.999):
+                x, pmf = exact_eval._support(CP, n, p)
+                for k, w in zip(x.tolist(), pmf):
+                    ref = binom_pmf_exact(k, n, p)
+                    assert abs(float(Fraction(w) / ref) - 1.0) <= 3e-15, (n, p, k)
+
+    def test_weights_sum_to_one_at_extreme_p(self):
+        for n in (1, 10, 1000, 10**5):
+            for p in (1e-300, 1.0 - 1e-16):
+                x, pmf = exact_eval._support(MethodSpec.wald(), n, p)
+                assert x.size == n + 1
+                assert abs(math.fsum(pmf) - 1.0) <= 1e-15, (n, p)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MethodSpec.clopper_pearson(), MethodSpec.clopper_pearson(Side.UPPER), MethodSpec.jeffreys()],
+        ids=str,
+    )
+    def test_matches_40_digit_sum_at_its_endpoints(self, spec):
+        # the weights' rounding is all that separates the library's expected
+        # width from a 40-digit sum of the pmf times the same endpoints
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in (3107, 20_000):
+                L, U = _bounds_arrays(spec, n, LEVEL)
+                for p in (0.02, 0.3, 0.5):
+                    got = expected_width_exact(spec, n, p, LEVEL)
+                    P = mp.mpf(p)
+                    sd = math.sqrt(n * p * (1.0 - p))
+                    ks = range(max(0, int(n * p - 12 * sd)), min(n, int(n * p + 12 * sd)) + 1)
+                    ref = mp.fsum(
+                        mp.binomial(n, k) * P**k * (1 - P) ** (n - k)
+                        * (mp.mpf(U[k]) - (mp.mpf(L[k]) if spec.side is Side.TWO_SIDED else P))
+                        for k in ks
+                    )
+                    assert abs(float(got / ref) - 1.0) <= 1e-14, (n, p)
+
 
 CP = MethodSpec.clopper_pearson()
 BAD_N_CALLS = {
@@ -715,6 +777,39 @@ class TestMeanCoverage:
             L, U = _bounds_arrays(spec, n, LEVEL)
             cov = exact_eval._coverage_values(ps, L, U, n)
             assert closed == pytest.approx(float(cov.mean()), abs=1e-4)
+
+    def test_uniform_prior_interval_has_mean_one_minus_alpha(self):
+        # the uniform prior's posteriors are Beta(x + 1, n - x + 1), the
+        # mean coverage's own shapes, so each x adds exactly (1 - alpha) / (n + 1)
+        for n in (1, 2, 10, 200, 2000):
+            for alpha in (0.2, 0.05, 0.01):
+                got = mean_coverage(MethodSpec.uniform_prior(), n, ConfidenceLevel(alpha))
+                assert abs(got - (1.0 - alpha)) <= 1e-15, (n, alpha)
+
+    def test_cp_matches_the_pmf_at_its_endpoints(self):
+        # DLMF 8.17.20-21: I_U(x+1, n-x+1) = I_U(x+1, n-x) + U b(x; n, U) and
+        # I_L(x+1, n-x+1) = I_L(x, n-x+1) - (1 - L) b(x; n, L), whose first
+        # terms are 1 - alpha/2 and alpha/2 at the CP endpoints, so the mean
+        # coverage is [n (1 - alpha) + 1 + sum_{x<n} U b(x; n, U)
+        # + sum_{x>0} (1 - L) b(x; n, L)] / (n + 1), with b from 30-digit
+        # mpmath; the endpoints' own residual bounds the difference
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for n in (1, 2, 10, 200, 2000):
+                for alpha in (0.2, 0.05, 0.01):
+                    level = ConfidenceLevel(alpha)
+                    L, U = _bounds_arrays(CP, n, level)
+
+                    def b(k, e):
+                        e = mp.mpf(e)
+                        return mp.binomial(n, k) * e**k * (1 - e) ** (n - k)
+
+                    total = mp.fsum(
+                        [U[k] * b(k, U[k]) for k in range(n)]
+                        + [(1 - mp.mpf(L[k])) * b(k, L[k]) for k in range(1, n + 1)]
+                    )
+                    ref = (n * (1 - mp.mpf(alpha)) + 1 + total) / (n + 1)
+                    assert abs(mean_coverage(CP, n, level) - float(ref)) <= 2e-13, (n, alpha)
 
 
 class TestCalibration:

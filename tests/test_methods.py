@@ -343,6 +343,14 @@ class TestDispatch:
         assert approx_method_spec(ApproxFamily.JEFFREYS).prior == JEFFREYS_PRIOR
         assert approx_method_spec(ApproxFamily.WILSON).family is Family.WILSON
         assert approx_method_spec(ApproxFamily.AGRESTI_COULL).family is Family.AGRESTI_COULL
+        # a one-sided request reaches MethodSpec, which rejects it for the
+        # two closed forms
+        for family in (ApproxFamily.WILSON, ApproxFamily.AGRESTI_COULL):
+            for side in (Side.UPPER, Side.LOWER):
+                with pytest.raises(UnsupportedSideError):
+                    approx_method_spec(family, side)
+        for side in (Side.UPPER, Side.LOWER):
+            assert approx_method_spec(ApproxFamily.JEFFREYS, side) == MethodSpec.jeffreys(side)
 
 
 TINY_PRIOR = BetaParams(0.001, 0.001)
