@@ -31,12 +31,12 @@ from .special import (
     _BETACF_MAXIT as _CF_MAXIT,
     _QUANTILE_MAXIT,
     VECTOR,
+    _bfrac_round,
+    _bfrac_start,
     _binom_pmf_inner,
     _halley_round,
     _inc_beta_front,
     _inc_beta_value,
-    _lentz_round,
-    _lentz_start,
     _log_beta,
     _quantile_seed,
 )
@@ -60,19 +60,17 @@ def _retire(out, lanes, done, *state):
     return (out, lanes, done[active], *(v[active] for v in state))
 
 
-def _betacf_vec(a, b, x):
+def _betacf_vec(a, b, x, y):
     out = lanes = None
-    qab, qap, qam, d = _lentz_start(VECTOR, a, b, x)
-    c = 1.0
-    h = d
+    ab, c, yp1, an, bn, r = _bfrac_start(VECTOR, a, b, x, y)
     done = np.zeros(x.shape, dtype=bool)
     for m in range(1, _CF_MAXIT + 1):
-        h_next, c, d, converged = _lentz_round(VECTOR, m, a, b, x, qab, qap, qam, c, d, h)
-        h = np.where(done, h, h_next)
+        an, bn, r_next, converged = _bfrac_round(VECTOR, m, a, b, x, ab, c, yp1, an, bn, r)
+        r = np.where(done, r, r_next)
         done |= converged
-        del h_next, converged  # free this round's temporaries before _retire copies
-        out, lanes, done, h, a, b, x, c, d, qab, qap, qam = _retire(
-            out, lanes, done, h, a, b, x, c, d, qab, qap, qam
+        del r_next, converged  # free this round's temporaries before _retire copies
+        out, lanes, done, r, a, b, x, ab, c, yp1, an, bn = _retire(
+            out, lanes, done, r, a, b, x, ab, c, yp1, an, bn
         )
         if not done.size:
             return out
@@ -102,9 +100,9 @@ def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
         bi = b[interior]
         lgb = _log_beta(VECTOR, ai, bi) if lgb is None else lgb[interior]
         with np.errstate(all="ignore"):
-            front, direct, fa, fb, fx = _inc_beta_front(VECTOR, xi, ai, bi, lgb)
+            front, direct, fa, fb, fx, fy = _inc_beta_front(VECTOR, xi, ai, bi, lgb)
             del xi, ai, bi, lgb  # not needed while the fraction runs
-            out[interior] = _inc_beta_value(VECTOR, front, direct, _betacf_vec(fa, fb, fx), fa)
+            out[interior] = _inc_beta_value(VECTOR, front, direct, _betacf_vec(fa, fb, fx, fy))
     return out
 
 

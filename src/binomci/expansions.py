@@ -65,13 +65,14 @@ def _require_n(n) -> None:
         raise DomainError(f"need n >= 1, got {n}")
 
 
-def _third_order_bracket(ph: float, z: float, tilt: float) -> float:
-    """The n^(-3/2) bracket of either CP bound; `tilt` is the side's own term."""
+def _third_order_bracket(ph: float, z: float, tilt: float, c: float) -> float:
+    """The n^(-3/2) bracket of either CP bound (c = 11) or of the expected
+    upper distance (c = 6.5); `tilt` is the side's own term."""
     qh = 1.0 - ph
     return (
         -53.0 / 36.0
         + tilt
-        + (z * z + 11.0) / (36.0 * ph * qh)
+        + (z * z + c) / (36.0 * ph * qh)
         - 13.0 * z * z / 36.0
     )
 
@@ -111,8 +112,8 @@ def cp_bound_expansion(
     p_hi = ph + z * s / rn + (2.0 * (0.5 - ph) * z2 + 1.0 + qh) / (3.0 * n)
     if order is ExpansionOrder.THIRD_ORDER:
         scale = z * s / (n * rn)
-        p_lo -= scale * _third_order_bracket(ph, z, -(0.5 - ph) / ph)
-        p_hi += scale * _third_order_bracket(ph, z, (0.5 - ph) / qh)
+        p_lo -= scale * _third_order_bracket(ph, z, -(0.5 - ph) / ph, 11.0)
+        p_hi += scale * _third_order_bracket(ph, z, (0.5 - ph) / qh, 11.0)
     spec = MethodSpec.clopper_pearson(side)
     if side is Side.TWO_SIDED:
         return IntervalEstimate(p_lo, p_hi, spec, level)
@@ -141,17 +142,11 @@ def expected_distance_expansion(n: int, p: float, level: ConfidenceLevel) -> Exp
     _require_n(n)
     z = level.z_full
     q = 1.0 - p
-    pq = p * q
-    z2 = z * z
-    t_threehalf = (
-        z
-        * math.sqrt(pq)
-        * (-53.0 / 36.0 + (0.5 - p) / q + (z2 + 6.5) / (36.0 * pq) - 13.0 * z2 / 36.0)
-    )
+    s = z * math.sqrt(p * q)
     return ExpansionTerms(
-        t_half=z * math.sqrt(pq),
-        t_one=(2.0 * (0.5 - p) * z2 + 1.0 + q) / 3.0,
-        t_threehalf=t_threehalf,
+        t_half=s,
+        t_one=(2.0 * (0.5 - p) * (z * z) + 1.0 + q) / 3.0,
+        t_threehalf=s * _third_order_bracket(p, z, (0.5 - p) / q, 6.5),
         n=n,
     )
 

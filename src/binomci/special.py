@@ -3,8 +3,9 @@
 Scalar routines for the log-gamma function, the regularized incomplete beta
 function and its inverse, the standard normal quantile, and the binomial
 mass/distribution functions.  Everything here is pure and deterministic.
-The steps of ln Gamma, the incomplete beta and its inverse and the binomial
-pmf are written once, over an injected float (SCALAR) or numpy (VECTOR)
+The steps of ln Gamma, the incomplete beta (its continued fraction in the
+form of TOMS 708 bfrac) and its inverse and the binomial pmf are written
+once, over an injected float (SCALAR) or numpy (VECTOR)
 namespace; this module drives them one value at a time and
 :mod:`binomci.exact_eval` drives them over arrays of lanes.
 """
@@ -58,20 +59,14 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 #
 # Floats raise where numpy returns inf or nan (math.exp overflows, a division
 # by zero raises), so SCALAR.select(cond, f, g) calls only the branch it takes,
-# while VECTOR.select calls both and picks per lane.  guard(v) is the modified
-# Lentz guard: v, with 1e-300 wherever |v| < 1e-300 (numpy's in place, on the
-# fresh array each caller passes).  lookup(table, i) reads a numpy table at
-# the integer-valued floats i.
+# while VECTOR.select calls both and picks per lane.  lookup(table, i) reads a
+# numpy table at the integer-valued floats i.  The continued fraction's round
+# divides by its new denominator with no guard: a zero there would raise on
+# floats, and the test suite finds none over shapes in 10^[-3, 6].
 
-_BETACF_FPMIN = 1e-300
 _BETACF_EPS = 1e-15
 _BETACF_MAXIT = 2000
 _QUANTILE_MAXIT = 200
-
-
-def _guard_array(v):
-    np.copyto(v, _BETACF_FPMIN, where=np.abs(v) < _BETACF_FPMIN)
-    return v
 
 
 SCALAR = SimpleNamespace(
@@ -80,7 +75,6 @@ SCALAR = SimpleNamespace(
     maximum=max, minimum=min,
     lookup=lambda table, i: float(table[int(i)]),
     select=lambda cond, f, g: f() if cond else g(),
-    guard=lambda v, tiny=_BETACF_FPMIN: tiny if abs(v) < tiny else v,
 )
 VECTOR = SimpleNamespace(
     log=np.log, log1p=np.log1p, exp=np.exp, sqrt=np.sqrt, isfinite=np.isfinite,
@@ -88,7 +82,6 @@ VECTOR = SimpleNamespace(
     maximum=np.maximum, minimum=np.minimum,
     lookup=lambda table, i: table[i.astype(np.intp)],
     select=lambda cond, f, g: np.where(cond, f(), g()),
-    guard=_guard_array,
 )
 
 
@@ -130,46 +123,59 @@ def _log_beta(xp, a, b):
     return _log_gamma(xp, a) + _log_gamma(xp, b) - _log_gamma(xp, a + b)
 
 
-def _lentz_start(xp, a, b, x):
-    """Shape sums a + b, a + 1, a - 1 and the first d of the modified Lentz
-    evaluation of the incomplete-beta continued fraction; c = 1 and h = d."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    return qab, qap, qam, 1.0 / xp.guard(1.0 - qab * x / qap)
+def _bfrac_start(xp, a, b, x, y):
+    """Lane constants and first convergent of the incomplete-beta continued
+    fraction in the form of TOMS 708 `bfrac` (DiDonato & Morris 1992, ACM
+    TOMS 18, 360-373), for x below the switch point and y = 1 - x.
+
+    lambda = a - (a + b) x is taken as (a + b) y - b where a > b: the switch
+    point is then above 1/2, where y is exact, and near it, where lambda is
+    about (a - b)/(a + b + 2), that form subtracts terms of about b + 1
+    where a - (a + b) x subtracts terms of about a.  Returns a + b,
+    c = lambda + 1, y + 1 and the recurrence state (an, bn, r): the previous
+    numerator and denominator over the current denominator, and the
+    convergent r = (1 + 1/a) / c, the current numerator over a denominator
+    of 1."""
+    lam = xp.where(a > b, (a + b) * y - b, a - (a + b) * x)
+    c = lam + 1.0
+    r = (1.0 / a + 1.0) / c
+    return a + b, c, y + 1.0, 0.0 * r, r, r
 
 
-def _lentz_round(xp, m, a, b, x, qab, qap, qam, c, d, h):
-    """Round m of the fraction, both partial terms: the new (h, c, d) and
-    whether the round's last factor d * c is within 1e-15 of 1."""
-    guard = xp.guard
-    m2 = 2 * m
-    aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-    d = 1.0 / guard(1.0 + aa * d)
-    c = guard(1.0 + aa / c)
-    h = h * (d * c)
-    aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-    d = 1.0 / guard(1.0 + aa * d)
-    c = guard(1.0 + aa / c)
-    delta = d * c
-    return h * delta, c, d, abs(delta - 1.0) < _BETACF_EPS
+def _bfrac_round(xp, n, a, b, x, ab, c, yp1, an, bn, r):
+    """Term n of the fraction by the forward three-term recurrence, rescaled
+    so that the new denominator is 1: the new (an, bn, r) and whether r moved
+    by at most 1e-15 of itself.  With s = a + 2n - 1 the terms are
+    alpha = (a + n - 1)(a + b + n - 1) n (b - n) x^2 / s^2 and
+    beta = n + n (b - n) x / s + (a + n)(c + n (1 + y)) / (s + 2)."""
+    s = a + (2 * n - 1)
+    w = n * (b - n) * x
+    alpha = (a + (n - 1)) * (ab + (n - 1)) * (w * x) / (s * s)
+    beta = n + w / s + (a + n) * (c + n * yp1) / (s + 2.0)
+    d = alpha * bn + beta
+    r_next = (alpha * an + beta * r) / d
+    return r / d, 1.0 / d, r_next, abs(r_next - r) <= _BETACF_EPS * r_next
 
 
 def _inc_beta_front(xp, x, a, b, lgb):
     """Front factor x^a (1 - x)^b / B(a, b) of I_x(a, b) for 0 < x < 1, and
     the mirror rule: below the switch point (a + 1)/(a + b + 2) the fraction
     runs on (a, b, x), else on (b, a, 1 - x), where it converges fastest.
-    Returns (front, direct, the fraction's a, b and x)."""
+    Returns (front, direct, the fraction's a, b, x and y = 1 - x); a mirrored
+    lane's y is the original x, exact."""
     front = xp.exp(a * xp.log(x) + b * xp.log1p(-x) - lgb)
     direct = x < (a + 1.0) / (a + b + 2.0)
-    fx = xp.where(direct, x, 1.0 - x)
-    return front, direct, xp.where(direct, a, b), xp.where(direct, b, a), fx
+    y = 1.0 - x
+    return (
+        front, direct, xp.where(direct, a, b), xp.where(direct, b, a),
+        xp.where(direct, x, y), xp.where(direct, y, x),
+    )
 
 
-def _inc_beta_value(xp, front, direct, cf, a):
-    """I_x from the front factor and the fraction cf on the side `direct` chose,
-    a being that side's first shape: I_x = 1 - I_{1-x}(b, a) when mirrored."""
-    res = front * cf / a
+def _inc_beta_value(xp, front, direct, cf):
+    """I_x from the front factor and the fraction cf on the side `direct`
+    chose: front * cf, and I_x = 1 - I_{1-x}(b, a) when mirrored."""
+    res = front * cf
     return xp.where(direct, res, 1.0 - res)
 
 
@@ -308,15 +314,14 @@ def log_beta(a: float, b: float) -> float:
     return _log_beta(SCALAR, a, b)
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab, qap, qam, d = _lentz_start(SCALAR, a, b, x)
-    c = 1.0
-    h = d
+def _betacf(a: float, b: float, x: float, y: float) -> float:
+    """Continued fraction of I_x(a, b) / front for x below the switch point
+    and y = 1 - x (TOMS 708 bfrac's form, renormalized recurrence)."""
+    ab, c, yp1, an, bn, r = _bfrac_start(SCALAR, a, b, x, y)
     for m in range(1, _BETACF_MAXIT + 1):
-        h, c, d, converged = _lentz_round(SCALAR, m, a, b, x, qab, qap, qam, c, d, h)
+        an, bn, r, converged = _bfrac_round(SCALAR, m, a, b, x, ab, c, yp1, an, bn, r)
         if converged:
-            return h
+            return r
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
     )
@@ -339,8 +344,8 @@ def reg_inc_beta(x: float, a: float, b: float, lgb: float | None = None) -> floa
     if x == 1.0:
         return 1.0
     lgb = log_beta(a, b) if lgb is None else lgb
-    front, direct, fa, fb, fx = _inc_beta_front(SCALAR, x, a, b, lgb)
-    return _inc_beta_value(SCALAR, front, direct, _betacf(fa, fb, fx), fa)
+    front, direct, fa, fb, fx, fy = _inc_beta_front(SCALAR, x, a, b, lgb)
+    return _inc_beta_value(SCALAR, front, direct, _betacf(fa, fb, fx, fy))
 
 
 def beta_quantile(q: float, a: float, b: float) -> float:

@@ -299,44 +299,46 @@ class TestExactSearch:
 # most 2.5e-15 relative from the lane kernel's own copy of those steps),
 # weighted by the ratio-walk pmf (all 36 moved, by at most 5.8e-12
 # relative, from ln k! table differences; each is now within 1e-15 of a
-# 40-digit sum at the same endpoints, where the table's were up to 5.8e-12).
+# 40-digit sum at the same endpoints, where the table's were up to 5.8e-12),
+# and solved on the bfrac form of the continued fraction (28 moved, by at
+# most 3.7e-15 relative, from the modified-Lentz form).
 GOLDEN_SEARCHES = [
     ("cp", 0.01, 0.02, 0.07212, 134, "0x1.261b0a912ce52p-4"),
-    ("cp", 0.01, 0.1, 0.09775, 267, "0x1.903400b14444fp-4"),
-    ("cp", 0.01, 0.3, 0.09638, 616, "0x1.8abdc330c8174p-4"),
+    ("cp", 0.01, 0.1, 0.09775, 267, "0x1.903400b144451p-4"),
+    ("cp", 0.01, 0.3, 0.09638, 616, "0x1.8abdc330c8175p-4"),
     ("cp", 0.01, 0.5, 0.06651, 1525, "0x1.106ca6ced7f0fp-4"),
-    ("cp", 0.05, 0.02, 0.01002, 3197, "0x1.484915c0513dbp-7"),
+    ("cp", 0.05, 0.02, 0.01002, 3197, "0x1.484915c0513d1p-7"),
     ("cp", 0.05, 0.1, 0.1176, 114, "0x1.e07499f2bb130p-4"),
-    ("cp", 0.05, 0.3, 0.1136, 265, "0x1.d06aaac6d41f7p-4"),
-    ("cp", 0.05, 0.5, 0.08002, 622, "0x1.4790a36a64c2fp-4"),
-    ("cp", 0.1, 0.02, 0.01189, 1662, "0x1.859bc8f3c055ap-7"),
-    ("cp", 0.1, 0.1, 0.01802, 3107, "0x1.273a15074095ep-6"),
+    ("cp", 0.05, 0.3, 0.1136, 265, "0x1.d06aaac6d41f5p-4"),
+    ("cp", 0.05, 0.5, 0.08002, 622, "0x1.4790a36a64c2ep-4"),
+    ("cp", 0.1, 0.02, 0.01189, 1662, "0x1.859bc8f3c0557p-7"),
+    ("cp", 0.1, 0.1, 0.01802, 3107, "0x1.273a150740969p-6"),
     ("cp", 0.1, 0.3, 0.1508, 111, "0x1.3368ce2de173bp-3"),
     ("cp", 0.1, 0.5, 0.104, 267, "0x1.a956bde6ca954p-4"),
-    ("cp_upper", 0.01, 0.02, 0.0133, 942, "0x1.b3a623eaacf36p-7"),
-    ("cp_upper", 0.01, 0.1, 0.01802, 1724, "0x1.27337825ae6fep-6"),
-    ("cp_upper", 0.01, 0.3, 0.01946, 3129, "0x1.3ed522017c33dp-6"),
-    ("cp_upper", 0.01, 0.5, 0.1163, 105, "0x1.da90225611af5p-4"),
-    ("cp_upper", 0.05, 0.02, 0.01456, 447, "0x1.dd1a123f43bcap-7"),
-    ("cp_upper", 0.05, 0.1, 0.02015, 730, "0x1.49e92d3cee15ap-6"),
-    ("cp_upper", 0.05, 0.3, 0.01946, 1593, "0x1.3ec3c6883a769p-6"),
+    ("cp_upper", 0.01, 0.02, 0.0133, 942, "0x1.b3a623eaacf3bp-7"),
+    ("cp_upper", 0.01, 0.1, 0.01802, 1724, "0x1.27337825ae6fap-6"),
+    ("cp_upper", 0.01, 0.3, 0.01946, 3129, "0x1.3ed522017c349p-6"),
+    ("cp_upper", 0.01, 0.5, 0.1163, 105, "0x1.da90225611af7p-4"),
+    ("cp_upper", 0.05, 0.02, 0.01456, 447, "0x1.dd1a123f43bbep-7"),
+    ("cp_upper", 0.05, 0.1, 0.02015, 730, "0x1.49e92d3cee160p-6"),
+    ("cp_upper", 0.05, 0.3, 0.01946, 1593, "0x1.3ec3c6883a768p-6"),
     ("cp_upper", 0.05, 0.5, 0.01502, 3062, "0x1.ec2342e4d3408p-7"),
-    ("cp_upper", 0.1, 0.02, 0.01794, 222, "0x1.256bf8c23d058p-6"),
-    ("cp_upper", 0.1, 0.1, 0.02432, 334, "0x1.8df6a11af843ap-6"),
-    ("cp_upper", 0.1, 0.3, 0.02398, 663, "0x1.88abc758121b5p-6"),
-    ("cp_upper", 0.1, 0.5, 0.01654, 1559, "0x1.0ef14934d4b74p-6"),
-    ("jeffreys", 0.01, 0.02, 0.01317, 3006, "0x1.af7ce563abcacp-7"),
+    ("cp_upper", 0.1, 0.02, 0.01794, 222, "0x1.256bf8c23d054p-6"),
+    ("cp_upper", 0.1, 0.1, 0.02432, 334, "0x1.8df6a11af843fp-6"),
+    ("cp_upper", 0.1, 0.3, 0.02398, 663, "0x1.88abc7581219cp-6"),
+    ("cp_upper", 0.1, 0.5, 0.01654, 1559, "0x1.0ef14934d4b70p-6"),
+    ("jeffreys", 0.01, 0.02, 0.01317, 3006, "0x1.af7ce563abca6p-7"),
     ("jeffreys", 0.01, 0.1, 0.1545, 98, "0x1.3ad8a357c6077p-3"),
     ("jeffreys", 0.01, 0.3, 0.1493, 246, "0x1.3160f3ffe44e3p-3"),
-    ("jeffreys", 0.01, 0.5, 0.1052, 595, "0x1.aec98f9b0234ep-4"),
-    ("jeffreys", 0.05, 0.02, 0.01417, 1501, "0x1.d02dd2cfbee1ep-7"),
-    ("jeffreys", 0.05, 0.1, 0.02147, 2998, "0x1.5fb7ba91a6bfdp-6"),
-    ("jeffreys", 0.05, 0.3, 0.1796, 97, "0x1.6f271c5606c05p-3"),
-    ("jeffreys", 0.05, 0.5, 0.124, 247, "0x1.fb4adc44e3e15p-4"),
-    ("jeffreys", 0.1, 0.02, 0.0188, 598, "0x1.33fa9bd5f51adp-6"),
-    ("jeffreys", 0.1, 0.1, 0.02548, 1498, "0x1.a16391490d82cp-6"),
-    ("jeffreys", 0.1, 0.3, 0.02752, 2998, "0x1.c2e25d341c66cp-6"),
-    ("jeffreys", 0.1, 0.5, 0.1645, 98, "0x1.4f629692d90dep-3"),
+    ("jeffreys", 0.01, 0.5, 0.1052, 595, "0x1.aec98f9b0234dp-4"),
+    ("jeffreys", 0.05, 0.02, 0.01417, 1501, "0x1.d02dd2cfbee19p-7"),
+    ("jeffreys", 0.05, 0.1, 0.02147, 2998, "0x1.5fb7ba91a6bf0p-6"),
+    ("jeffreys", 0.05, 0.3, 0.1796, 97, "0x1.6f271c5606c04p-3"),
+    ("jeffreys", 0.05, 0.5, 0.124, 247, "0x1.fb4adc44e3e14p-4"),
+    ("jeffreys", 0.1, 0.02, 0.0188, 598, "0x1.33fa9bd5f51abp-6"),
+    ("jeffreys", 0.1, 0.1, 0.02548, 1498, "0x1.a16391490d834p-6"),
+    ("jeffreys", 0.1, 0.3, 0.02752, 2998, "0x1.c2e25d341c675p-6"),
+    ("jeffreys", 0.1, 0.5, 0.1645, 98, "0x1.4f629692d90ddp-3"),
 ]
 GOLDEN_METHODS = {
     "cp": MethodSpec.clopper_pearson(),

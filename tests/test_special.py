@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from binomci.errors import ConvergenceError, DomainError
 from binomci import special as sp
-from binomci.exact_eval import _binom_pmf_vec
+from binomci.exact_eval import _betacf_vec, _betainc_vec, _binom_pmf_vec
 
 from oracles import (
     binom_cdf_exact,
@@ -93,6 +94,73 @@ class TestRegIncBeta:
             sp.reg_inc_beta(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             sp.reg_inc_beta(1.5, 1.0, 1.0)
+
+
+class TestContinuedFraction:
+    def test_fraction_matches_mpmath_below_the_switch_point(self):
+        # The fraction alone is I_x / front = 2F1(a + b, 1; a + 1; x) / a
+        # (DLMF 8.17.8).  A large first shape just below the switch point is
+        # where the modified-Lentz form cancelled (3.3e-11); with lambda taken
+        # from the exact y = 1 - x it stays within a few ulps.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1708)
+        a = 10.0 ** rng.uniform(3, 6, 60)
+        b = rng.uniform(0.5, 50.0, 60)
+        x = (a + 1.0) / (a + b + 2.0) * (1.0 - 10.0 ** rng.uniform(-9, -4, 60))
+        y = 1.0 - x  # exact: x > 1/2
+        worst = 0.0
+        with mp.workdps(40):
+            for ai, bi, xi, yi in zip(a.tolist(), b.tolist(), x.tolist(), y.tolist()):
+                exact = mp.hyp2f1(mp.mpf(ai) + bi, 1, mp.mpf(ai) + 1, xi) / ai
+                worst = max(worst, float(abs(sp._betacf(ai, bi, xi, yi) / exact - 1)))
+        assert worst <= 1e-14
+        # the lane driver runs the same arithmetic, so it gives the same bits
+        assert _betacf_vec(a, b, x, y).tolist() == [
+            sp._betacf(*lane) for lane in zip(a.tolist(), b.tolist(), x.tolist(), y.tolist())
+        ]
+
+    def test_large_shape_lane_converges_in_few_terms(self, monkeypatch):
+        # A plain renormalized recurrence on the Lentz coefficients wandered
+        # here for 745 terms; bfrac's terms converge in 26.
+        calls = []
+        real = sp._bfrac_round
+        monkeypatch.setattr(sp, "_bfrac_round", lambda *s: calls.append(1) or real(*s))
+        a, b, x = 999999.5, 1.5, 0.99999665
+        assert x < (a + 1.0) / (a + b + 2.0)
+        sp._betacf(a, b, x, 1.0 - x)
+        assert len(calls) <= 30
+
+    def test_no_zero_denominator_over_the_shape_range(self):
+        # Shapes 10^[-3, 6], x uniform on (0, 1) or near the switch point.
+        # The scalar driver raises on a zero denominator where numpy would
+        # give inf; neither happens.  Against scipy each lane stays within
+        # the front factor's own error, 128 eps times the size of its
+        # exponent (ln-gamma values included), amplified by (1 - I) / I where
+        # the mirror takes a difference from 1 -- a bound the modified-Lentz
+        # form met too.  Values below 1e-100 are left out: scipy's own error
+        # reaches 2e-5 there (at I = 2.8e-279).
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(1709)
+        size = 20_000
+        a = 10.0 ** rng.uniform(-3, 6, size)
+        b = 10.0 ** rng.uniform(-3, 6, size)
+        switch = (a + 1.0) / (a + b + 2.0)
+        near = switch * (1.0 + rng.uniform(-1e-3, 1e-3, size) * 10.0 ** rng.uniform(-6, 0, size))
+        x = np.clip(np.where(rng.random(size) < 0.5, near, rng.uniform(0, 1, size)), 1e-300, 1 - 1e-16)
+        scalar = np.array([sp.reg_inc_beta(*lane) for lane in zip(x.tolist(), a.tolist(), b.tolist())])
+        vector = _betainc_vec(x, a, b)
+        assert np.isfinite(vector).all()
+        assert np.isfinite(scalar).all()
+        ref = special.betainc(a, b, x)
+        exponent = (
+            np.abs(a * np.log(x)) + np.abs(b * np.log1p(-x)) + np.abs(special.gammaln(a))
+            + np.abs(special.gammaln(b)) + np.abs(special.gammaln(a + b)) + 1.0
+        )
+        kept = ref > 1e-100
+        amplified = np.maximum(1.0, (1.0 - ref[kept]) / ref[kept])
+        bound = 128 * 2.2e-16 * exponent[kept] * amplified * ref[kept]
+        for got in (scalar, vector):
+            assert (np.abs(got[kept] - ref[kept]) <= bound).all()
 
 
 class TestBetaQuantile:
