@@ -60,9 +60,9 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 # Floats raise where numpy returns inf or nan (math.exp overflows, a division
 # by zero raises), so SCALAR.select(cond, f, g) calls only the branch it takes,
 # while VECTOR.select calls both and picks per lane.  lookup(table, i) reads a
-# numpy table at the integer-valued floats i.  The continued fraction's round
-# divides by its new denominator with no guard: a zero there would raise on
-# floats, and the test suite finds none over shapes in 10^[-3, 6].
+# numpy table at the integer-valued floats i.  The fraction's round divides
+# by its new denominator with no floor: a zero there would raise on floats,
+# and the test suite finds none over shapes in 10^[-3, 6].
 
 _BETACF_EPS = 1e-15
 _BETACF_MAXIT = 2000

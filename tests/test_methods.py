@@ -382,7 +382,7 @@ class TestGolden:
         # quantile rows (CP with 0 < x < n, Jeffreys, Beta(0.001, 0.001))
         # again for the Halley solver's stop rule and for the bfrac form of
         # the continued fraction (290 endpoints in 256 rows, by at most
-        # 4.4e-11 relative, at n = 10^6).  The Wald, Wilson,
+        # 4.41e-11 relative, at n = 10^6).  The Wald, Wilson,
         # Agresti-Coull and CP closed-form endpoints never moved.
         lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
         assert len(lines) == 1050
