@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 from . import exact_eval, expansions, sample_size
@@ -100,6 +101,7 @@ def _p_range(args, *names: str) -> None:
             setattr(args, name, _RANGE_DEFAULTS[name])
 
 
+@functools.cache  # parse_args writes only to a fresh namespace, so run() reuses it
 def _build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="binomci",
@@ -224,6 +226,8 @@ def _cmd_sample_size(args) -> int:
     if args.method.strip().lower() != "cp":
         raise UsageError("sample-size supports --method cp only")
     side = Side(args.side)
+    if side is Side.LOWER:
+        raise UsageError("sample-size supports --side two-sided or upper, not --side lower")
     level = ConfidenceLevel(args.alpha)
     mode = FormulaMode(args.formula)
     if (args.p0 is None) == (args.prior is None):

@@ -52,8 +52,9 @@ class SampleSizeQuery:
     def __post_init__(self):
         if not (0.0 < self.d < 1.0):
             raise DomainError(f"target d must be in (0, 1), got {self.d}")
+        _check_member(self.side, Side, "side")
         if self.side not in (Side.TWO_SIDED, Side.UPPER):
-            raise DomainError(f"sample sizes take side TWO_SIDED or UPPER, got {self.side!r}")
+            raise DomainError(f"sample sizes take side two-sided or upper, got {self.side.value}")
         if (self.p0 is None) == (self.prior is None):
             raise DomainError("exactly one of p0 and prior must be given")
         if self.p0 is not None and not (0.0 < self.p0 < 1.0):

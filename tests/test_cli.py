@@ -2,13 +2,18 @@ import csv
 
 import pytest
 
+from binomci import cli
 from binomci.cli import _fmt, run
 from binomci.exact_eval import MinCoverage, PGrid, calibrate_alpha
 from binomci.methods import ConfidenceLevel, MethodSpec
 
 
 def invoke(argv, capsys):
-    code = run(argv)
+    """(exit code, stdout, stderr) of run(argv), an argparse exit included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -134,6 +139,14 @@ class TestSampleSize:
         )
         assert code == 2
         assert "p0" in err
+
+    def test_lower_side_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            ["sample-size", "--method", "cp", "--d", "0.05", "--p0", "0.3",
+             "--alpha", "0.05", "--side", "lower"],
+            capsys,
+        )
+        assert code == 2 and out == "" and "--side lower" in err and "Side." not in err
 
     def test_unattainable_one_sided_target_is_computation_error(self, capsys):
         for argv in (
@@ -343,3 +356,65 @@ class TestFigures:
         for row in rows[1:5]:
             mantissa = row[2].replace("-", "").replace(".", "").lstrip("0")
             assert len(mantissa) <= 10
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_sequence_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "cov.csv"
+        sequence = [
+            ["interval", "--method", "cp", "--x", "3", "--n", "20", "--alpha", "0.05"],
+            ["interval", "--method", "jeffreys", "--x", "3", "--n", "20", "--alpha", "0.1",
+             "--side", "upper"],
+            ["expected-length", "--method", "cp", "--n", "40", "--p", "0.3", "--alpha", "0.05",
+             "--mode", "expansion"],
+            ["interval", "--method", "cp", "--x", "3", "--n", "20", "--alpha", "0.05",
+             "--bogus"],
+            ["expected-length", "--method", "wilson", "--n", "40", "--p", "0.3",
+             "--alpha", "0.05"],
+            ["coverage", "--method", "cp", "--n", "30", "--alpha", "0.05",
+             "--criterion", "mean"],
+            ["coverage", "--method", "cp", "--n", "30", "--alpha", "0.05"],
+            ["coverage", "--method", "cp", "--n", "30", "--alpha", "0.05", "--points", "7",
+             "--dump"],
+            ["sample-size", "--d", "0.05", "--p0", "0.3", "--alpha", "0.05"],
+            ["sample-size", "--d", "0.05", "--p0", "0.3", "--alpha", "0.05", "--side", "lower"],
+            ["cost", "--vs", "wilson", "--d", "0.05", "--p0", "0.3", "--alpha", "0.05"],
+            ["calibrate", "--method", "cp", "--n", "20", "--alpha", "0.05",
+             "--criterion", "min"],
+            ["figure", "--id", "coverage", "--out", str(target), "--coverage-n-list", "20",
+             "--force"],
+            ["calibrate", "--method", "cp", "--n", "20", "--alpha", "0.05", "--criterion", "mean",
+             "--lo", "0.2"],
+        ]
+
+        def results():
+            seen = []
+            for argv in sequence:
+                seen.append(invoke(argv, capsys))
+                if argv[0] == "figure":
+                    seen.append(target.read_bytes())
+            return seen
+
+        reused = results()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = results()
+        assert reused == fresh
+        codes = [r[0] for r in reused if isinstance(r, tuple)]
+        assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2]
+        # plain coverage after --criterion mean still gets _p_range's defaults
+        assert reused[6][1].count("\n") == 4
+        # the coverage figure's rows read --lo/--hi from set_defaults
+        assert b"cp,0.01,0.99,20," in reused[13]
+
+    def test_help_wraps_to_columns_set_after_build(self, capsys, monkeypatch):
+        cli._build_parser()
+        widths = {}
+        for columns in (60, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, out, _ = invoke(["coverage", "--help"], capsys)
+            assert code == 0
+            widths[columns] = max(len(line) for line in out.splitlines())
+        assert widths[60] <= 58 < widths[120] <= 118

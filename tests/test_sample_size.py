@@ -39,7 +39,7 @@ class TestQueryValidation:
             SampleSizeQuery(1.0, LEVEL, p0=0.5)
 
     def test_lower_side_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got lower$"):
             SampleSizeQuery(0.05, LEVEL, Side.LOWER, p0=0.5)
 
     def test_result_ceiling_invariant(self):
