@@ -368,8 +368,8 @@ def _figure_6_rows(args, level, mode):
 
 
 def _coverage_figure_rows(args, level, mode):
-    """The exact minimum coverage and its argmin, which read no p grid: the
-    two-point grid only fixes the range [lo, hi]."""
+    """The exact minimum coverage and its argmin, which read no p grid and
+    no mean coverage."""
     rows = []
     for name, spec in (
         ("jeffreys", MethodSpec.jeffreys()),
@@ -378,9 +378,11 @@ def _coverage_figure_rows(args, level, mode):
         ("cp", MethodSpec.clopper_pearson()),
     ):
         for lo, hi in ((args.lo, args.hi), (0.1, 0.9)):
+            grid = exact_eval.PGrid(lo, hi, 2)  # checks 0 < lo < hi < 1
             for n in _parse_n_list(args.coverage_n_list):
-                report = exact_eval.min_coverage(spec, n, level, exact_eval.PGrid(lo, hi, 2))
-                rows.append([name, lo, hi, n, report.min_coverage, report.argmin_p])
+                L, U = exact_eval._bounds_arrays(spec, n, level)
+                argmin_p, min_cov = exact_eval._exact_min(L, U, n, grid.lo, grid.hi)
+                rows.append([name, lo, hi, n, min_cov, argmin_p])
     return ["method", "lo", "hi", "n", "min_coverage", "argmin_p"], rows
 
 

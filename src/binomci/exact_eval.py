@@ -13,8 +13,10 @@ pmf (Loader 2000) at the range's largest term, then a ratio walk, so that
 scans with hundreds of thousands of grid points stay cheap; they run in this
 process.  Expected widths weight x by the same ratio walk, from the mode,
 normalized by its sum (see _support).  The minimum coverage needs no grid
-(see _exact_min); it is reported at the smallest p whose coverage ties with
-it, within a relative 1e-9, so mirror minima do not flip.
+(see _exact_min), and the minimum over a grid needs only the grid points
+beside each realized endpoint (see _grid_candidates); each is reported at
+the smallest p whose coverage ties with it, within a relative 1e-9, so
+mirror minima do not flip.
 """
 from __future__ import annotations
 
@@ -417,24 +419,49 @@ def min_coverage(
 ) -> CoverageReport:
     """Exact minimum coverage over [grid.lo, grid.hi] (see _exact_min).
 
-    The grid is scanned only for grid_min_coverage, grid_argmin_p and
-    per_point.  argmin_p and grid_argmin_p are the smallest p whose coverage
-    is within a relative 1e-9 of the minimum (see _argmin_p).  `workers` is
-    accepted and ignored: the scan runs in this process.
+    grid_min_coverage and grid_argmin_p are read at the grid points beside
+    each realized endpoint only (see _grid_candidates); the whole grid is
+    scanned only for per_point.  argmin_p and grid_argmin_p are the smallest
+    p whose coverage is within a relative 1e-9 of the minimum (see
+    _argmin_p).  `workers` is accepted and ignored: the scan runs in this
+    process.
     """
     L, U = _bounds_arrays(method, n, level)
     grid_p = grid.values()
-    grid_cov = _coverage_over(grid_p, L, U, n)
+    cand_p = grid_p[_grid_candidates(grid_p, L, U)]
+    cand_cov = _coverage_over(cand_p, L, U, n)
     min_p, min_cov = _exact_min(L, U, n, grid.lo, grid.hi)
+    per_point = None
+    if keep_per_point:
+        per_point = list(zip(grid_p.tolist(), _coverage_over(grid_p, L, U, n).tolist()))
     return CoverageReport(
         min_coverage=min_cov,
         argmin_p=min_p,
         mean_coverage=mean_coverage(method, n, level),
         grid=grid,
-        grid_min_coverage=float(grid_cov.min()),
-        grid_argmin_p=_argmin_p(grid_p, grid_cov),
-        per_point=list(zip(grid_p.tolist(), grid_cov.tolist())) if keep_per_point else None,
+        grid_min_coverage=float(cand_cov.min()),
+        grid_argmin_p=_argmin_p(cand_p, cand_cov),
+        per_point=per_point,
     )
+
+
+def _grid_candidates(grid_p, L, U):
+    """Mask of the grid points that can hold the grid's minimum coverage:
+    both ends of the grid, and for each realized endpoint e the last grid
+    point below e, one equal to e and the first one above e.  Between
+    consecutive endpoints the coverage rises, then falls (see _exact_min), so
+    over one piece's grid points it is smallest at the first or the last.
+    Where it is 1 up to rounding, an inner point can read a few ulps lower.
+    A mask, not np.unique of the indices: 0.13 against 1.4 ms on 200,000
+    points at n = 2000.
+    """
+    ends = np.concatenate([L, U])
+    left = np.searchsorted(grid_p, ends, side="left")  # the first point >= e
+    right = np.searchsorted(grid_p, ends, side="right")  # the first point > e
+    idx = np.concatenate([[0, grid_p.size - 1], left - 1, left, right])
+    keep = np.zeros(grid_p.size, dtype=bool)
+    keep[np.clip(idx, 0, grid_p.size - 1)] = True
+    return keep
 
 
 def _exact_min(L, U, n, lo, hi):

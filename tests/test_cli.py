@@ -211,6 +211,21 @@ class TestCoverageAndCalibrate:
         rows = out.split("p,coverage\n", 1)[1].strip().splitlines()
         assert len(rows) == 11
 
+    @pytest.mark.parametrize(
+        "method, n, alpha, lo, hi, points",
+        [("wilson", 100, 0.05, 0.05, 0.95, 2001), ("cp", 3, 0.001, 0.1, 0.9, 1001),
+         ("jeffreys", 2000, 0.05, 0.01, 0.99, 20001)],
+    )
+    def test_dump_prints_the_same_report(self, capsys, method, n, alpha, lo, hi, points):
+        argv = ["coverage", "--method", method, "--n", str(n), "--alpha", str(alpha),
+                "--lo", str(lo), "--hi", str(hi), "--points", str(points)]
+        code, plain, _ = invoke(argv, capsys)
+        code_dump, dumped, _ = invoke(argv + ["--dump"], capsys)
+        assert code == code_dump == 0
+        report = parse_keyvals(plain)
+        assert list(report) == ["min_coverage", "argmin_p", "grid_min_coverage", "mean_coverage"]
+        assert parse_keyvals(dumped) == report
+
     def test_mean_criterion(self, capsys):
         code, out, _ = invoke(
             ["coverage", "--method", "cp", "--n", "25", "--alpha", "0.05",

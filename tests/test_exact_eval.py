@@ -711,6 +711,36 @@ class TestMinCoverage:
         # the minimum itself does not move
         assert rep.grid_min_coverage == min(c for _, c in rep.per_point)
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.001])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 37, 250, 2000])
+    @pytest.mark.parametrize("spec", MIN_FAMILIES, ids=str)
+    def test_grid_minimum_matches_full_scan(self, spec, n, alpha):
+        # the grid minimum reads only the grid points beside each endpoint;
+        # per_point scans every grid point
+        level = ConfidenceLevel(alpha)
+        grids = [PGrid(0.01, 0.99, 20001), PGrid(0.1, 0.9, 1001), PGrid(0.3, 0.7, 5)]
+        if alpha == 0.05 and n >= 250:
+            grids.append(PGrid(0.01, 0.99, 200000))
+        L, U = _bounds_arrays(spec, n, level)
+        ends = np.concatenate([L, U])
+        mantissa = np.frexp(ends)[0]
+        inner = ends[(ends > 0.0) & (ends < 1.0) & (mantissa > 0.51) & (mantissa < 0.99)]
+        if inner.size:
+            # 201 points e + j * d, d a power of two, all in e's binade: each
+            # is exact, so the middle one is the endpoint e itself
+            e = float(inner[inner.size // 2])
+            d = math.ldexp(1.0, math.frexp(e)[1] - 16)
+            grids.append(PGrid(e - 100 * d, e + 100 * d, 201))
+            assert grids[-1].values()[100] == e
+        for grid in grids:
+            rep = min_coverage(spec, n, level, grid, keep_per_point=True)
+            p, cov = grid.values(), np.array([c for _, c in rep.per_point])
+            assert rep.grid_argmin_p == exact_eval._argmin_p(p, cov), grid
+            if cov.min() < 1.0 - 1e-12:
+                assert rep.grid_min_coverage == cov.min(), grid
+            else:  # coverage 1 up to rounding
+                assert abs(rep.grid_min_coverage - cov.min()) <= 1e-15, grid
+
     def test_workers_reproduce_sequential(self):
         grid = PGrid(0.05, 0.95, 5000)
         seq = min_coverage(MethodSpec.jeffreys(), 73, LEVEL, grid, workers=1)
