@@ -210,15 +210,17 @@ def _cmd_coverage(args) -> int:
         print(f"mean_coverage {_fmt(exact_eval.mean_coverage(spec, args.n, level))}")
         return 0
     grid = exact_eval.PGrid(args.lo, args.hi, args.points)
-    report = exact_eval.min_coverage(spec, args.n, level, grid, keep_per_point=args.dump)
+    report = exact_eval.min_coverage(spec, args.n, level, grid)
     print(f"min_coverage {_fmt(report.min_coverage)}")
     print(f"argmin_p {_fmt(report.argmin_p)}")
     print(f"grid_min_coverage {_fmt(report.grid_min_coverage)}")
     print(f"mean_coverage {_fmt(report.mean_coverage)}")
     if args.dump:
+        grid_p = grid.values()
+        cov = exact_eval.coverage_probability(spec, args.n, grid_p, level)
         print("p,coverage")
-        for p, cov in report.per_point:
-            print(f"{_fmt(p)},{_fmt(cov)}")
+        for p, c in zip(grid_p.tolist(), cov.tolist()):
+            print(f"{_fmt(p)},{_fmt(c)}")
     return 0
 
 

@@ -5,18 +5,18 @@ success count, pointwise coverage and its exact minimum over a p range, the
 closed-form mean coverage under a uniform pseudo-prior, and calibration of
 the nominal level against a coverage criterion.
 
-Endpoint arrays and mean coverage run the continued-fraction and Halley
-steps of :mod:`binomci.special` (each written once there) under its numpy
-namespace, in the compacting lane loops below.  Coverage scans add up the
-binomial pmf over each grid point's covering range instead: one saddle-point
-pmf (Loader 2000) at the range's largest term, then a ratio walk, so that
-scans with hundreds of thousands of grid points stay cheap; they run in this
-process.  Expected widths weight x by the same ratio walk, from the mode,
-normalized by its sum (see _support).  The minimum coverage needs no grid
-(see _exact_min), and the minimum over a grid needs only the grid points
-beside each realized endpoint (see _grid_candidates); each is reported at
-the smallest p whose coverage ties with it, within a relative 1e-9, so
-mirror minima do not flip.
+Endpoint arrays and mean coverage run the steps of :mod:`binomci.special`
+(each written once there) under its numpy namespace.  The drivers below own
+only broadcasting, the x in {0, 1} masks, errstate and the compacting lane
+loops.  Coverage scans add up the binomial pmf over each grid point's
+covering range instead: one saddle-point pmf (Loader 2000) at the range's
+largest term, then a ratio walk, so that scans with hundreds of thousands of
+grid points stay cheap; they run in this process.  Expected widths weight x
+by the same ratio walk, from the mode, normalized by its sum (see _support).
+The minimum coverage needs no grid (see _exact_min), and the minimum over a
+grid needs only the grid points beside each realized endpoint (see
+_grid_candidates); each is reported at the smallest p whose coverage ties
+with it, within a relative 1e-9, so mirror minima do not flip.
 """
 from __future__ import annotations
 
@@ -37,10 +37,9 @@ from .special import (
     _bfrac_start,
     _binom_pmf_inner,
     _halley_round,
-    _inc_beta_front,
-    _inc_beta_value,
+    _inc_beta,
     _log_beta,
-    _quantile_seed,
+    _quantile_start,
 )
 
 
@@ -83,10 +82,7 @@ def _betacf_vec(a, b, x, y):
 
 
 def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
-    """Vectorized regularized incomplete beta I_x(a, b).
-
-    lgb, if given, is ln B(a, b) already computed by the caller.
-    """
+    """I_x(a, b) over lanes; lgb, if given, is ln B(a, b) already computed."""
     x, a, b = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
@@ -97,14 +93,11 @@ def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
     out[at_zero] = 0.0
     out[at_one] = 1.0
     if interior.any():
-        xi = x[interior]
-        ai = a[interior]
-        bi = b[interior]
-        lgb = _log_beta(VECTOR, ai, bi) if lgb is None else lgb[interior]
         with np.errstate(all="ignore"):
-            front, direct, fa, fb, fx, fy = _inc_beta_front(VECTOR, xi, ai, bi, lgb)
-            del xi, ai, bi, lgb  # not needed while the fraction runs
-            out[interior] = _inc_beta_value(VECTOR, front, direct, _betacf_vec(fa, fb, fx, fy))
+            out[interior] = _inc_beta(
+                VECTOR, x[interior], a[interior], b[interior],
+                None if lgb is None else lgb[interior], _betacf_vec,
+            )
     return out
 
 
@@ -139,14 +132,8 @@ def _beta_quantile_vec(q, a, b) -> np.ndarray:
         np.asarray(q, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
     with np.errstate(all="ignore"):
-        seed = _quantile_seed(VECTOR, q, a, b)
-        swap = seed > 0.5
-        qq = np.where(swap, 1.0 - q, q)
-        aa = np.where(swap, b, a)
-        bb = np.where(swap, a, b)
-        if swap.any():  # mirrored lanes are seeded on their mirrored shapes
-            seed[swap] = _quantile_seed(VECTOR, qq[swap], aa[swap], bb[swap])
-    w = _solve_beta_quantile_vec(qq, aa, bb, seed)
+        swap, q, a, b, seed = _quantile_start(VECTOR, q, a, b)
+    w = _solve_beta_quantile_vec(q, a, b, seed)
     return np.where(swap, 1.0 - w, w)
 
 
@@ -233,10 +220,8 @@ class CoverageReport:
     min_coverage: float
     argmin_p: float
     mean_coverage: float
-    grid: PGrid
     grid_min_coverage: float
     grid_argmin_p: float
-    per_point: list[tuple[float, float]] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +364,16 @@ def _coverage_block(p, L, U, n):
 _coverage_over = _coverage_values
 
 
-def coverage_probability(
-    method: MethodSpec, n: int, p: float, level: ConfidenceLevel
-) -> float:
-    """P(L(X) <= p <= U(X)) under Binomial(n, p), with closed endpoints."""
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"coverage_probability requires 0 < p < 1, got p={p}")
+def coverage_probability(method: MethodSpec, n: int, p, level: ConfidenceLevel):
+    """P(L(X) <= p <= U(X)) under Binomial(n, p), with closed endpoints: a
+    float for a float p, and an array of p's shape for an array."""
+    p = np.asarray(p, dtype=float)
+    bad = p[~((p > 0.0) & (p < 1.0))]
+    if bad.size:
+        raise DomainError(f"coverage_probability requires 0 < p < 1, got p={bad[0]}")
     L, U = _bounds_arrays(method, n, level)
-    return float(_coverage_values(np.array([p]), L, U, n)[0])
+    cov = _coverage_values(p.ravel(), L, U, n).reshape(p.shape)
+    return float(cov) if p.ndim == 0 else cov
 
 
 def mean_coverage(method: MethodSpec, n: int, level: ConfidenceLevel) -> float:
@@ -414,34 +401,28 @@ def min_coverage(
     n: int,
     level: ConfidenceLevel,
     grid: PGrid,
-    keep_per_point: bool = False,
     workers: int = 1,
 ) -> CoverageReport:
     """Exact minimum coverage over [grid.lo, grid.hi] (see _exact_min).
 
     grid_min_coverage and grid_argmin_p are read at the grid points beside
-    each realized endpoint only (see _grid_candidates); the whole grid is
-    scanned only for per_point.  argmin_p and grid_argmin_p are the smallest
-    p whose coverage is within a relative 1e-9 of the minimum (see
-    _argmin_p).  `workers` is accepted and ignored: the scan runs in this
-    process.
+    each realized endpoint only (see _grid_candidates); coverage_probability
+    gives the coverage at every grid point.  argmin_p and grid_argmin_p are
+    the smallest p whose coverage is within a relative 1e-9 of the minimum
+    (see _argmin_p).  `workers` is accepted and ignored: the scan runs in
+    this process.
     """
     L, U = _bounds_arrays(method, n, level)
     grid_p = grid.values()
     cand_p = grid_p[_grid_candidates(grid_p, L, U)]
     cand_cov = _coverage_over(cand_p, L, U, n)
     min_p, min_cov = _exact_min(L, U, n, grid.lo, grid.hi)
-    per_point = None
-    if keep_per_point:
-        per_point = list(zip(grid_p.tolist(), _coverage_over(grid_p, L, U, n).tolist()))
     return CoverageReport(
         min_coverage=min_cov,
         argmin_p=min_p,
         mean_coverage=mean_coverage(method, n, level),
-        grid=grid,
         grid_min_coverage=float(cand_cov.min()),
         grid_argmin_p=_argmin_p(cand_p, cand_cov),
-        per_point=per_point,
     )
 
 

@@ -86,6 +86,8 @@ class ConfidenceLevel:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
+        if 1.0 - self.alpha / 2.0 == 1.0:  # alpha <= 2^-53: no finite z_half
+            raise DomainError(f"alpha too small: 1 - alpha/2 rounds to 1, got alpha={self.alpha}")
         object.__setattr__(self, "z_half", normal_quantile(1.0 - self.alpha / 2.0))
         object.__setattr__(self, "z_full", normal_quantile(1.0 - self.alpha))
 
@@ -214,8 +216,9 @@ def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
         ph = x / n
         center = (x + z2 / 2.0) / (n + z2)
         halfwidth = z / (n + z2) * np.sqrt(ph * (1.0 - ph) * n + z2 / 4.0)
-        L = center - halfwidth
-        U = center + halfwidth
+        # closed ends 0 at x = 0 and 1 at x = n, where these round a few ulps off
+        L = np.where(x == 0, 0.0, center - halfwidth)
+        U = np.where(x == n, 1.0, center + halfwidth)
     elif fam is Family.AGRESTI_COULL:
         z = level.z_half
         z2 = z * z

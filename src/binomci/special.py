@@ -3,11 +3,12 @@
 Scalar routines for the log-gamma function, the regularized incomplete beta
 function and its inverse, the standard normal quantile, and the binomial
 mass/distribution functions.  Everything here is pure and deterministic.
-The steps of ln Gamma, the incomplete beta (its continued fraction in the
-form of TOMS 708 bfrac) and its inverse and the binomial pmf are written
-once, over an injected float (SCALAR) or numpy (VECTOR)
-namespace; this module drives them one value at a time and
-:mod:`binomci.exact_eval` drives them over arrays of lanes.
+The steps of ln Gamma, the incomplete beta (front factor, switch-point
+mirror, and a continued fraction in the form of TOMS 708 bfrac), its inverse
+(mirrored start, Halley rounds) and the binomial pmf are written once, over
+an injected float (SCALAR) or numpy (VECTOR) namespace.  This module drives
+them one value at a time and :mod:`binomci.exact_eval` over arrays of lanes;
+a driver owns only its input checks, the x in {0, 1} ends and its loop.
 """
 from __future__ import annotations
 
@@ -157,25 +158,27 @@ def _bfrac_round(xp, n, a, b, x, ab, c, yp1, an, bn, r):
     return r / d, 1.0 / d, r_next, abs(r_next - r) <= _BETACF_EPS * r_next
 
 
-def _inc_beta_front(xp, x, a, b, lgb):
-    """Front factor x^a (1 - x)^b / B(a, b) of I_x(a, b) for 0 < x < 1, and
-    the mirror rule: below the switch point (a + 1)/(a + b + 2) the fraction
-    runs on (a, b, x), else on (b, a, 1 - x), where it converges fastest.
-    Returns (front, direct, the fraction's a, b, x and y = 1 - x); a mirrored
-    lane's y is the original x, exact."""
-    front = xp.exp(a * xp.log(x) + b * xp.log1p(-x) - lgb)
+def _log_beta_kernel(xp, x, a, b, lgb):
+    """ln(x^a (1 - x)^b) - lgb, 0 < x < 1: with lgb = ln B(a, b), the ln front
+    factor of I_x(a, b) at (a, b) and the ln pdf of Beta(a, b) at (a - 1, b - 1)."""
+    return a * xp.log(x) + b * xp.log1p(-x) - lgb
+
+
+def _inc_beta(xp, x, a, b, lgb, fraction):
+    """I_x(a, b) for 0 < x < 1: the front factor x^a (1 - x)^b / B(a, b), with
+    lgb = ln B(a, b) or None to compute it, times the driver's loop
+    fraction(a, b, x, y) over _bfrac_start and _bfrac_round.  Above the switch
+    point (a + 1)/(a + b + 2) the fraction runs on (b, a, 1 - x), where it
+    converges fastest, and I_x = 1 - I_{1-x}(b, a); y is then the original x."""
+    if lgb is None:
+        lgb = _log_beta(xp, a, b)
+    front = xp.exp(_log_beta_kernel(xp, x, a, b, lgb))
     direct = x < (a + 1.0) / (a + b + 2.0)
     y = 1.0 - x
-    return (
-        front, direct, xp.where(direct, a, b), xp.where(direct, b, a),
-        xp.where(direct, x, y), xp.where(direct, y, x),
-    )
-
-
-def _inc_beta_value(xp, front, direct, cf):
-    """I_x from the front factor and the fraction cf on the side `direct`
-    chose: front * cf, and I_x = 1 - I_{1-x}(b, a) when mirrored."""
-    res = front * cf
+    fa, fb = xp.where(direct, a, b), xp.where(direct, b, a)
+    fx, fy = xp.where(direct, x, y), xp.where(direct, y, x)
+    del x, a, b, lgb, y  # lane arrays the fraction does not need: freed while it runs
+    res = front * fraction(fa, fb, fx, fy)
     return xp.where(direct, res, 1.0 - res)
 
 
@@ -212,6 +215,18 @@ def _quantile_seed(xp, q, a, b):
     return xp.where(x >= 1.0, 1.0 - 1e-16, x)
 
 
+def _quantile_start(xp, q, a, b):
+    """(swap, q, a, b, seed) of the beta-quantile solve.  A lane seeded above
+    1/2 has its root near 1, so it solves for 1 - x on (1 - q, b, a), where
+    the float grid is finer, seeded again on those shapes (a float only then,
+    arrays on every lane); the driver returns 1 - w there."""
+    seed = _quantile_seed(xp, q, a, b)
+    swap = seed > 0.5
+    q, a, b = xp.where(swap, 1.0 - q, q), xp.where(swap, b, a), xp.where(swap, a, b)
+    seed = xp.select(swap, lambda: _quantile_seed(xp, q, a, b), lambda: seed)
+    return swap, q, a, b, seed
+
+
 def _halley_round(xp, x, err, a, b, lgb, lo, hi):
     """One safeguarded Halley round of the beta-quantile solve at x, where
     err = I_x(a, b) - q is nonzero.  Returns the next x, the bracket [lo, hi]
@@ -230,7 +245,7 @@ def _halley_round(xp, x, err, a, b, lgb, lo, hi):
     pos = err > 0.0
     hi = xp.where(pos, x, hi)
     lo = xp.where(pos, lo, x)
-    log_pdf = (a - 1.0) * xp.log(x) + (b - 1.0) * xp.log1p(-x) - lgb
+    log_pdf = _log_beta_kernel(xp, x, a - 1.0, b - 1.0, lgb)
     # floored exponent and unit divisor: a refused step must not raise on floats
     u = err * xp.exp(-xp.maximum(log_pdf, -700.0))
     g = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
@@ -328,24 +343,18 @@ def _betacf(a: float, b: float, x: float, y: float) -> float:
 
 
 def reg_inc_beta(x: float, a: float, b: float, lgb: float | None = None) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Uses the continued fraction directly for x below the mode-leaning switch
-    point (a + 1)/(a + b + 2) and the mirrored fraction I_x = 1 - I_{1-x}(b, a)
-    above it, where the fraction converges fastest.  lgb, if given, is
-    log_beta(a, b) already computed by the caller.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    """Regularized incomplete beta function I_x(a, b), by the front factor and
+    continued fraction of _inc_beta.  lgb, if given, is log_beta(a, b) already
+    computed by the caller."""
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
+        raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    lgb = log_beta(a, b) if lgb is None else lgb
-    front, direct, fa, fb, fx, fy = _inc_beta_front(SCALAR, x, a, b, lgb)
-    return _inc_beta_value(SCALAR, front, direct, _betacf(fa, fb, fx, fy))
+    return _inc_beta(SCALAR, x, a, b, lgb, _betacf)
 
 
 def beta_quantile(q: float, a: float, b: float) -> float:
@@ -357,8 +366,7 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     rounds to zero ends the solve, even on the bracket edge the same round
     has just moved, and so does an accepted step after which Newton's
     predicted remaining error, |(ln pdf)'| / 2 * dx^2, is at most 1e-15 x.
-    Roots expected near 1 are solved in mirrored coordinates, where the
-    floating-point grid is fine enough to pin them down.  Raises
+    Roots expected near 1 are solved mirrored (see _quantile_start).  Raises
     ConvergenceError if the fixed iteration budget is exhausted rather than
     returning silently.
     """
@@ -366,10 +374,9 @@ def beta_quantile(q: float, a: float, b: float) -> float:
         raise DomainError(f"beta_quantile requires a, b > 0, got a={a}, b={b}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"beta_quantile requires 0 < q < 1, got q={q}")
-    x = _quantile_seed(SCALAR, q, a, b)
-    if x > 0.5:
-        return 1.0 - _solve_beta_quantile(1.0 - q, b, a, _quantile_seed(SCALAR, 1.0 - q, b, a))
-    return _solve_beta_quantile(q, a, b, x)
+    swap, q, a, b, seed = _quantile_start(SCALAR, q, a, b)
+    w = _solve_beta_quantile(q, a, b, seed)
+    return 1.0 - w if swap else w
 
 
 def _solve_beta_quantile(q: float, a: float, b: float, x: float) -> float:

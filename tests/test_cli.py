@@ -65,6 +65,14 @@ class TestInterval:
         assert code == 1
         assert "error" in err
 
+    def test_alpha_too_small_names_alpha(self, capsys):
+        code, _, err = invoke(
+            ["interval", "--method", "cp", "--x", "3", "--n", "10", "--alpha", "1e-17"],
+            capsys,
+        )
+        assert code == 1
+        assert "alpha=1e-17" in err and "normal_quantile" not in err
+
     def test_unknown_method_lists_valid_names(self, capsys):
         code, _, err = invoke(
             ["interval", "--method", "nope", "--x", "1", "--n", "10", "--alpha", "0.05"],

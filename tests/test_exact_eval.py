@@ -528,6 +528,21 @@ class TestCoverageProbability:
         got = coverage_probability(MethodSpec.jeffreys(), 250, 0.01, LEVEL)
         assert got == pytest.approx(0.88, abs=0.01)
 
+    def test_array_of_p_matches_each_float(self):
+        p = np.array([[0.013, 0.2, 0.5], [0.77, 0.9, 0.99]])
+        got = coverage_probability(MethodSpec.jeffreys(), 60, p, LEVEL)
+        assert isinstance(got, np.ndarray) and got.shape == p.shape
+        for pi, ci in zip(p.ravel().tolist(), got.ravel().tolist()):
+            one = coverage_probability(MethodSpec.jeffreys(), 60, pi, LEVEL)
+            assert type(one) is float and one == ci
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, float("nan")])
+    def test_every_p_is_checked(self, bad):
+        with pytest.raises(DomainError, match="0 < p < 1"):
+            coverage_probability(CP, 20, bad, LEVEL)
+        with pytest.raises(DomainError, match=f"got p={bad}"):
+            coverage_probability(CP, 20, np.array([0.3, 0.6, bad, 0.7]), LEVEL)
+
 
 def _window(ps, L, U):
     """Covering range [lo, hi] of x at each p, located as the engine does."""
@@ -664,32 +679,29 @@ class TestMinCoverage:
         assert rep.min_coverage <= rep.grid_min_coverage
         assert rep.min_coverage <= coverage_probability(spec, n, grid.lo, level)
         assert rep.min_coverage <= coverage_probability(spec, n, grid.hi, level)
-        assert rep.grid.points == 20001
+        assert rep.min_coverage <= coverage_probability(spec, n, grid.values(), level).min()
 
     def test_per_point_retention_and_smoothness(self):
         grid = PGrid(0.2, 0.8, 601)
-        rep = min_coverage(MethodSpec.wilson(), 40, LEVEL, grid, keep_per_point=True)
-        assert rep.per_point is not None and len(rep.per_point) == 601
+        p = grid.values()
+        cov = coverage_probability(MethodSpec.wilson(), 40, p, LEVEL)
+        assert cov.shape == (601,)
         L, U = _bounds_arrays(MethodSpec.wilson(), 40, LEVEL)
         ends = np.concatenate([L, U])
         dp = (0.8 - 0.2) / 600
         # between consecutive grid points with no realized endpoint inside,
         # coverage moves at most at a loosely bounded pmf-derivative rate
         slope_cap = 4.0 * 40 * dp
-        for (p1, c1), (p2, c2) in zip(rep.per_point, rep.per_point[1:]):
+        for p1, c1, p2, c2 in zip(p, cov, p[1:], cov[1:]):
             if not np.any((ends > p1) & (ends <= p2)):
                 assert abs(c2 - c1) <= slope_cap
 
     def test_argmin_tie_breaks_to_smallest_p(self):
-        rep = min_coverage(MethodSpec.clopper_pearson(), 10, LEVEL, PGrid(0.3, 0.7, 5))
-        values = dict(
-            min_coverage(
-                MethodSpec.clopper_pearson(), 10, LEVEL, PGrid(0.3, 0.7, 5), keep_per_point=True
-            ).per_point
-        )
-        best = min(values.values())
-        first = min(p for p, c in values.items() if c == best)
-        assert rep.grid_argmin_p == first
+        grid = PGrid(0.3, 0.7, 5)
+        rep = min_coverage(MethodSpec.clopper_pearson(), 10, LEVEL, grid)
+        p = grid.values()
+        cov = coverage_probability(MethodSpec.clopper_pearson(), 10, p, LEVEL)
+        assert rep.grid_argmin_p == p[cov == cov.min()].min()
 
     @pytest.mark.parametrize(
         "spec, n, alpha, grid",
@@ -706,17 +718,18 @@ class TestMinCoverage:
         # coverage is symmetric under p -> 1 - p for these families, and the
         # two mirror minima differ only by rounding; each case here used to
         # report the one above 1/2
-        rep = min_coverage(spec, n, ConfidenceLevel(alpha), grid, keep_per_point=True)
+        level = ConfidenceLevel(alpha)
+        rep = min_coverage(spec, n, level, grid)
         assert rep.argmin_p <= 0.5 and rep.grid_argmin_p <= 0.5
         # the minimum itself does not move
-        assert rep.grid_min_coverage == min(c for _, c in rep.per_point)
+        assert rep.grid_min_coverage == coverage_probability(spec, n, grid.values(), level).min()
 
     @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.001])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 37, 250, 2000])
     @pytest.mark.parametrize("spec", MIN_FAMILIES, ids=str)
     def test_grid_minimum_matches_full_scan(self, spec, n, alpha):
         # the grid minimum reads only the grid points beside each endpoint;
-        # per_point scans every grid point
+        # coverage_probability reads every grid point
         level = ConfidenceLevel(alpha)
         grids = [PGrid(0.01, 0.99, 20001), PGrid(0.1, 0.9, 1001), PGrid(0.3, 0.7, 5)]
         if alpha == 0.05 and n >= 250:
@@ -733,8 +746,9 @@ class TestMinCoverage:
             grids.append(PGrid(e - 100 * d, e + 100 * d, 201))
             assert grids[-1].values()[100] == e
         for grid in grids:
-            rep = min_coverage(spec, n, level, grid, keep_per_point=True)
-            p, cov = grid.values(), np.array([c for _, c in rep.per_point])
+            rep = min_coverage(spec, n, level, grid)
+            p = grid.values()
+            cov = coverage_probability(spec, n, p, level)
             assert rep.grid_argmin_p == exact_eval._argmin_p(p, cov), grid
             if cov.min() < 1.0 - 1e-12:
                 assert rep.grid_min_coverage == cov.min(), grid
@@ -923,8 +937,7 @@ class TestReportShape:
         grid = PGrid(0.1, 0.9, 101)
         rep = min_coverage(MethodSpec.wilson(), 20, LEVEL, grid)
         assert isinstance(rep, CoverageReport)
-        assert rep.grid == grid
         assert 0.0 <= rep.min_coverage <= 1.0
         assert 0.1 <= rep.argmin_p <= 0.9
-        assert rep.per_point is None
+        assert not hasattr(rep, "grid") and not hasattr(rep, "per_point")
         assert rep.min_coverage <= rep.mean_coverage + 1.0

@@ -1,6 +1,8 @@
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from binomci.errors import DomainError, UnsupportedSideError
@@ -70,6 +72,14 @@ class TestTypes:
             ConfidenceLevel(0.0)
         with pytest.raises(DomainError):
             ConfidenceLevel(1.0)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-53, 5e-324])
+    def test_level_rejects_alpha_whose_half_rounds_away(self, alpha):
+        # 1 - alpha/2 rounds to 1, and the error used to name normal_quantile's q
+        with pytest.raises(DomainError, match=f"alpha={alpha}"):
+            ConfidenceLevel(alpha)
+        level = ConfidenceLevel(math.nextafter(2.0**-53, 1.0))
+        assert math.isfinite(level.z_half) and math.isfinite(level.z_full)
 
     @pytest.mark.parametrize(
         "kwargs", [{"z_half": 9.9}, {"z_full": 9.9}], ids=["z_half", "z_full"]
@@ -237,8 +247,22 @@ class TestWilsonAgrestiCoull:
     def test_wilson_zero_successes(self):
         z2 = LEVEL.z_half**2
         est = wilson_interval(Observation(0, 10), LEVEL)
-        assert est.lower == pytest.approx(0.0, abs=1e-15)
+        assert est.lower == 0.0
         assert est.upper == pytest.approx(z2 / (10 + z2), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.1, 0.05, 0.01, 1e-3, 1e-4, 1e-6])
+    def test_wilson_ends_inside_unit_interval(self, alpha):
+        # center -/+ halfwidth used to round outside [0, 1] at x = 0 or n:
+        # 251 of these 1,414 (alpha, n) pairs did, e.g. -5.55e-17 at n = 2
+        level = ConfidenceLevel(alpha)
+        for n in [*range(1, 201), 10**4, 10**6]:
+            L, U = exact_eval._bounds_for_x(
+                MethodSpec.wilson(), n, level, np.arange(n + 1, dtype=float)
+            )
+            assert L[0] == 0.0 and U[-1] == 1.0, n
+            assert np.all((L >= 0.0) & (L <= U) & (U <= 1.0)), n
+        assert wilson_interval(Observation(0, 2), level).lower == 0.0
+        assert wilson_interval(Observation(10**4, 10**4), level).upper == 1.0
 
     def test_wilson_mirror(self):
         a = wilson_interval(Observation(3, 10), LEVEL)
@@ -382,7 +406,9 @@ class TestGolden:
         # quantile rows (CP with 0 < x < n, Jeffreys, Beta(0.001, 0.001))
         # again for the Halley solver's stop rule and for the bfrac form of
         # the continued fraction (290 endpoints in 256 rows, by at most
-        # 4.41e-11 relative, at n = 10^6).  The Wald, Wilson,
+        # 4.41e-11 relative, at n = 10^6).  Seven Wilson rows were
+        # re-recorded when its ends at x = 0 and x = n became exactly 0 and
+        # 1 (each had been a few ulps off, up to 2^-54 below 0).  The Wald,
         # Agresti-Coull and CP closed-form endpoints never moved.
         lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
         assert len(lines) == 1050
@@ -394,4 +420,23 @@ class TestGolden:
             )
             if (est.lower.hex(), est.upper.hex()) != (lower, upper):
                 wrong.append((line, est.lower.hex(), est.upper.hex()))
+        assert wrong == []
+
+    def test_engine_golden_table(self):
+        # The engine's endpoints (exact_eval._bounds_for_x, the vector
+        # quantile kernel) for the rows of golden_intervals.txt, in the same
+        # format.  They differ from interval()'s in the last bits of 55
+        # quantile rows, so they have a table of their own; recorded before
+        # the incomplete-beta and quantile-start steps were shared by both
+        # drivers, with the seven Wilson rows re-recorded as above.
+        lines = Path(__file__).with_name("golden_engine.txt").read_text().splitlines()
+        assert len(lines) == 1050
+        wrong = []
+        for line in lines:
+            name, n, x, alpha, lower, upper = line.split()
+            L, U = exact_eval._bounds_for_x(
+                GOLDEN_SPECS[name], int(n), ConfidenceLevel(float(alpha)), np.array([float(x)])
+            )
+            if (float(L[0]).hex(), float(U[0]).hex()) != (lower, upper):
+                wrong.append((line, float(L[0]).hex(), float(U[0]).hex()))
         assert wrong == []
