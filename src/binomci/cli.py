@@ -101,6 +101,14 @@ def _p_range(args, *names: str) -> None:
             setattr(args, name, _RANGE_DEFAULTS[name])
 
 
+def _formula(args, applies: bool, scope: str) -> FormulaMode:
+    """The --formula mode, derived by default; where no printed form exists
+    (`applies` false), giving --formula is a usage error that names it."""
+    if args.formula is not None and not applies:
+        raise UsageError(f"--formula applies only to {scope}; drop --formula")
+    return FormulaMode(args.formula or "derived")
+
+
 @functools.cache  # parse_args writes only to a fresh namespace, so run() reuses it
 def _build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
@@ -136,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=float, help="point guess for p")
     p.add_argument("--prior", help="Beta prior as a,b")
     p.add_argument("--mode", default="formula", choices=["formula", "exact"])
-    p.add_argument("--formula", default="derived", choices=["derived", "paper"])
+    p.add_argument("--formula", choices=["derived", "paper"])  # no parser default: see _formula
 
     p = sub.add_parser("cost", help="extra observations required by the exact method")
     p.add_argument(
@@ -147,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--p0", type=float, required=True)
     _add_common(p, "alpha")
-    p.add_argument("--formula", default="derived", choices=["derived", "paper"])
+    p.add_argument("--formula", choices=["derived", "paper"])  # no parser default: see _formula
 
     p = sub.add_parser("calibrate", help="nominal level hitting a coverage criterion")
     p.add_argument("--method", required=True)
@@ -231,9 +239,10 @@ def _cmd_sample_size(args) -> int:
     if side is Side.LOWER:
         raise UsageError("sample-size supports --side two-sided or upper, not --side lower")
     level = ConfidenceLevel(args.alpha)
-    mode = FormulaMode(args.formula)
     if (args.p0 is None) == (args.prior is None):
         raise UsageError("give exactly one of --p0 and --prior")
+    upper_formula = side is Side.UPPER and args.p0 is not None and args.mode == "formula"
+    mode = _formula(args, upper_formula, "--side upper with --p0 and --mode formula")
     prior = None
     if args.prior is not None:
         prior = _parse_beta(args.prior, f"--prior needs a,b, got {args.prior!r}")
@@ -266,8 +275,8 @@ def _cmd_sample_size(args) -> int:
 
 def _cmd_cost(args) -> int:
     level = ConfidenceLevel(args.alpha)
-    mode = FormulaMode(args.formula)
     vs = args.vs.strip().lower()
+    mode = _formula(args, not vs.startswith("adjusted:"), "--vs jeffreys|wilson|ac|one-sided")
     if vs == "one-sided":
         value = sample_size.n_plus_one_sided(args.d, args.p0, level, mode)
     elif vs.startswith("adjusted:"):

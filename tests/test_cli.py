@@ -167,6 +167,35 @@ class TestSampleSize:
             assert out == ""
             assert "unattainable" in err
 
+    def test_one_sided_paper_formula(self, capsys):
+        code, out, _ = invoke(
+            ["sample-size", "--method", "cp", "--d", "0.02", "--p0", "0.5", "--alpha", "0.05",
+             "--side", "upper", "--formula", "paper"],
+            capsys,
+        )
+        assert code == 0
+        assert float(parse_keyvals(out)["n_unrounded"]) == pytest.approx(26690.45, abs=0.5)
+
+
+# queries with no printed form; each runs without --formula
+FORMULA_WITHOUT_PRINTED_FORM = [
+    ["sample-size", "--d", "0.05", "--p0", "0.3", "--alpha", "0.05"],
+    ["sample-size", "--d", "0.02", "--prior", "0.5,0.5", "--alpha", "0.05", "--side", "upper"],
+    ["sample-size", "--d", "0.05", "--p0", "0.3", "--alpha", "0.05", "--side", "upper",
+     "--mode", "exact"],
+    ["cost", "--vs", "adjusted:0.04", "--d", "0.04", "--p0", "0.5", "--alpha", "0.05"],
+]
+
+
+@pytest.mark.parametrize("formula", ["derived", "paper"])
+@pytest.mark.parametrize(
+    "argv", FORMULA_WITHOUT_PRINTED_FORM, ids=["two-sided", "prior", "exact", "adjusted"]
+)
+def test_formula_without_printed_form_is_usage_error(argv, formula, capsys):
+    code, out, err = invoke(argv + ["--formula", formula], capsys)
+    assert code == 2 and out == "" and "--formula" in err
+    assert invoke(argv, capsys)[0] == 0
+
 
 class TestCost:
     def test_jeffreys_cost(self, capsys):

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from binomci.errors import DomainError, SearchBudgetError
+from binomci.exact_eval import expected_widths_batch
 from binomci.methods import ApproxFamily, ConfidenceLevel, MethodSpec, Side
 from binomci.sample_size import (
     FormulaMode,
@@ -288,6 +290,13 @@ class TestExactSearch:
         assert res.n == 2
         assert res.achieved <= 0.2
 
+    @pytest.mark.parametrize("side", [Side.TWO_SIDED, Side.UPPER])
+    def test_wald_rejected(self, side):
+        # Wald's width is 0 at x = 0 and x = n, so its expected width rises
+        # with n at small n and a walk's first crossing need not be smallest
+        with pytest.raises(DomainError, match="Wald.*rises with n"):
+            exact_n(MethodSpec.wald(side), 0.05, 0.3, LEVEL)
+
 
 # (method, alpha, p0, d, n, achieved.hex()) recorded from the search that
 # solved one n at a time; however the search batches its solves, it must
@@ -351,6 +360,47 @@ GOLDEN_METHODS = {
 def test_exact_search_is_bit_identical(name, alpha, p0, d, n, achieved):
     res = exact_n(GOLDEN_METHODS[name], d, p0, ConfidenceLevel(alpha))
     assert (res.n, res.achieved.hex()) == (n, achieved)
+
+
+@pytest.mark.parametrize(
+    "name,alpha,p0,d,n,achieved", [row for row in GOLDEN_SEARCHES if row[4] in (97, 105, 111)]
+)
+def test_exact_search_is_smallest_n(name, alpha, p0, d, n, achieved):
+    # brute force: every size from 2 up, in one batch
+    ns = list(range(2, n + 1))
+    widths = expected_widths_batch(GOLDEN_METHODS[name], ns, p0, ConfidenceLevel(alpha))
+    assert next(m for m, w in zip(ns, widths) if w <= d) == n
+    assert widths[-1].hex() == achieved
+
+
+# exact_n walks from its estimate and returns the smallest passing n only
+# where the expected width does not rise in n.  This seeded sweep pins that
+# for the specs the search serves; the Beta-prior upper bounds rise at small
+# n from p0 = 0.7 (exact_n's docstring), so they are drawn at p0 <= 0.5.
+MONOTONE_SPECS = [
+    ("cp", MethodSpec.clopper_pearson(), 0.98),
+    ("cp_upper", MethodSpec.clopper_pearson(Side.UPPER), 0.98),
+    ("jeffreys", MethodSpec.jeffreys(), 0.98),
+    ("wilson", MethodSpec.wilson(), 0.98),
+    ("ac", MethodSpec.agresti_coull(), 0.98),
+    ("beta_0.3_2", MethodSpec.beta_prior(BetaParams(0.3, 2.0)), 0.98),
+    ("jeffreys_upper", MethodSpec.jeffreys(Side.UPPER), 0.5),
+    ("uniform_upper", MethodSpec.beta_prior(UNIFORM_PRIOR, Side.UPPER), 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "name,spec,p0_max", MONOTONE_SPECS, ids=[row[0] for row in MONOTONE_SPECS]
+)
+def test_expected_width_never_rises_in_n(name, spec, p0_max):
+    rng = random.Random(name)
+    ns = list(range(2, 301))
+    for _ in range(9):
+        alpha = 1e-3 * 300.0 ** rng.random()
+        p0 = rng.uniform(1e-3, p0_max)
+        widths = expected_widths_batch(spec, ns, p0, ConfidenceLevel(alpha))
+        rises = [(m, w, v) for m, w, v in zip(ns, widths, widths[1:]) if v > w]
+        assert not rises, (alpha, p0, rises[:3])
 
 
 class TestNPlusTwoSided:
