@@ -14,7 +14,7 @@ import functools
 import sys
 
 from . import exact_eval, expansions, sample_size
-from .errors import BinomciError, UnsupportedSideError
+from .errors import BinomciError, DomainError, UnsupportedSideError
 from .methods import (
     ApproxFamily,
     ConfidenceLevel,
@@ -45,19 +45,22 @@ _METHODS = {
 }
 
 
-def _parse_beta(text: str, message: str) -> BetaParams:
-    """Beta shapes written "a,b"; anything else is a UsageError with message."""
+def _parse_beta(text: str, flag: str) -> BetaParams:
+    """Beta shapes written "a,b"; anything else, or shapes BetaParams refuses,
+    is a UsageError naming flag."""
     try:
-        a_txt, b_txt = text.split(",")
-        return BetaParams(float(a_txt), float(b_txt))
+        a, b = map(float, text.split(","))
+        return BetaParams(a, b)
+    except DomainError as exc:  # a ValueError too: caught first
+        raise UsageError(f"{flag}: {exc}") from exc
     except ValueError as exc:
-        raise UsageError(message) from exc
+        raise UsageError(f"{flag} needs two numbers, got {text!r}") from exc
 
 
 def _parse_method(text: str, side: Side) -> MethodSpec:
     name = text.strip().lower()
     if name.startswith("beta:"):
-        prior = _parse_beta(name[5:], f"--method beta:a,b needs two numbers, got {text!r}")
+        prior = _parse_beta(name[5:], "--method beta:a,b")
         return MethodSpec.beta_prior(prior, side)
     if name not in _METHODS:
         raise UsageError(
@@ -245,7 +248,7 @@ def _cmd_sample_size(args) -> int:
     mode = _formula(args, upper_formula, "--side upper with --p0 and --mode formula")
     prior = None
     if args.prior is not None:
-        prior = _parse_beta(args.prior, f"--prior needs a,b, got {args.prior!r}")
+        prior = _parse_beta(args.prior, "--prior a,b")
     query = SampleSizeQuery(args.d, level, side, args.p0, prior)
     if args.mode == "exact":
         if args.p0 is None:

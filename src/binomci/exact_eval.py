@@ -6,22 +6,22 @@ closed-form mean coverage under a uniform pseudo-prior, and calibration of
 the nominal level against a coverage criterion.
 
 Endpoint arrays and mean coverage run the steps of :mod:`binomci.special`
-(each written once there) under its numpy namespace.  The drivers below own
-only broadcasting, the x in {0, 1} masks, errstate and the compacting lane
-loops.  Coverage scans add up the binomial pmf over each grid point's
-covering range instead: one saddle-point pmf (Loader 2000) at the range's
-largest term, then a ratio walk, so that scans with hundreds of thousands of
-grid points stay cheap; they run in this process.  Expected widths weight x
-by the same ratio walk, from the mode, normalized by its sum (see _support).
-The minimum coverage needs no grid (see _exact_min), and the minimum over a
-grid needs only the grid points beside each realized endpoint (see
-_grid_candidates); each is reported at the smallest p whose coverage ties
-with it, within a relative 1e-9, so mirror minima do not flip.
+(each written once there) under its numpy namespace, and hand a continued
+fraction's last few lanes to its float loop.  The drivers below own only
+broadcasting, the x in {0, 1} masks, errstate and the compacting lane loops.
+Coverage scans add up the binomial pmf over each grid point's covering range
+instead: one saddle-point pmf (Loader 2000) at the range's largest term, then
+a ratio walk, so that scans with hundreds of thousands of grid points stay
+cheap; they run in this process.  Expected widths weight x by the same ratio
+walk, from the mode, normalized by its sum (see _support).  The minimum
+coverage needs no grid (see _exact_min), and the minimum over a grid needs
+only the grid points beside each realized endpoint (see _grid_candidates);
+each is reported at the smallest p whose coverage ties with it, within a
+relative 1e-9, so mirror minima do not flip.
 """
 from __future__ import annotations
 
 import functools
-import numbers
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
@@ -33,11 +33,13 @@ from .special import (
     _BETACF_MAXIT as _CF_MAXIT,
     _QUANTILE_MAXIT,
     VECTOR,
+    _bfrac_from,
     _bfrac_round,
     _bfrac_start,
     _binom_pmf_inner,
     _halley_round,
     _inc_beta,
+    _is_count,
     _log_beta,
     _quantile_start,
 )
@@ -45,6 +47,7 @@ from .special import (
 
 # ---------------------------------------------------------------------------
 # lane drivers of the special-function kernel (its steps are in binomci.special)
+_FLOAT_LANES = 16  # a vector round costs 16-33 us at 1 to 64 lanes, a float round 1 us a lane
 
 def _retire(out, lanes, done, *state):
     """Once at most half the lanes still iterate, put the values of state[0] at
@@ -62,6 +65,10 @@ def _retire(out, lanes, done, *state):
 
 
 def _betacf_vec(a, b, x, y):
+    """The continued fraction of _inc_beta over lanes, dropping converged ones
+    (_retire).  Once at most _FLOAT_LANES are left, or the budget is spent, each
+    lane left finishes in special's float loop from its next term: the steps use
+    only + - * / abs, comparisons and where, which numpy and floats round alike."""
     out = lanes = None
     ab, c, yp1, an, bn, r = _bfrac_start(VECTOR, a, b, x, y)
     done = np.zeros(x.shape, dtype=bool)
@@ -73,12 +80,13 @@ def _betacf_vec(a, b, x, y):
         out, lanes, done, r, a, b, x, ab, c, yp1, an, bn = _retire(
             out, lanes, done, r, a, b, x, ab, c, yp1, an, bn
         )
-        if not done.size:
-            return out
-    i = np.argmin(done)  # the first lane still iterating
-    raise ConvergenceError(
-        f"vector continued fraction did not converge for a={a[i]}, b={b[i]}, x={x[i]}"
-    )
+        if done.size - np.count_nonzero(done) <= _FLOAT_LANES:
+            break
+    terms = range(m + 1, _CF_MAXIT + 1)
+    for i in np.flatnonzero(~done):
+        r[i] = _bfrac_from(terms, *(float(v[i]) for v in (a, b, x, ab, c, yp1, an, bn, r)))
+    done[:] = True  # so that _retire puts r at out[lanes], or keeps r as out
+    return _retire(out, lanes, done, r)[0]
 
 
 def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
@@ -194,7 +202,7 @@ class PGrid:
     def __post_init__(self):
         if not (0.0 < self.lo < self.hi < 1.0):
             raise DomainError(f"need 0 < lo < hi < 1, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.points, numbers.Integral):
+        if not _is_count(self.points):
             raise DomainError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise DomainError(f"need at least 2 grid points, got {self.points}")
@@ -228,7 +236,7 @@ class CoverageReport:
 # interval endpoint arrays
 
 def _check_n(n) -> None:
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not _is_count(n) or n < 1:
         raise DomainError(f"need an integer n >= 1, got {n!r}")
 
 

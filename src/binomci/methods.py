@@ -7,7 +7,6 @@ Wald, Wilson score, Agresti-Coull and equal-tailed Bayesian beta intervals
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,6 +17,7 @@ from .special import (
     BetaParams,
     JEFFREYS_PRIOR,
     UNIFORM_PRIOR,
+    _is_count,
     beta_quantile,
     normal_quantile,
 )
@@ -59,7 +59,7 @@ class Observation:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.x, numbers.Integral) and isinstance(self.n, numbers.Integral)):
+        if not (_is_count(self.x) and _is_count(self.n)):
             raise DomainError(f"x and n must be integers, got x={self.x!r}, n={self.n!r}")
         if self.n < 1:
             raise DomainError(f"need at least one trial, got n={self.n}")

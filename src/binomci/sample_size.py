@@ -18,7 +18,6 @@ display exactly as typeset.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +25,7 @@ from . import exact_eval
 from .errors import DomainError, SearchBudgetError
 from .expansions import expected_distance_expansion, expected_length_expansion
 from .methods import ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side, _check_member
-from .special import BetaParams, log_gamma, normal_quantile
+from .special import BetaParams, _is_count, log_gamma, normal_quantile
 
 
 class FormulaMode(Enum):
@@ -305,7 +304,7 @@ def exact_n(
         raise DomainError(f"target d must be positive, got {d}")
     if not (0.0 < p0 < 1.0):
         raise DomainError(f"p0 must be in (0, 1), got {p0}")
-    if not isinstance(n_max, numbers.Integral) or n_max < 2:
+    if not _is_count(n_max) or n_max < 2:
         raise DomainError(f"n_max must be an integer of at least 2, got {n_max!r}")
 
     cache: dict[int, float] = {}

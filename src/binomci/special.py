@@ -3,12 +3,13 @@
 Scalar routines for the log-gamma function, the regularized incomplete beta
 function and its inverse, the standard normal quantile, and the binomial
 mass/distribution functions.  Everything here is pure and deterministic.
-The steps of ln Gamma, the incomplete beta (front factor, switch-point
-mirror, and a continued fraction in the form of TOMS 708 bfrac), its inverse
-(mirrored start, Halley rounds) and the binomial pmf are written once, over
-an injected float (SCALAR) or numpy (VECTOR) namespace.  This module drives
-them one value at a time and :mod:`binomci.exact_eval` over arrays of lanes;
-a driver owns only its input checks, the x in {0, 1} ends and its loop.
+The steps of ln Gamma, the incomplete beta (front factor, switch-point mirror,
+and a continued fraction in the form of TOMS 708 bfrac), its inverse (mirrored
+start, Halley rounds) and the binomial pmf are written once, over an injected
+float (SCALAR) or numpy (VECTOR) namespace.  This module drives them one value
+at a time and :mod:`binomci.exact_eval` over arrays of lanes, but for the last
+few lanes of a fraction, which it finishes in this module's float loop; a
+driver owns only its input checks, the x in {0, 1} ends and its loop.
 """
 from __future__ import annotations
 
@@ -62,8 +63,8 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 # by zero raises), so SCALAR.select(cond, f, g) calls only the branch it takes,
 # while VECTOR.select calls both and picks per lane.  lookup(table, i) reads a
 # numpy table at the integer-valued floats i.  The fraction's round divides
-# by its new denominator with no floor: a zero there would raise on floats,
-# and the test suite finds none over shapes in 10^[-3, 6].
+# by its new denominator with no floor; the test suite finds no zero there over
+# shapes in 10^[-3, 6], and _bfrac_from reports one as a ConvergenceError.
 
 _BETACF_EPS = 1e-15
 _BETACF_MAXIT = 2000
@@ -332,14 +333,19 @@ def log_beta(a: float, b: float) -> float:
 def _betacf(a: float, b: float, x: float, y: float) -> float:
     """Continued fraction of I_x(a, b) / front for x below the switch point
     and y = 1 - x (TOMS 708 bfrac's form, renormalized recurrence)."""
-    ab, c, yp1, an, bn, r = _bfrac_start(SCALAR, a, b, x, y)
-    for m in range(1, _BETACF_MAXIT + 1):
-        an, bn, r, converged = _bfrac_round(SCALAR, m, a, b, x, ab, c, yp1, an, bn, r)
-        if converged:
-            return r
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
+    return _bfrac_from(range(1, _BETACF_MAXIT + 1), a, b, x, *_bfrac_start(SCALAR, a, b, x, y))
+
+
+def _bfrac_from(terms, a, b, x, ab, c, yp1, an, bn, r) -> float:
+    """The fraction's float loop over terms, resumed from the state the term before left."""
+    try:
+        for m in terms:
+            an, bn, r, converged = _bfrac_round(SCALAR, m, a, b, x, ab, c, yp1, an, bn, r)
+            if converged:
+                return r
+    except ZeroDivisionError:
+        pass
+    raise ConvergenceError(f"continued fraction did not converge for a={a}, b={b}, x={x}")
 
 
 def reg_inc_beta(x: float, a: float, b: float, lgb: float | None = None) -> float:
@@ -500,8 +506,12 @@ def normal_quantile(q: float) -> float:
     return _ppnd16_low_half(q)
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_binom_args(name: str, k, n, p) -> None:
-    if not (isinstance(k, numbers.Integral) and isinstance(n, numbers.Integral)):
+    if not (_is_count(k) and _is_count(n)):
         raise DomainError(f"{name} requires integer k and n, got k={k!r}, n={n!r}")
     if not (0 <= k <= n) or n < 1:
         raise DomainError(f"{name} requires 0 <= k <= n, n >= 1, got k={k}, n={n}")

@@ -81,6 +81,24 @@ class TestInterval:
         assert code == 2
         assert "cp|wald|wilson|ac|beta:a,b|jeffreys" in err
 
+    @pytest.mark.parametrize(
+        "method, reason",
+        [("beta:-1,1", "beta parameter a must be positive, got -1.0"),
+         ("beta:nan,1", "beta parameter a must be positive, got nan"),
+         ("beta:1,0", "beta parameter b must be positive, got 0.0"),
+         ("beta:1", "needs two numbers"),
+         ("beta:1,x", "needs two numbers"),
+         ("beta:1,2,3", "needs two numbers")],
+    )
+    def test_bad_beta_shapes_name_the_reason(self, capsys, method, reason):
+        # a refused shape used to say "needs two numbers" too
+        code, out, err = invoke(
+            ["interval", "--method", method, "--x", "1", "--n", "10", "--alpha", "0.05"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "--method beta:a,b" in err and reason in err
+
 
 class TestExpectedLength:
     def test_exact_and_expansion_agree_roughly(self, capsys):
@@ -126,6 +144,21 @@ class TestSampleSize:
         )
         assert code == 0
         assert parse_keyvals(out)["n"] == "208"
+
+    @pytest.mark.parametrize(
+        "prior, reason",
+        [("0,1", "beta parameter a must be positive, got 0.0"),
+         ("1,-inf", "beta parameter b must be positive, got -inf"),
+         ("0.5", "needs two numbers")],
+    )
+    def test_bad_prior_names_the_reason(self, capsys, prior, reason):
+        code, out, err = invoke(
+            ["sample-size", "--method", "cp", "--d", "0.02", "--prior", prior,
+             "--alpha", "0.05", "--side", "upper"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "--prior" in err and reason in err
 
     def test_prior_with_vanishing_n_inverse_coefficient(self, capsys):
         # this prior's one-sided n^(-1) coefficient is 2.5e-14 at alpha .05

@@ -188,6 +188,33 @@ class TestVectorKernel:
         with pytest.raises(ConvergenceError, match=r"a=4\.0, b=7\.0, x=0\.3"):
             _betainc_vec(np.array([0.3, 0.2]), np.array([4.0, 30.0]), np.array([7.0, 50.0]))
 
+    def test_float_tail_does_not_move_a_bit(self, monkeypatch):
+        # the continued fraction's last few lanes finish over Python floats;
+        # with _FLOAT_LANES = 0 every lane stays in the vector loop to the end
+        rng = np.random.default_rng(23)  # the lanes of test_lanes_do_not_depend_on_their_batch
+        k = 120
+        a = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), k))
+        b = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), k))
+        q = 10.0 ** rng.uniform(-12.0, math.log10(0.5), k)
+        q = np.where(rng.random(k) < 0.5, q, 1.0 - q)
+        specs = (MethodSpec.clopper_pearson(), MethodSpec.jeffreys(),
+                 MethodSpec.beta_prior(BetaParams(0.3, 2.0)))
+
+        def outputs():
+            exact_eval._bounds_arrays.cache_clear()
+            x = _beta_quantile_vec(q, a, b)
+            got = [x, _betainc_vec(x, a, b)]
+            for spec in specs:
+                for n in (1, 20, 2000, 20_000):
+                    got.extend(_bounds_arrays(spec, n, LEVEL))
+                    got.append(mean_coverage(spec, n, LEVEL))
+            exact_eval._bounds_arrays.cache_clear()
+            return [np.asarray(v).tolist() for v in got]
+
+        default = outputs()
+        monkeypatch.setattr(exact_eval, "_FLOAT_LANES", 0)
+        assert outputs() == default
+
     def test_binom_pmf_matches_mpmath(self):
         # Loader's saddle-point pmf against 40-digit mpmath, per n: within
         # B(n), about twice the worst error seen where ln pmf >= -50, plus
@@ -500,6 +527,17 @@ def test_bad_n_rejected_and_never_cached(call, n):
         assert (spec, n, LEVEL) not in exact_eval._held_bounds
 
 
+def test_bool_n_rejected():
+    # bool is a numbers.Integral: n = True used to run as n = 1, giving an
+    # expected width of 0.975 and a mean coverage of 0.999375
+    for call in BAD_N_CALLS.values():
+        with pytest.raises(DomainError, match="integer n >= 1"):
+            call(True)
+    assert expected_width_exact(CP, np.int64(20), 0.3, LEVEL) == expected_width_exact(
+        CP, 20, 0.3, LEVEL
+    )
+
+
 class TestCoverageProbability:
     def test_matches_brute_force(self):
         rng = random.Random(41)
@@ -771,6 +809,9 @@ class TestMinCoverage:
             PGrid(0.1, 0.9, 1)
         with pytest.raises(DomainError):
             PGrid(0.1, 0.9, 2.5)
+        with pytest.raises(DomainError, match="integer"):
+            PGrid(0.1, 0.9, True)  # a bool is no count of points
+        assert PGrid(0.1, 0.9, np.int64(3)).values().tolist() == np.linspace(0.1, 0.9, 3).tolist()
 
 
 class TestBoundsCache:

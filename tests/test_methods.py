@@ -64,6 +64,14 @@ class TestTypes:
         with pytest.raises(DomainError):
             Observation(1.5, 3)
 
+    def test_observation_rejects_bool_counts(self):
+        # bool is a numbers.Integral: Observation(True, 5) used to be x = 1
+        for x, n in [(True, 5), (1, True), (False, 3)]:
+            with pytest.raises(DomainError, match="integers"):
+                Observation(x, n)
+        obs = Observation(np.int64(2), np.int32(5))
+        assert (obs.x, obs.n) == (2, 5)
+
     def test_level_caches_quantiles(self):
         lv = ConfidenceLevel(0.1)
         assert lv.z_half == pytest.approx(1.6448536269514715, abs=1e-10)

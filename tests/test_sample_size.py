@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from binomci.errors import DomainError, SearchBudgetError
@@ -283,6 +284,12 @@ class TestExactSearch:
         # used to raise TypeError from range()
         with pytest.raises(DomainError, match="integer"):
             exact_n(MethodSpec.clopper_pearson(), 0.5, 0.5, LEVEL, n_max=2.5)
+
+    def test_n_max_must_not_be_a_bool(self):
+        with pytest.raises(DomainError, match="integer"):
+            exact_n(MethodSpec.clopper_pearson(), 0.5, 0.5, LEVEL, n_max=True)
+        res = exact_n(MethodSpec.clopper_pearson(), 0.2, 0.5, LEVEL, n_max=np.int64(1000))
+        assert res == exact_n(MethodSpec.clopper_pearson(), 0.2, 0.5, LEVEL, n_max=1000)
 
     def test_target_above_one_sided_expansion_peak(self):
         # the closed form has no solution here, but n = 2 already meets d

@@ -130,6 +130,13 @@ class TestContinuedFraction:
         sp._betacf(a, b, x, 1.0 - x)
         assert len(calls) <= 30
 
+    def test_zero_denominator_is_a_convergence_error_naming_the_lane(self):
+        # a made-up state whose term 1 has alpha = 0 (b = 1) and beta = 0
+        # (c + 1 + y = -2): the division raises on floats, and the float loop,
+        # which also finishes the vector driver's last lanes, names the lane
+        with pytest.raises(ConvergenceError, match=r"a=1\.0, b=1\.0, x=0\.5"):
+            sp._bfrac_from(range(1, 3), 1.0, 1.0, 0.5, 2.0, -3.5, 1.5, 0.0, 1.0, 1.0)
+
     def test_no_zero_denominator_over_the_shape_range(self):
         # Shapes 10^[-3, 6], x uniform on (0, 1) or near the switch point.
         # The scalar driver raises on a zero denominator where numpy would
@@ -310,6 +317,14 @@ class TestBinomial:
                 sp.binom_cdf(k, n, 0.3)
             with pytest.raises(DomainError, match="integer k and n"):
                 sp.binom_pmf(k, n, 0.3)
+
+    def test_binomial_rejects_bool_counts(self):
+        # bool is a numbers.Integral: binom_pmf(True, 5, .3) used to be k = 1
+        for k, n in [(True, 5), (0, True), (False, 3)]:
+            for f in (sp.binom_pmf, sp.binom_cdf):
+                with pytest.raises(DomainError, match="integer k and n"):
+                    f(k, n, 0.3)
+        assert sp.binom_pmf(np.int64(1), np.int32(5), 0.3) == sp.binom_pmf(1, 5, 0.3)
 
 
 class TestBetaParams:
