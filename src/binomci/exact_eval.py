@@ -17,7 +17,8 @@ walk, from the mode, normalized by its sum (see _support).  The minimum
 coverage needs no grid (see _exact_min), and the minimum over a grid needs
 only the grid points beside each realized endpoint (see _grid_candidates);
 each is reported at the smallest p whose coverage ties with it, within a
-relative 1e-9, so mirror minima do not flip.
+relative 1e-9, so mirror minima do not flip.  An endpoint-cache entry holds a
+key's (L, U) and, once asked for, its mean coverage, which goes with the arrays.
 """
 from __future__ import annotations
 
@@ -246,7 +247,8 @@ def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray):
 
 
 # Total bytes of endpoint arrays the cache below holds: (L, U) for about
-# 2.1 million x, e.g. 8,000 entries at n = 250 or 13 at n = 154,055.  A
+# 2.1 million x, e.g. 8,000 entries at n = 250 or 13 at n = 154,055; an
+# entry also holds its mean coverage once asked for, dropped with (L, U).  A
 # repeated key of the benchmark's workloads is read again after at most
 # 1.7 MB of other entries (an analysis-session round), so none is evicted.
 _BOUNDS_CACHE_BYTES = 32 * 2**20
@@ -295,9 +297,24 @@ class _ByteBoundedLRU:
         self._bytes = self._hits = self._misses = 0
 
 
+class _Bounds(tuple):
+    """(L, U) over x = 0..n, with their mean coverage computed on first read."""
+
+    @functools.cached_property
+    def mean_coverage(self) -> float:
+        """The closed form of mean_coverage, both tails in one lane batch."""
+        L, U = self
+        n = L.size - 1
+        x = np.arange(n + 1, dtype=float)
+        a = np.tile(x + 1.0, 2)
+        b = np.tile(n - x + 1.0, 2)
+        inc = _betainc_vec(np.clip(np.concatenate([U, L]), 0.0, 1.0), a, b)
+        return float(np.sum(inc[: n + 1] - inc[n + 1 :]) / (n + 1.0))
+
+
 @_ByteBoundedLRU
 def _bounds_arrays(method: MethodSpec, n: int, level: ConfidenceLevel):
-    """(L, U) endpoint arrays over x = 0..n, nondecreasing in x."""
+    """(L, U) endpoint arrays over x = 0..n, nondecreasing in x, as a _Bounds."""
     _check_n(n)  # a bad key raises here, on a miss, so it is never held
     L, U = _bounds_for_x(method, n, level, np.arange(n + 1, dtype=float))
     if np.any(np.diff(L) < 0.0) or np.any(np.diff(U) < 0.0):
@@ -306,7 +323,7 @@ def _bounds_arrays(method: MethodSpec, n: int, level: ConfidenceLevel):
         )
     L.setflags(write=False)
     U.setflags(write=False)
-    return L, U
+    return _Bounds((L, U))
 
 
 # The cache itself, for membership tests: the benchmark's tracer replaces the
@@ -392,13 +409,10 @@ def mean_coverage(method: MethodSpec, n: int, level: ConfidenceLevel) -> float:
     Both tails are one lane batch of the vector kernel, which pays its
     per-round numpy overhead once; each lane goes through the same
     operations as when evaluated alone, so the batch does not move a result.
+    It is computed once per endpoint-cache entry and held with (L, U): a
+    held key never computes it again, and it is dropped with the arrays.
     """
-    L, U = _bounds_arrays(method, n, level)
-    x = np.arange(n + 1, dtype=float)
-    a = np.tile(x + 1.0, 2)
-    b = np.tile(n - x + 1.0, 2)
-    inc = _betainc_vec(np.clip(np.concatenate([U, L]), 0.0, 1.0), a, b)
-    return float(np.sum(inc[: n + 1] - inc[n + 1 :]) / (n + 1.0))
+    return _bounds_arrays(method, n, level).mean_coverage
 
 
 _REFINE_EPS = 1e-12
@@ -417,8 +431,9 @@ def min_coverage(
     each realized endpoint only (see _grid_candidates); coverage_probability
     gives the coverage at every grid point.  argmin_p and grid_argmin_p are
     the smallest p whose coverage is within a relative 1e-9 of the minimum
-    (see _argmin_p).  `workers` is accepted and ignored: the scan runs in
-    this process.
+    (see _argmin_p).  mean_coverage is the one held with (L, U), computed
+    once per key over any p ranges.  `workers` is accepted and ignored: the
+    scan runs in this process.
     """
     L, U = _bounds_arrays(method, n, level)
     grid_p = grid.values()

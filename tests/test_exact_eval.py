@@ -833,17 +833,85 @@ class TestBoundsCache:
         assert cache.cache_info() == (0, 0, 0, 0)
 
 
+def _count_betainc(monkeypatch) -> list:
+    """A list that gets one item per _betainc_vec call from now on."""
+    calls = []
+    betainc = exact_eval._betainc_vec
+    monkeypatch.setattr(
+        exact_eval, "_betainc_vec", lambda *args: calls.append(1) or betainc(*args)
+    )
+    return calls
+
+
+MEAN_KEYS = [
+    (spec, n, ConfidenceLevel(alpha))
+    for spec in (
+        MethodSpec.clopper_pearson(), MethodSpec.jeffreys(), MethodSpec.wilson(),
+        MethodSpec.agresti_coull(), MethodSpec.wald(), MethodSpec.beta_prior(BetaParams(0.3, 2.0)),
+    )
+    for n in (1, 7, 50, 333, 2000)
+    for alpha in (0.2, 0.05, 1e-4)
+]
+
+
 class TestMeanCoverage:
     def test_both_tails_in_one_betainc_call(self, monkeypatch):
         spec = MethodSpec.clopper_pearson()
+        _bounds_arrays.cache_clear()  # so that no earlier test has asked for this mean
         _bounds_arrays(spec, 40, LEVEL)  # cached: its quantile solves are not counted
-        calls = []
-        betainc = exact_eval._betainc_vec
-        monkeypatch.setattr(
-            exact_eval, "_betainc_vec", lambda *args: calls.append(1) or betainc(*args)
-        )
+        calls = _count_betainc(monkeypatch)
         mean_coverage(spec, 40, LEVEL)
         assert len(calls) == 1
+
+    def test_held_mean_is_computed_once(self, monkeypatch):
+        spec = MethodSpec.jeffreys()
+        _bounds_arrays.cache_clear()
+        _bounds_arrays(spec, 60, LEVEL)
+        calls = _count_betainc(monkeypatch)
+        first = mean_coverage(spec, 60, LEVEL)
+        assert len(calls) == 1
+        assert mean_coverage(spec, 60, LEVEL) == first
+        assert len(calls) == 1
+
+    def test_reports_over_two_ranges_share_one_mean(self, monkeypatch):
+        spec = MethodSpec.wilson()
+        _bounds_arrays.cache_clear()
+        _bounds_arrays(spec, 120, LEVEL)
+        calls = _count_betainc(monkeypatch)
+        reports = [min_coverage(spec, 120, LEVEL, PGrid(lo, hi, 2001))
+                   for lo, hi in ((0.01, 0.99), (0.1, 0.9))]
+        assert len(calls) == 1
+        for rep in reports:
+            assert rep.mean_coverage == mean_coverage(spec, 120, LEVEL)
+        assert len(calls) == 1
+
+    def test_recomputed_mean_has_the_same_bits(self, monkeypatch):
+        # a held mean, one computed after cache_clear and one computed after
+        # its entry was evicted are the same float
+        _bounds_arrays.cache_clear()
+        held = [mean_coverage(*key) for key in MEAN_KEYS]
+        assert [mean_coverage(*key) for key in MEAN_KEYS] == held
+        _bounds_arrays.cache_clear()
+        assert [mean_coverage(*key) for key in MEAN_KEYS] == held
+        filler = (MethodSpec.wilson(), 2000, ConfidenceLevel(0.3))  # closed form: cheap
+        monkeypatch.setattr(exact_eval, "_BOUNDS_CACHE_BYTES", 2 * 8 * 2001)  # one n = 2000 entry
+        for key, want in zip(MEAN_KEYS, held):
+            assert mean_coverage(*key) == want, key
+            _bounds_arrays(*filler)
+            assert key not in exact_eval._held_bounds
+            assert mean_coverage(*key) == want, key
+        _bounds_arrays.cache_clear()
+
+    def test_unheld_entry_gives_the_same_mean_every_call(self, monkeypatch):
+        spec = MethodSpec.wilson()  # closed-form ends: the mean is its only _betainc_vec call
+        want = mean_coverage(spec, 90, LEVEL)
+        monkeypatch.setattr(exact_eval, "_BOUNDS_CACHE_BYTES", 100)  # below one entry
+        _bounds_arrays.cache_clear()
+        calls = _count_betainc(monkeypatch)
+        assert [mean_coverage(spec, 90, LEVEL) for _ in range(3)] == [want] * 3
+        assert (spec, 90, LEVEL) not in exact_eval._held_bounds
+        assert len(calls) == 3  # computed on every call, as before
+        _bounds_arrays.cache_clear()
 
     def test_cp_mean_between_level_and_one(self):
         got = mean_coverage(MethodSpec.clopper_pearson(), 25, LEVEL)
@@ -934,6 +1002,15 @@ class TestCalibration:
         assert mean_coverage(MethodSpec.clopper_pearson(), 50, got) == pytest.approx(
             0.95, abs=1e-5
         )
+
+    @pytest.mark.parametrize("spec", [MethodSpec.jeffreys(), MethodSpec.agresti_coull()], ids=str)
+    def test_held_means_do_not_move_gamma(self, spec):
+        for criterion in (MeanCoverage(), MinCoverage(PGrid(0.01, 0.99, 2))):
+            _bounds_arrays.cache_clear()
+            cold = calibrate_alpha(spec, 200, LEVEL, criterion)
+            warm = calibrate_alpha(spec, 200, LEVEL, criterion)  # every key held
+            assert warm.alpha == cold.alpha, criterion
+        _bounds_arrays.cache_clear()
 
     def test_unattainable_criterion_raises(self):
         # the degenerate Wald intervals at x in {0, n} pin the minimum
