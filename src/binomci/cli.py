@@ -90,16 +90,17 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 _RANGE_DEFAULTS = {"lo": 0.01, "hi": 0.99, "points": 20001}
+_NO_P_RANGE = {"mean": "--criterion mean scans no p grid"}  # --criterion -> why
 
 
-def _p_range(args, *names: str) -> None:
+def _p_range(args, *names: str, unread: str = "") -> None:
     """Fill in the defaults of the p-range options `names` (of lo, hi, points,
-    dump).  The mean criterion scans no p grid, so giving one of them with
-    --criterion mean is a usage error that names the option."""
+    dump).  Where the command reads no p range, `unread` says why, and giving
+    one of them is a usage error that names the option."""
     for name in names:
         value = getattr(args, name)
-        if args.criterion == "mean" and value not in (None, False):
-            raise UsageError(f"--criterion mean scans no p grid; drop --{name}")
+        if unread and value not in (None, False):
+            raise UsageError(f"{unread}; drop --{name}")
         if value is None:
             setattr(args, name, _RANGE_DEFAULTS[name])
 
@@ -171,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
     _add_common(p, "range")
-    p.set_defaults(lo=_RANGE_DEFAULTS["lo"], hi=_RANGE_DEFAULTS["hi"])
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--d", type=float, default=0.05, help="target length (figure 2)")
     p.add_argument(
@@ -214,7 +214,7 @@ def _cmd_expected_length(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    _p_range(args, "lo", "hi", "points", "dump")
+    _p_range(args, "lo", "hi", "points", "dump", unread=_NO_P_RANGE.get(args.criterion, ""))
     spec = _parse_method(args.method, Side.TWO_SIDED)
     level = ConfidenceLevel(args.alpha)
     if args.criterion == "mean":
@@ -301,7 +301,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _p_range(args, "lo", "hi")
+    _p_range(args, "lo", "hi", unread=_NO_P_RANGE.get(args.criterion, ""))
     spec = _parse_method(args.method, Side.TWO_SIDED)
     level = ConfidenceLevel(args.alpha)
     if args.criterion == "min":
@@ -395,7 +395,7 @@ def _coverage_figure_rows(args, level, mode):
             grid = exact_eval.PGrid(lo, hi, 2)  # checks 0 < lo < hi < 1
             for n in _parse_n_list(args.coverage_n_list):
                 L, U = exact_eval._bounds_arrays(spec, n, level)
-                argmin_p, min_cov = exact_eval._exact_min(L, U, n, grid.lo, grid.hi)
+                argmin_p, min_cov, _ = exact_eval._exact_min(L, U, n, grid.lo, grid.hi)
                 rows.append([name, lo, hi, n, min_cov, argmin_p])
     return ["method", "lo", "hi", "n", "min_coverage", "argmin_p"], rows
 
@@ -417,6 +417,8 @@ _FIGURES = {
 
 
 def _cmd_figure(args) -> int:
+    unread = "" if args.id == "coverage" else f"--id {args.id} reads no p range"
+    _p_range(args, "lo", "hi", unread=unread)
     header, rows = _FIGURES[args.id](args, ConfidenceLevel(args.alpha), FormulaMode(args.formula))
     mode = "w" if args.force else "x"
     try:

@@ -14,8 +14,8 @@ instead: one saddle-point pmf (Loader 2000) at the range's largest term, then
 a ratio walk, so that scans with hundreds of thousands of grid points stay
 cheap; they run in this process.  Expected widths weight x by the same ratio
 walk, from the mode, normalized by its sum (see _support).  The minimum
-coverage needs no grid (see _exact_min), and the minimum over a grid needs
-only the grid points beside each realized endpoint (see _grid_candidates);
+coverage is a one-sided limit at an endpoint (see _exact_min), and the
+minimum over a grid is read beside each endpoint (see _grid_candidates);
 each is reported at the smallest p whose coverage ties with it, within a
 relative 1e-9, so mirror minima do not flip.  An endpoint-cache entry holds a
 key's (L, U) and, once asked for, its mean coverage, which goes with the arrays.
@@ -162,8 +162,8 @@ def _binom_pmf_vec(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 
 
 def _walk_sum(term, num, r, steps, n):
-    """Sum of the terms a ratio walk adds after `term`, per lane: `steps`
-    steps, step j multiplying the term by (num - j) / (n + 1 - num + j) * r.
+    """Sum of the terms a ratio walk adds after `term`, and its last term, per
+    lane: step j of `steps` multiplies it by (num - j) / (n + 1 - num + j) * r.
 
     Lanes are sorted by step count, so the lanes still walking at step j are
     a prefix; each lane goes through the same operations as it would alone.
@@ -184,9 +184,8 @@ def _walk_sum(term, num, r, steps, n):
         np.divide(f, d, out=f)
         np.multiply(t, f, out=t)
         np.add(a, t, out=a)
-    out = np.empty(acc.size)
-    out[order] = acc
-    return out
+    ratio[order], denom[order] = acc, term  # the step buffers hold the results
+    return ratio, denom
 
 
 # ---------------------------------------------------------------------------
@@ -343,49 +342,61 @@ _SCAN_BLOCK = 8192
 
 
 def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.ndarray:
-    """Coverage at each p: mass of the contiguous covering range of x.
+    """Coverage C(p) and its one-sided limits C(p-), C(p+) at each p, as rows.
 
-    The covering set {x : L(x) <= p <= U(x)} is located by binary search over
-    the monotone endpoint arrays, and its binomial mass is summed term by
-    term.  The sum starts at the window's largest term, s = floor((n + 1) p)
-    clipped into the window, evaluated by `_binom_pmf_vec`, and walks up and
-    down from s with the ratio pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q.
-    p is scanned in blocks of _SCAN_BLOCK points; every point goes through
-    the same operations in any block, so blocking does not move a result.
-    """
-    out = np.zeros(p.shape)
+    The covering range {x : L(x) <= p <= U(x)} is located by binary search
+    over the monotone endpoint arrays and summed by _window_sum, in blocks of
+    _SCAN_BLOCK points; each point goes through the same operations in any
+    block.  The endpoints are closed, so C(p-) drops the x with L(x) = p and
+    C(p+) those with U(x) = p: one is the walk's last term at the range's top
+    or bottom, and a run of several is summed without."""
+    out = np.zeros((3, p.size))
     for start in range(0, p.size, _SCAN_BLOCK):
-        out[start : start + _SCAN_BLOCK] = _coverage_block(p[start : start + _SCAN_BLOCK], L, U, n)
+        block = slice(start, start + _SCAN_BLOCK)
+        out[:, block] = _coverage_block(p[block], L, U, n)
     return out
 
 
 def _coverage_block(p, L, U, n):
-    """_coverage_values over one block of p, in one pass."""
-    x_hi = np.searchsorted(L, p, side="right") - 1
-    x_lo = np.searchsorted(U, p, side="left")
-    out = np.zeros(p.shape)
-    idx = np.flatnonzero(x_lo <= x_hi)
-    pc = p[idx]
-    qc = 1.0 - pc
-    lo = x_lo[idx]
-    hi = x_hi[idx]
+    """_coverage_values over one block of p."""
+    x_lo, x_bot = (np.searchsorted(U, p, side=side) for side in ("left", "right"))
+    x_top, x_hi = (np.searchsorted(L, p, side=side) - 1 for side in ("left", "right"))
+    out = _window_sum(p, x_lo, x_hi, n)  # C(p), pmf(x_hi), pmf(x_lo)
+    out[1] = out[0] - np.where(x_top < x_hi, out[1], 0.0)
+    out[2] = out[0] - np.where(x_bot > x_lo, out[2], 0.0)
+    runs = np.flatnonzero((x_top < x_hi - 1) | (x_bot > x_lo + 1))
+    if runs.size:
+        out[1, runs] = _window_sum(p[runs], x_lo[runs], x_top[runs], n)[0]
+        out[2, runs] = _window_sum(p[runs], x_bot[runs], x_hi[runs], n)[0]
+    return out
+
+
+def _window_sum(p, lo, hi, n):
+    """P(lo <= X <= hi) under Binomial(n, p) and the walk's pmf at hi and at lo,
+    as rows (0 where lo > hi): `_binom_pmf_vec` at the largest term, s =
+    floor((n + 1) p) clipped into [lo, hi], then the walk up and down from s
+    with the ratio pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q."""
+    idx = np.flatnonzero(lo <= hi)
+    pc, qc = p[idx], 1.0 - p[idx]
+    lo, hi = lo[idx], hi[idx]
     s = np.clip(np.floor((n + 1.0) * pc), lo, hi)
     top = _binom_pmf_vec(s, n, pc)
     # the walk down from s is the walk up from n - s under Binomial(n, q);
     # both walks are one lane batch, up in the first half, down in the second
-    walks = _walk_sum(
+    walks, last = _walk_sum(
         np.tile(top, 2),
         np.concatenate([n - s, s]),
         np.concatenate([pc / qc, qc / pc]),
         np.concatenate([hi - s, s - lo]),
         n,
     )
-    out[idx] = np.clip(top + walks[: idx.size] + walks[idx.size :], 0.0, 1.0)
+    out = np.zeros((3, p.size))
+    out[0, idx] = np.clip(top + walks[: idx.size] + walks[idx.size :], 0.0, 1.0)
+    out[1:, idx] = last.reshape(2, idx.size)
     return out
 
 
-# min_coverage and _exact_min call coverage through this name, which the
-# benchmark's tracer wraps; coverage_probability calls _coverage_values.
+# _exact_min scans through this name, which the benchmark's tracer wraps
 _coverage_over = _coverage_values
 
 
@@ -397,7 +408,7 @@ def coverage_probability(method: MethodSpec, n: int, p, level: ConfidenceLevel):
     if bad.size:
         raise DomainError(f"coverage_probability requires 0 < p < 1, got p={bad[0]}")
     L, U = _bounds_arrays(method, n, level)
-    cov = _coverage_values(p.ravel(), L, U, n).reshape(p.shape)
+    cov = _coverage_values(p.ravel(), L, U, n)[0].reshape(p.shape)
     return float(cov) if p.ndim == 0 else cov
 
 
@@ -415,9 +426,6 @@ def mean_coverage(method: MethodSpec, n: int, level: ConfidenceLevel) -> float:
     return _bounds_arrays(method, n, level).mean_coverage
 
 
-_REFINE_EPS = 1e-12
-
-
 def min_coverage(
     method: MethodSpec,
     n: int,
@@ -427,19 +435,19 @@ def min_coverage(
 ) -> CoverageReport:
     """Exact minimum coverage over [grid.lo, grid.hi] (see _exact_min).
 
-    grid_min_coverage and grid_argmin_p are read at the grid points beside
-    each realized endpoint only (see _grid_candidates); coverage_probability
-    gives the coverage at every grid point.  argmin_p and grid_argmin_p are
-    the smallest p whose coverage is within a relative 1e-9 of the minimum
-    (see _argmin_p).  mean_coverage is the one held with (L, U), computed
-    once per key over any p ranges.  `workers` is accepted and ignored: the
+    argmin_p is the endpoint (or lo or hi) the infimum is approached at from
+    one side, so coverage_probability(argmin_p) may be above min_coverage.
+    grid_min_coverage and grid_argmin_p are read, in the same scan, at the
+    grid points beside each realized endpoint only (see _grid_candidates).
+    Both argmins are the smallest p whose coverage is within a relative 1e-9
+    of the minimum (see _argmin_p).  mean_coverage is the one held with
+    (L, U), computed once per key.  `workers` is accepted and ignored: the
     scan runs in this process.
     """
     L, U = _bounds_arrays(method, n, level)
     grid_p = grid.values()
     cand_p = grid_p[_grid_candidates(grid_p, L, U)]
-    cand_cov = _coverage_over(cand_p, L, U, n)
-    min_p, min_cov = _exact_min(L, U, n, grid.lo, grid.hi)
+    min_p, min_cov, cand_cov = _exact_min(L, U, n, grid.lo, grid.hi, cand_p)
     return CoverageReport(
         min_coverage=min_cov,
         argmin_p=min_p,
@@ -468,30 +476,29 @@ def _grid_candidates(grid_p, L, U):
     return keep
 
 
-def _exact_min(L, U, n, lo, hi):
-    """(argmin p, minimum) of the coverage over [lo, hi], with no grid.
+def _exact_min(L, U, n, lo, hi, also=()):
+    """(argmin p, minimum) of the coverage over [lo, hi], with no grid, and
+    the coverage at the points `also`, in one scan.
 
     Between consecutive realized endpoints the covering range [a, b] of x is
     fixed, and P(a <= X <= b) rises, then falls in p (H. Wang 2007, Statist.
-    Sinica 17, 361-368).  So the infimum lies at lo, hi or one side of an
-    endpoint e in [lo, hi], probed at e and e * (1 +/- 1e-12).
+    Sinica 17, 361-368).  So the infimum is C(lo+), C(hi-) or a one-sided
+    limit C(e-), C(e+) at an endpoint e in (lo, hi); C(p) is at least both.
     """
     ends = np.concatenate([L, U])
-    ends = ends[(ends >= lo) & (ends <= hi)]
-    probes = np.concatenate([[lo, hi], ends * (1.0 - _REFINE_EPS), ends, ends * (1.0 + _REFINE_EPS)])
-    probes = np.clip(probes, lo, hi)
-    cov = _coverage_over(probes, L, U, n)
-    return _argmin_p(probes, cov), float(cov.min())
+    probes = np.concatenate([also, [lo, hi], ends[(ends > lo) & (ends < hi)]])
+    cov, left, right = _coverage_over(probes, L, U, n)
+    k = len(also)
+    limits = np.minimum(left[k:], right[k:])
+    limits[:2] = right[k], left[k + 1]  # [lo, hi] holds only one side of lo and hi
+    return _argmin_p(probes[k:], limits), float(limits.min()), cov[:k]
 
 
 # Relative gap below which two coverages tie for the minimum.  The coverage
 # of the symmetric families (CP, Jeffreys, Wilson, Agresti-Coull, Wald
 # two-sided) is the same at p and 1 - p, but the two mirror minima differ by
-# rounding and, for the endpoint probes, by the probes' asymmetric offsets
-# e * 1e-12: by up to 4.5e-11 relative over 246 scans (5 families, n from 10
-# to 2000, alpha .2 to .01, 20,001-point grids over [.01, .99] and
-# [.1, .9]).  The nearest coverage away from a minimum's mirror pair was
-# 7.2e-8 above it.
+# rounding, by up to 4.6e-15 relative over 246 scans (see README); the
+# nearest coverage away from a minimum's mirror pair was 1.4e-7 above it.
 _TIE_RTOL = 1e-9
 
 

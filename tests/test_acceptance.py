@@ -269,7 +269,7 @@ def test_criterion_11_property_suite_spot_checks():
     closed = mean_coverage(spec, 50, LEVEL)
     ps = (np.arange(100_000) + 0.5) / 100_000
     L, U = exact_eval._bounds_arrays(spec, 50, LEVEL)
-    riemann = float(exact_eval._coverage_values(ps, L, U, 50).mean())
+    riemann = float(exact_eval._coverage_values(ps, L, U, 50)[0].mean())
     results["mean coverage vs quadrature"] = abs(closed - riemann) <= 1e-4
     gap = (
         cp_n_two_sided(SampleSizeQuery(0.06, LEVEL, p0=0.3)).n

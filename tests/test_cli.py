@@ -353,6 +353,28 @@ class TestCoverageAndCalibrate:
             run(["figure", "--id", "coverage", "--out", str(tmp_path / "cov.csv"), *option])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fid", ["1", "2", "3", "4", "5", "6"])
+    @pytest.mark.parametrize("option", [["--lo", "0.2"], ["--hi", "0.8"]])
+    def test_figures_without_p_range_reject_it(self, tmp_path, capsys, fid, option):
+        # only the coverage figure reads --lo/--hi; the others wrote the same
+        # CSV with or without them
+        target = tmp_path / "fig.csv"
+        code, out, err = invoke(["figure", "--id", fid, "--out", str(target), *option], capsys)
+        assert code == 2 and out == "" and option[0] in err and f"--id {fid}" in err
+        assert not target.exists()
+
+    def test_coverage_figure_reads_its_p_range(self, tmp_path, capsys):
+        rows = {}
+        for name, option in (("default", []), ("given", ["--lo", "0.01", "--hi", "0.99"]),
+                             ("moved", ["--lo", "0.2"])):
+            target = tmp_path / f"{name}.csv"
+            argv = ["figure", "--id", "coverage", "--out", str(target),
+                    "--coverage-n-list", "30", *option]
+            assert invoke(argv, capsys)[0] == 0
+            rows[name] = target.read_bytes()
+        assert rows["default"] == rows["given"]
+        assert b"cp,0.2,0.99,30," in rows["moved"]
+
     @pytest.mark.parametrize("n, criterion", [("0", "min"), ("-3", "mean")])
     def test_coverage_bad_n_is_computation_error(self, capsys, n, criterion):
         code, out, err = invoke(
@@ -491,7 +513,7 @@ class TestParserReuse:
         assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2]
         # plain coverage after --criterion mean still gets _p_range's defaults
         assert reused[6][1].count("\n") == 4
-        # the coverage figure's rows read --lo/--hi from set_defaults
+        # the coverage figure's rows read --lo/--hi from _p_range's defaults
         assert b"cp,0.01,0.99,20," in reused[13]
 
     def test_help_wraps_to_columns_set_after_build(self, capsys, monkeypatch):

@@ -615,7 +615,7 @@ class TestCoverageScan:
                 ps = _scan_points(L, U, np.linspace(1e-4, 1.0 - 1e-4, 2001))
                 lo, hi = _window(ps, L, U)
                 ref = np.where(lo <= hi, binom.cdf(hi, n, ps) - binom.cdf(lo - 1, n, ps), 0.0)
-                err = np.max(np.abs(_coverage_values(ps, L, U, n) - ref))
+                err = np.max(np.abs(_coverage_values(ps, L, U, n)[0] - ref))
                 assert err <= bound, (n, str(spec))
 
     def test_window_edges_match_exact_rationals(self):
@@ -626,7 +626,7 @@ class TestCoverageScan:
                 ps = _scan_points(L, U, np.linspace(0.01, 0.99, 41))
                 lo, hi = _window(ps, L, U)
                 mode = np.floor((n + 1.0) * ps)
-                got = _coverage_values(ps, L, U, n)
+                got = _coverage_values(ps, L, U, n)[0]
                 for p, g, a, b, m in zip(ps, got, lo, hi, mode):
                     if a > b:
                         seen.add("uncovered")
@@ -644,27 +644,35 @@ class TestCoverageScan:
 
     def test_lanes_do_not_depend_on_their_batch(self):
         # the walk drops lanes as their windows end; each lane must still get
-        # the bits it gets alone, which the workers test relies on
+        # the bits of C(p) and its one-sided limits it gets alone, which the
+        # workers test relies on
         rng = np.random.default_rng(31)
         for spec, n in ((MethodSpec.wald(), 40), (MethodSpec.jeffreys(), 2000)):
             L, U = _bounds_arrays(spec, n, LEVEL)
             ps = rng.permutation(_scan_points(L, U, rng.uniform(1e-4, 1.0 - 1e-4, 200)))[:400]
             batch = _coverage_values(ps, L, U, n)
             for i, p in enumerate(ps):
-                assert batch[i] == _coverage_values(ps[i : i + 1], L, U, n)[0], (n, p)
+                alone = _coverage_values(ps[i : i + 1], L, U, n)[:, 0]
+                assert batch[:, i].tolist() == alone.tolist(), (n, p)
 
     @pytest.mark.parametrize("spec", [MethodSpec.clopper_pearson(), MethodSpec.jeffreys()], ids=str)
-    def test_blocks_do_not_change_a_bit(self, spec):
+    def test_blocks_do_not_change_a_bit(self, monkeypatch, spec):
         n, block = 2000, exact_eval._SCAN_BLOCK
         L, U = _bounds_arrays(spec, n, ConfidenceLevel(0.01))
+        ends = np.concatenate([L, U])
+        ends = ends[(ends > 0.0) & (ends < 1.0)]
         for size in (0, 1, block - 1, block, block + 1, 2 * block + 1, 200_000):
             ps = np.linspace(0.01, 0.99, size)
-            got = _coverage_values(ps, L, U, n)
-            assert got.shape == (size,)
-            assert np.array_equal(got, exact_eval._coverage_block(ps, L, U, n)), size
+            ps[::3] = np.resize(ends, ps[::3].size)  # where the limits differ from C(p)
+            got = _coverage_values(ps, L, U, n)  # C(p), C(p-) and C(p+)
+            assert got.shape == (3, size)
+            with monkeypatch.context() as one_block:
+                one_block.setattr(exact_eval, "_SCAN_BLOCK", max(size, 1))
+                assert np.array_equal(got, _coverage_values(ps, L, U, n)), size
 
     def test_one_walk_over_both_directions_equals_two(self):
-        # the windows of a real scan, walked up and down from their largest term
+        # the windows of a real scan, walked up and down from their largest
+        # term: the sums and the last terms
         n = 300
         L, U = _bounds_arrays(MethodSpec.jeffreys(), n, LEVEL)
         p = np.linspace(0.01, 0.99, 3001)
@@ -682,7 +690,74 @@ class TestCoverageScan:
             np.concatenate([hi - s, s - lo]),
             n,
         )
-        assert np.array_equal(both, np.concatenate([up, down]))
+        assert np.array_equal(both, np.concatenate([up, down], axis=1))
+
+    def test_one_sided_limits_match_exact_rationals(self):
+        # C(e-) sums the window without the x with L(x) = e, C(e+) without
+        # those with U(x) = e, at every endpoint e in (0, 1)
+        seen = set()
+        for n, L, U in _limit_cases():
+            ends = np.concatenate([L, U])
+            ends = np.unique(ends[(ends > 0.0) & (ends < 1.0)])
+            cov, left, right = _coverage_values(ends, L, U, n)
+            for e, c, got_left, got_right in zip(ends, cov, left, right):
+                lo, hi = _window_at(e, L, U, "closed")
+                s = min(max(math.floor((n + 1.0) * e), lo), hi)
+                assert c == pytest.approx(_exact_sum(n, e, lo, hi), abs=1e-15), (n, e)
+                for side, got in (("left", got_left), ("right", got_right)):
+                    a, b = _window_at(e, L, U, side)
+                    seen.update(
+                        name for name, hit in (
+                            ("empty window", a > b),
+                            ("edge at the mode", (a, b) != (lo, hi) and s in (lo, hi)
+                             and not a <= s <= b),
+                            ("run", (b - a) < (hi - lo) - 1),
+                        ) if hit
+                    )
+                    assert got == pytest.approx(_exact_sum(n, e, a, b), abs=1e-15), (n, e, side)
+                if e in L and e in U:
+                    seen.add("both an L and a U")
+        assert seen == {"empty window", "edge at the mode", "run", "both an L and a U"}
+
+
+# (n, L, U) built by hand: e = .2 and .5 are both an L and a U; at .7 the
+# window is {4} alone, so C(.7-) sums nothing; at .3 three x enter at once
+# and at .6 three leave
+HAND_BOUNDS = [
+    (4, [0.0, 0.2, 0.35, 0.5, 0.7], [0.2, 0.4, 0.5, 0.65, 1.0]),
+    (6, [0.0, 0.1, 0.3, 0.3, 0.3, 0.5, 0.7], [0.3, 0.45, 0.6, 0.6, 0.6, 0.9, 1.0]),
+]
+
+
+def _limit_cases():
+    for n in (1, 2, 10, 30):
+        for spec in SCAN_FAMILIES:
+            yield (n, *_bounds_arrays(spec, n, LEVEL))
+    for n, L, U in HAND_BOUNDS:
+        yield n, np.array(L), np.array(U)
+
+
+def _window_at(e, L, U, side):
+    """Covering range of x at e if side is "closed"; beside e, on the left
+    {x : L(x) < e <= U(x)}, where the x with L(x) = e have not entered yet,
+    and on the right {x : L(x) <= e < U(x)}, where those with U(x) = e have
+    left."""
+    u_side, l_side = ("left", "right") if side == "closed" else (side, side)
+    return int(np.searchsorted(U, e, side=u_side)), int(np.searchsorted(L, e, side=l_side)) - 1
+
+
+def _exact_infimum(n, L, U, lo, hi):
+    """The infimum over [lo, hi] in exact rationals: C(lo+), C(hi-) and both
+    one-sided limits at each endpoint inside."""
+    ends = np.concatenate([L, U])
+    limits = [(lo, "right"), (hi, "left")]
+    limits += [(e, side) for e in ends[(ends > lo) & (ends < hi)] for side in ("left", "right")]
+    return min(_exact_sum(n, e, *_window_at(e, L, U, side)) for e, side in limits)
+
+
+def _exact_sum(n, p, a, b):
+    """P(a <= X <= b) in exact rationals, as a float; 0 for an empty window."""
+    return float(binom_tail_exact(a, n, p) - binom_tail_exact(b + 1, n, p)) if a <= b else 0.0
 
 
 MIN_FAMILIES = [
@@ -792,6 +867,62 @@ class TestMinCoverage:
                 assert rep.grid_min_coverage == cov.min(), grid
             else:  # coverage 1 up to rounding
                 assert abs(rep.grid_min_coverage - cov.min()) <= 1e-15, grid
+
+    def test_pieces_take_the_inner_limit_at_each_end(self):
+        # over [lo, hi] between consecutive endpoints the infimum is C(lo+) or
+        # C(hi-); C(lo-) and C(hi+) lie outside and do not count
+        seen = set()
+        for n, L, U in _limit_cases():
+            ends = np.concatenate([L, U])
+            ends = np.unique(ends[(ends > 0.0) & (ends < 1.0)])
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                inner = {lo: _window_at(lo, L, U, "right"),
+                         hi: _window_at(hi, L, U, "left")}
+                limit = {p: _exact_sum(n, p, *w) for p, w in inner.items()}
+                at = {p: _exact_sum(n, p, *_window_at(p, L, U, "closed")) for p in inner}
+                outer = min(_exact_sum(n, lo, *_window_at(lo, L, U, "left")),
+                            _exact_sum(n, hi, *_window_at(hi, L, U, "right")))
+                argmin_p, got, _ = exact_eval._exact_min(L, U, n, lo, hi)
+                want = min(limit.values())
+                assert got == pytest.approx(want, abs=1e-15), (n, lo, hi)
+                if abs(limit[lo] - limit[hi]) > 1e-12:
+                    assert argmin_p == min(limit, key=limit.get), (n, lo, hi)
+                for p, name in ((lo, "C(lo+) below C(lo)"), (hi, "C(hi-) below C(hi)")):
+                    if limit[p] == want < at[p] - 1e-12:
+                        seen.add(name)
+                if outer < want - 1e-12:
+                    seen.add("outer limit lower")
+                for p, (a, b) in inner.items():
+                    closed_a, closed_b = _window_at(p, L, U, "closed")
+                    if (closed_b - closed_a) - (b - a) >= 2:
+                        seen.add("run")
+        assert seen == {"C(lo+) below C(lo)", "C(hi-) below C(hi)", "outer limit lower", "run"}
+
+    @pytest.mark.parametrize("spec", SCAN_FAMILIES, ids=str)
+    def test_ends_on_endpoints_through_min_coverage(self, spec):
+        # lo and hi exactly on realized endpoints, with endpoints between
+        for n in (10, 30):
+            L, U = _bounds_arrays(spec, n, LEVEL)
+            inner_L = L[(L > 0.0) & (L < 1.0)]
+            inner_U = U[(U > 0.0) & (U < 1.0)]
+            for lo, hi in ((inner_U[1], inner_L[-2]), (inner_L[1], inner_U[-2])):
+                rep = min_coverage(spec, n, LEVEL, PGrid(lo, hi, 11))
+                assert rep.min_coverage == pytest.approx(_exact_infimum(n, L, U, lo, hi), abs=1e-15)
+
+    @pytest.mark.parametrize("spec", MIN_FAMILIES, ids=str)
+    def test_minimum_is_approached_beside_argmin(self, spec):
+        # the coverage at the floats next to argmin_p is not below the
+        # minimum, and on one side it is the minimum, within 1e-13 relative
+        for n in (10, 50, 250, 2000):
+            for alpha in (0.2, 0.05, 0.01):
+                level = ConfidenceLevel(alpha)
+                rep = min_coverage(spec, n, level, PGrid(0.01, 0.99, 2001))
+                e = rep.argmin_p
+                beside = coverage_probability(
+                    spec, n, np.array([np.nextafter(e, 0.0), np.nextafter(e, 1.0)]), level
+                ).min()
+                assert rep.min_coverage <= beside * (1.0 + 1e-13), (n, alpha)
+                assert beside <= rep.min_coverage * (1.0 + 1e-13), (n, alpha)
 
     def test_workers_reproduce_sequential(self):
         grid = PGrid(0.05, 0.95, 5000)
@@ -928,7 +1059,7 @@ class TestMeanCoverage:
             closed = mean_coverage(spec, n, LEVEL)
             ps = (np.arange(100_000) + 0.5) / 100_000
             L, U = _bounds_arrays(spec, n, LEVEL)
-            cov = exact_eval._coverage_values(ps, L, U, n)
+            cov = exact_eval._coverage_values(ps, L, U, n)[0]
             assert closed == pytest.approx(float(cov.mean()), abs=1e-4)
 
     def test_uniform_prior_interval_has_mean_one_minus_alpha(self):
