@@ -38,6 +38,7 @@ from .special import (
     _bfrac_round,
     _bfrac_start,
     _binom_pmf_inner,
+    _check_n,
     _halley_round,
     _inc_beta,
     _is_count,
@@ -234,11 +235,6 @@ class CoverageReport:
 
 # ---------------------------------------------------------------------------
 # interval endpoint arrays
-
-def _check_n(n) -> None:
-    if not _is_count(n) or n < 1:
-        raise DomainError(f"need an integer n >= 1, got {n!r}")
-
 
 def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray):
     """The family table's (L, U) for the success counts x, solved by the vector kernel."""

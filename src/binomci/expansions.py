@@ -21,6 +21,7 @@ from .methods import (
     Side,
     _check_member,
 )
+from .special import _check_n
 
 
 class ExpansionOrder(Enum):
@@ -58,11 +59,6 @@ class ExpansionTerms:
 def _require_interior(p: float, what: str) -> None:
     if not (0.0 < p < 1.0):
         raise DomainError(f"{what} requires 0 < p < 1, got p={p}")
-
-
-def _require_n(n) -> None:
-    if not (n >= 1):
-        raise DomainError(f"need n >= 1, got {n}")
 
 
 def _third_order_bracket(ph: float, z: float, tilt: float, c: float) -> float:
@@ -125,7 +121,7 @@ def cp_bound_expansion(
 def expected_length_expansion(n: int, p: float, level: ConfidenceLevel) -> ExpansionTerms:
     """Expansion of the expected two-sided Clopper-Pearson length at fixed p."""
     _require_interior(p, "expected_length_expansion")
-    _require_n(n)
+    _check_n(n)
     z = level.z_half
     pq = p * (1.0 - p)
     return ExpansionTerms(
@@ -139,7 +135,7 @@ def expected_length_expansion(n: int, p: float, level: ConfidenceLevel) -> Expan
 def expected_distance_expansion(n: int, p: float, level: ConfidenceLevel) -> ExpansionTerms:
     """Expansion of the expected distance from the upper CP bound to p."""
     _require_interior(p, "expected_distance_expansion")
-    _require_n(n)
+    _check_n(n)
     z = level.z_full
     q = 1.0 - p
     s = z * math.sqrt(p * q)
@@ -173,7 +169,7 @@ def excess_length(
     _check_member(vs, ApproxFamily, "vs")
     _check_member(order, ExpansionOrder, "order")
     _require_interior(p, "excess_length")
-    _require_n(n)
+    _check_n(n)
     base = 1.0 / n
     if order is ExpansionOrder.SECOND_ORDER or vs is ApproxFamily.JEFFREYS:
         return base
@@ -190,5 +186,5 @@ def excess_length(
 
 def excess_distance_one_sided(n: int) -> float:
     """Leading excess of the expected CP upper-bound distance over approximate bounds."""
-    _require_n(n)
+    _check_n(n)
     return 1.0 / (2.0 * n)

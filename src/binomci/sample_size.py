@@ -406,6 +406,8 @@ def n_plus_adjusted(d: float, p0: float, level: ConfidenceLevel, gamma: float) -
     _check_target(d, p0)
     if not (0.0 < gamma < 1.0):
         raise DomainError(f"gamma must be in (0, 1), got {gamma}")
+    if 1.0 - gamma / 2.0 == 1.0:  # gamma <= 2^-53: no finite z_g
+        raise DomainError(f"gamma too small: 1 - gamma/2 rounds to 1, got gamma={gamma}")
     z_a = level.z_half
     z_g = normal_quantile(1.0 - gamma / 2.0)
     q0 = 1.0 - p0

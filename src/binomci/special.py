@@ -1,8 +1,9 @@
 """Self-contained special-function kernel.
 
 Scalar routines for the log-gamma function, the regularized incomplete beta
-function and its inverse, the standard normal quantile, and the binomial
-mass/distribution functions.  Everything here is pure and deterministic.
+function and its inverse, the standard normal quantile (the standard
+library's AS 241) and the binomial mass/distribution functions.  Everything
+here is pure and deterministic.
 The steps of ln Gamma, the incomplete beta (front factor, switch-point mirror,
 and a continued fraction in the form of TOMS 708 bfrac), its inverse (mirrored
 start, Halley rounds) and the binomial pmf are written once, over an injected
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import statistics
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -376,8 +378,8 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     ConvergenceError if the fixed iteration budget is exhausted rather than
     returning silently.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"beta_quantile requires a, b > 0, got a={a}, b={b}")
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
+        raise DomainError(f"beta_quantile requires finite a, b > 0, got a={a}, b={b}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"beta_quantile requires 0 < q < 1, got q={q}")
     swap, q, a, b, seed = _quantile_start(SCALAR, q, a, b)
@@ -404,110 +406,29 @@ def _solve_beta_quantile(q: float, a: float, b: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 # normal quantile and binomial distribution
 
-# Rational approximation of the normal quantile, algorithm AS 241 (Wichura
-# 1988, PPND16).  Absolute error below 1e-15 across (0, 1).
-_PPND_A = (
-    3.3871328727963666080e0,
-    1.3314166789178437745e2,
-    1.9715909503065514427e3,
-    1.3731693765509461125e4,
-    4.5921953931549871457e4,
-    6.7265770927008700853e4,
-    3.3430575583588128105e4,
-    2.5090809287301226727e3,
-)
-_PPND_B = (
-    4.2313330701600911252e1,
-    6.8718700749205790830e2,
-    5.3941960214247511077e3,
-    2.1213794301586595867e4,
-    3.9307895800092710610e4,
-    2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734e0,
-    4.63033784615654529590e0,
-    5.76949722146069140550e0,
-    3.64784832476320460504e0,
-    1.27045825245236838258e0,
-    2.41780725177450611770e-1,
-    2.27238449892691845833e-2,
-    7.74545014278341407640e-4,
-)
-_PPND_D = (
-    2.05319162663775882187e0,
-    1.67638483018380384940e0,
-    6.89767334985100004550e-1,
-    1.48103976427480074590e-1,
-    1.51986665636164571966e-2,
-    5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720e0,
-    5.46378491116411436990e0,
-    1.78482653991729133580e0,
-    2.96560571828504891230e-1,
-    2.65321895265761230930e-2,
-    1.24266094738807843860e-3,
-    2.71155556874348757815e-5,
-    2.01033439929228813265e-7,
-)
-_PPND_F = (
-    5.99832206555887937690e-1,
-    1.36929880922735805310e-1,
-    1.48753612908506148525e-2,
-    7.86869131145613259100e-4,
-    1.84631831751005468180e-5,
-    1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _rational(num, den, r: float) -> tuple[float, float]:
-    """AS 241's rational form at r by Horner's rule: the numerator and the
-    denominator, whose constant term 1 the table leaves out."""
-    top = num[-1]
-    for cf in reversed(num[:-1]):
-        top = top * r + cf
-    bottom = den[-1]
-    for cf in reversed(den[:-1]):
-        bottom = bottom * r + cf
-    return top, bottom * r + 1.0
-
-
-def _ppnd16_low_half(q: float) -> float:
-    # q in (0, 0.5]; returns the (nonpositive) quantile.
-    r = q - 0.5
-    if abs(r) <= 0.425:
-        num, den = _rational(_PPND_A, _PPND_B, 0.180625 - r * r)
-        return r * num / den  # not r * (num / den), which rounds differently
-    r = math.sqrt(-math.log(q))
-    if r <= 5.0:
-        num, den = _rational(_PPND_C, _PPND_D, r - 1.6)
-    else:
-        num, den = _rational(_PPND_E, _PPND_F, r - 5.0)
-    return -(num / den)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def normal_quantile(q: float) -> float:
     """Standard normal quantile: the z with Phi(z) = q, 0 < q < 1.
 
-    Evaluation is mirrored onto (0, 1/2] so that the antisymmetry
-    normal_quantile(1 - q) == -normal_quantile(q) holds structurally.
+    The standard library's inv_cdf, which is algorithm AS 241 (Wichura 1988,
+    PPND16), absolute error below 1e-15 across (0, 1).  It evaluates the
+    central region at q - 1/2 and the tails at min(q, 1 - q), so
+    normal_quantile(1 - q) == -normal_quantile(q) wherever 1 - q is exact.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"normal_quantile requires 0 < q < 1, got q={q}")
-    if q == 0.5:
-        return 0.0
-    if q > 0.5:
-        return -_ppnd16_low_half(1.0 - q)
-    return _ppnd16_low_half(q)
+    return _STANDARD_NORMAL.inv_cdf(q)
 
 
 def _is_count(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_n(n) -> None:
+    if not _is_count(n) or n < 1:
+        raise DomainError(f"need an integer n >= 1, got {n!r}")
 
 
 def _check_binom_args(name: str, k, n, p) -> None:

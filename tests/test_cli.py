@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,6 +75,14 @@ class TestInterval:
         )
         assert code == 1
         assert "alpha=1e-17" in err and "normal_quantile" not in err
+
+    def test_gamma_too_small_names_gamma(self, capsys):
+        code, _, err = invoke(
+            ["cost", "--vs", "adjusted:1e-17", "--d", "0.04", "--p0", "0.5", "--alpha", "0.05"],
+            capsys,
+        )
+        assert code == 1
+        assert "gamma=1e-17" in err and "normal_quantile" not in err
 
     def test_unknown_method_lists_valid_names(self, capsys):
         code, _, err = invoke(
@@ -525,3 +536,23 @@ class TestParserReuse:
             assert code == 0
             widths[columns] = max(len(line) for line in out.splitlines())
         assert widths[60] <= 58 < widths[120] <= 118
+
+
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import binomci, binomci.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_import_needs_only_numpy_and_the_standard_library():
+    # scipy and mpmath are test-time oracles: the runtime must not reach them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["binomci", "numpy"]

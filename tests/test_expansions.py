@@ -27,6 +27,8 @@ from binomci.exact_eval import expected_width_exact
 from oracles import loglog_slope
 
 LEVEL = ConfidenceLevel(0.05)
+# not an integer n >= 1; True and n = inf used to give a negative and a zero length
+NOT_COUNTS = [math.nan, True, 2.5, math.inf]
 
 
 class TestBoundExpansion:
@@ -127,8 +129,9 @@ class TestExpectedLengthExpansion:
             expected_length_expansion(100, 0.0, LEVEL)
         with pytest.raises(DomainError):
             expected_length_expansion(100, 1.0, LEVEL)
-        with pytest.raises(DomainError):
-            expected_length_expansion(math.nan, 0.5, LEVEL)
+        for n in NOT_COUNTS:
+            with pytest.raises(DomainError):
+                expected_length_expansion(n, 0.5, LEVEL)
 
 
 class TestExpectedDistanceExpansion:
@@ -159,8 +162,9 @@ class TestExpectedDistanceExpansion:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             expected_distance_expansion(100, 1.0, LEVEL)
-        with pytest.raises(DomainError):
-            expected_distance_expansion(math.nan, 0.5, LEVEL)
+        for n in NOT_COUNTS:
+            with pytest.raises(DomainError):
+                expected_distance_expansion(n, 0.5, LEVEL)
 
 
 class TestCoefficientIdentities:
@@ -242,8 +246,9 @@ class TestExcessLength:
             excess_length(ApproxFamily.WILSON, 100, 0.0, LEVEL)
         with pytest.raises(DomainError):
             excess_length(ApproxFamily.WILSON, 0, 0.5, LEVEL)
-        with pytest.raises(DomainError):
-            excess_length(ApproxFamily.WILSON, math.nan, 0.5, LEVEL)
+        for n in NOT_COUNTS:
+            with pytest.raises(DomainError):
+                excess_length(ApproxFamily.WILSON, n, 0.5, LEVEL)
 
 
 class TestExcessDistance:
@@ -259,5 +264,6 @@ class TestExcessDistance:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             excess_distance_one_sided(0)
-        with pytest.raises(DomainError):
-            excess_distance_one_sided(math.nan)
+        for n in NOT_COUNTS:
+            with pytest.raises(DomainError):
+                excess_distance_one_sided(n)

@@ -81,6 +81,22 @@ class TestTypes:
         with pytest.raises(DomainError):
             ConfidenceLevel(1.0)
 
+    @pytest.mark.parametrize(
+        "alpha, z_half, z_full",
+        [
+            (0.2, "0x1.4813c36e26d34p+0", "0x1.aee8fa73a1335p-1"),
+            (0.1, "0x1.a515209676ab8p+0", "0x1.4813c36e26d34p+0"),
+            (0.05, "0x1.f5c0331eeff82p+0", "0x1.a515209676ab8p+0"),
+            (0.01, "0x1.49b4c64d6915fp+1", "0x1.29c5c4630ff0ep+1"),
+            (1e-06, "0x1.39109ad343379p+2", "0x1.30381a97985f1p+2"),
+            (1e-12, "0x1.c85a0613db301p+2", "0x1.c2350895b2ea4p+2"),
+        ],
+    )
+    def test_level_quantiles_pinned_bits(self, alpha, z_half, z_full):
+        # recorded from the hand-written AS 241 that normal_quantile replaced
+        level = ConfidenceLevel(alpha)
+        assert (level.z_half, level.z_full) == (float.fromhex(z_half), float.fromhex(z_full))
+
     @pytest.mark.parametrize("alpha", [1e-17, 2.0**-53, 5e-324])
     def test_level_rejects_alpha_whose_half_rounds_away(self, alpha):
         # 1 - alpha/2 rounds to 1, and the error used to name normal_quantile's q

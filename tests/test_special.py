@@ -238,6 +238,13 @@ class TestBetaQuantile:
         with pytest.raises(DomainError):
             sp.beta_quantile(0.5, -1.0, 1.0)
 
+    @pytest.mark.parametrize("shape", [math.nan, math.inf])
+    def test_non_finite_shapes_name_beta_quantile(self, shape):
+        # nan and inf used to pass the shape check and fail inside log_beta
+        for a, b in ((shape, 1.0), (1.0, shape)):
+            with pytest.raises(DomainError, match="beta_quantile requires finite a, b > 0"):
+                sp.beta_quantile(0.5, a, b)
+
 
 class TestNormalQuantile:
     def test_median(self):
@@ -264,6 +271,43 @@ class TestNormalQuantile:
             sp.normal_quantile(0.0)
         with pytest.raises(DomainError):
             sp.normal_quantile(1.0)
+        with pytest.raises(DomainError):
+            sp.normal_quantile(math.nan)
+
+    # Recorded from the hand-written AS 241 this function replaced: q in the
+    # central region |q - 1/2| <= 0.425, the tail with r = sqrt(-ln min(q, 1 - q))
+    # <= 5 and the far tail r > 5, on both halves.  A move in the last bit,
+    # from this module or a future standard library, fails here.
+    PINNED = [
+        (0.5, "0x0.0p+0"),
+        (0.4, "-0x1.036d6c4a04b5ap-2"),
+        (0.6, "0x1.036d6c4a04b5ap-2"),
+        (0.125, "-0x1.267d4c07b0566p+0"),
+        (0.875, "0x1.267d4c07b0566p+0"),
+        (0.075, "-0x1.7085226d3e523p+0"),
+        (0.925, "0x1.7085226d3e524p+0"),  # 0.925 - 0.5 rounds above 0.425: a tail
+        (0.05, "-0x1.a515209676abdp+0"),
+        (0.95, "0x1.a515209676ab8p+0"),
+        (0.025, "-0x1.f5c0331eeff83p+0"),
+        (0.975, "0x1.f5c0331eeff82p+0"),
+        (0.001, "-0x1.8b8cbb7204470p+1"),
+        (0.999, "0x1.8b8cbb7204470p+1"),
+        (1e-06, "-0x1.30381a9799f7ep+2"),
+        (0.999999, "0x1.30381a97985f1p+2"),
+        (1e-10, "-0x1.97203597a2154p+2"),
+        (0.9999999999, "0x1.97203589fd4f5p+2"),
+        (1e-12, "-0x1.c234fba57a32ap+2"),
+        (0.999999999999, "0x1.c2350895b2ea4p+2"),
+        (1e-15, "-0x1.fc3f007789667p+2"),
+        (0.999999999999999, "0x1.fc40a0611cdeep+2"),
+        (1e-50, "-0x1.dddde6ad81776p+3"),
+        (1e-100, "-0x1.546010d75521fp+4"),
+        (1e-300, "-0x1.286074064c26ep+5"),
+    ]
+
+    @pytest.mark.parametrize("q, z", PINNED)
+    def test_pinned_bits(self, q, z):
+        assert sp.normal_quantile(q) == float.fromhex(z)
 
 
 class TestBinomial:
