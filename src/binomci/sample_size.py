@@ -8,7 +8,9 @@ n-plus quantities measuring how many extra observations exactness costs.
 
 Every derived closed form inverts t_half n^(-1/2) + t_one / n = d by one
 root, _root_n, which never divides by t_one; the point-guess forms read
-their coefficients from `expansions`.
+their coefficients from `expansions`.  The exact search starts from that
+root carried to third order, _third_order_n, where `expansions` supplies
+the n^(-3/2) term of the width it searches on (see _estimate_for).
 
 Several printed displays disagree with their own derivations; those
 operations therefore run in one of two modes.  DERIVED_ALGEBRA (the
@@ -23,9 +25,14 @@ from enum import Enum
 
 from . import exact_eval
 from .errors import DomainError, SearchBudgetError
-from .expansions import expected_distance_expansion, expected_length_expansion
+from .expansions import (
+    ExpansionOrder,
+    excess_length,
+    expected_distance_expansion,
+    expected_length_expansion,
+)
 from .methods import ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side, _check_member
-from .special import BetaParams, _is_count, log_gamma, normal_quantile
+from .special import JEFFREYS_PRIOR, BetaParams, _is_count, log_gamma, normal_quantile
 
 
 class FormulaMode(Enum):
@@ -254,21 +261,72 @@ def approx_method_n(
     return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
 
 
+_NEWTON_STEPS = 8
+
+
+def _third_order_n(
+    t_half: float, t_one: float, t_threehalf: float, d: float, where: str
+) -> float:
+    """The n solving t_half s + t_one s^2 + t_threehalf s^3 = d, s = n^(-1/2).
+
+    Newton's method on s from _root_n's second-order root, which raises
+    DomainError where that root does not exist.  That root is kept where
+    Newton leaves the rising branch (t_threehalf < 0 puts a peak in the
+    cubic) or does not give a finite s > 0.
+    """
+    n = _root_n(t_half, t_one, d, where)
+    s = 1.0 / math.sqrt(n)
+    for _ in range(_NEWTON_STEPS):
+        slope = (3.0 * t_threehalf * s + 2.0 * t_one) * s + t_half
+        if not (slope > 0.0):
+            return n
+        step = (((t_threehalf * s + t_one) * s + t_half) * s - d) / slope
+        s -= step
+        if abs(step) <= 1e-15 * s:
+            break
+    return 1.0 / (s * s) if math.isfinite(s) and s > 0.0 else n
+
+
 def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLevel) -> float:
-    if method.side is Side.TWO_SIDED:
-        if method.family is Family.CLOPPER_PEARSON:
-            return cp_n_two_sided(SampleSizeQuery(d, level, Side.TWO_SIDED, p0)).n_unrounded
+    """Closed-form start for exact_n's walk.
+
+    Where `expansions` supplies the n^(-3/2) term of the searched width, the
+    start is the third-order root (_third_order_n): Clopper-Pearson
+    two-sided (expected length) and upper (expected distance), and the
+    two-sided Jeffreys interval, whose expected length is CP's minus
+    excess_length, exactly 1/n with no n^(-3/2) term.  On the `planning`
+    benchmark's queries (n 100 to 2,600, p0 .02 to .5, alpha .01 to .1)
+    these land within 2 sizes of the exact answer.
+
+    Every other family keeps its second-order or printed estimate.  Wilson
+    and Agresti-Coull keep the printed formulas: a third-order start from
+    CP's length minus their third-order excess_length still left offsets
+    from -17 to +4 over 160 seeded searches of the same range, too wide for
+    one block.  Other Beta priors keep the Jeffreys formula, and Beta-prior
+    upper bounds the first-order size, since `expansions` has no expected
+    width for either.
+    """
+    two_sided = method.side is Side.TWO_SIDED
+    where = f" for p0={p0}"
+    if method.family is Family.CLOPPER_PEARSON:
+        expansion = expected_length_expansion if two_sided else expected_distance_expansion
+        terms = expansion(1, p0, level)  # coefficients do not depend on n
+        return _third_order_n(terms.t_half, terms.t_one, terms.t_threehalf, d, where)
+    if two_sided and method.prior == JEFFREYS_PRIOR:
+        terms = expected_length_expansion(1, p0, level)
+        # the excess at n = 1 is its 1/n coefficient, as it has no n^(-3/2) term
+        excess = excess_length(ApproxFamily.JEFFREYS, 1, p0, level, ExpansionOrder.THIRD_ORDER)
+        return _third_order_n(terms.t_half, terms.t_one - excess, terms.t_threehalf, d, where)
+    if two_sided:
         if method.family is Family.WILSON:
             return approx_method_n(ApproxFamily.WILSON, d, p0, level).n_unrounded
         if method.family is Family.AGRESTI_COULL:
             return approx_method_n(ApproxFamily.AGRESTI_COULL, d, p0, level).n_unrounded
         return approx_method_n(ApproxFamily.JEFFREYS, d, p0, level).n_unrounded
-    if method.family is Family.CLOPPER_PEARSON:
-        return cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
     return _first_order_n(level.z_full, p0, d)
 
 
-_EXACT_BLOCK = 11
+_EXACT_BLOCK = 5
 
 
 def exact_n(
@@ -280,11 +338,15 @@ def exact_n(
 ) -> SampleSizeResult:
     """Smallest n in [2, n_max] whose exact expected width/distance is <= d.
 
-    Walks from the closed-form estimate: down while n - 1 passes, or up to
-    the first passing n.  The estimate is solved in one batched pass with
-    its neighbours, _EXACT_BLOCK sizes centred on it; a miss then solves the
-    sizes beyond it in the walk's direction, _EXACT_BLOCK of them or as many
-    as it lies from the estimate, if more.
+    Walks from the closed-form estimate (_estimate_for): down while n - 1
+    passes, or up to the first passing n.  The estimate is solved in one
+    batched pass with its neighbours, the _EXACT_BLOCK = 5 sizes centred on
+    it; a miss then solves the sizes beyond it in the walk's direction,
+    _EXACT_BLOCK of them or as many as it lies from the estimate, if more.
+    For Clopper-Pearson and two-sided Jeffreys the estimate is the
+    third-order root, within 2 sizes of the answer on the `planning`
+    benchmark's queries, so one pass of 5 nearly always holds both the
+    answer and the n - 1 that fails.
 
     That n is the smallest wherever the expected width does not rise in n.
     Over n = 2..300 and alpha .001 to .3 it does not rise for Clopper-Pearson
@@ -318,9 +380,9 @@ def exact_n(
             cache.update(zip(sizes, exact_eval.expected_widths_batch(method, sizes, p0, level)))
         return cache[m] <= d
 
-    # A d the closed forms cannot take (d >= 1, which any realized width
-    # meets, or one above the peak of the one-sided expansion) is large, so
-    # the walk then starts from the bottom.
+    # A d the closed forms cannot take (d >= 1 for the printed forms, which
+    # any realized width meets, or one above the peak of the one-sided
+    # expansion) is large, so the walk then starts from the bottom.
     try:
         n = min(max(2, math.ceil(_estimate_for(method, d, p0, level))), n_max)
     except DomainError:

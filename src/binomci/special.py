@@ -456,7 +456,10 @@ def binom_pmf(k: int, n: int, p: float) -> float:
 
 
 def binom_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p), via the incomplete beta identity."""
+    """P(X <= k) for X ~ Binomial(n, p), via the incomplete beta identity.
+
+    The lower tail is I_(1-p)(n - k, k + 1) itself, not 1 - I_p(k + 1, n - k),
+    in which a small P(X <= k) cancels to 0."""
     _check_binom_args("binom_cdf", k, n, p)
     if k == n:
         return 1.0
@@ -464,4 +467,4 @@ def binom_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    return 1.0 - reg_inc_beta(p, k + 1.0, float(n - k))
+    return reg_inc_beta(1.0 - p, float(n - k), k + 1.0)

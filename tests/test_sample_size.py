@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from binomci import sample_size
 from binomci.errors import DomainError, SearchBudgetError
 from binomci.exact_eval import expected_widths_batch
 from binomci.methods import ApproxFamily, ConfidenceLevel, MethodSpec, Side
@@ -408,6 +409,47 @@ def test_expected_width_never_rises_in_n(name, spec, p0_max):
         widths = expected_widths_batch(spec, ns, p0, ConfidenceLevel(alpha))
         rises = [(m, w, v) for m, w, v in zip(ns, widths, widths[1:]) if v > w]
         assert not rises, (alpha, p0, rises[:3])
+
+
+def planning_queries(seed: str, per_cell: int):
+    """Seeded searches of the planning benchmark's range: CP two-sided and
+    upper and Jeffreys two-sided at alpha .01, .05 and .1, p0 log-uniform in
+    [.02, .5], and d the first-order width plus 1/n at an n log-uniform in
+    [100, 2600]."""
+    rng = random.Random(seed)
+    queries = []
+    for name, spec in GOLDEN_METHODS.items():
+        for alpha in (0.01, 0.05, 0.1):
+            level = ConfidenceLevel(alpha)
+            z, scale = (level.z_full, 1.0) if spec.side is Side.UPPER else (level.z_half, 2.0)
+            for _ in range(per_cell):
+                n = 100.0 * 26.0 ** rng.random()
+                p0 = 0.02 * 25.0 ** rng.random()
+                d = scale * z * math.sqrt(p0 * (1.0 - p0) / n) + 1.0 / n
+                queries.append((name, spec, d, p0, level))
+    return queries
+
+
+def test_exact_search_solves_few_widths(monkeypatch):
+    # the second-order start solved about 12 widths per search here
+    solved = []
+
+    def counting(method, sizes, p0, level):
+        solved.append(len(sizes))
+        return expected_widths_batch(method, sizes, p0, level)
+
+    monkeypatch.setattr(sample_size.exact_eval, "expected_widths_batch", counting)
+    queries = planning_queries("widths", 4)
+    for _, spec, d, p0, level in queries:
+        exact_n(spec, d, p0, level)
+    assert sum(solved) / len(queries) <= 6.0
+
+
+def test_exact_search_start_is_within_two_sizes():
+    for name, spec, d, p0, level in planning_queries("start", 4):
+        start = math.ceil(sample_size._estimate_for(spec, d, p0, level))
+        n = exact_n(spec, d, p0, level).n
+        assert abs(n - start) <= 2, (name, level.alpha, p0, d, n, start)
 
 
 class TestNPlusTwoSided:

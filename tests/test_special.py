@@ -327,6 +327,23 @@ class TestBinomial:
             float(binom_cdf_exact(3, 10, 0.4)), rel=1e-13
         )
 
+    def test_cdf_small_lower_tail_relative(self):
+        # 1 - I_p(k + 1, n - k) returned 0.0 for the first three, whose true
+        # values are 7.9e-31, 1.3e-25 and 7.1e-136.  The front factor's own
+        # error grows with n: up to n = 1000 it reaches 1.7e-12 relative.
+        rng = random.Random(29)
+        cases = [(0, 100, 0.5), (3, 100, 0.5), (10, 1000, 0.3)]
+        for _ in range(100):
+            # the exact sum costs k + 1 rational terms: any k up to n = 150,
+            # small tails (k <= 30) up to n = 400
+            n = rng.randint(1, rng.choice([150, 400]))
+            p = rng.choice([rng.uniform(1e-3, 0.999), rng.uniform(0.0, 1e-8),
+                            1.0 - rng.uniform(0.0, 1e-8)])
+            cases.append((rng.randint(0, n if n <= 150 else 30), n, p))
+        for k, n, p in cases:
+            exact = float(binom_cdf_exact(k, n, p))
+            assert sp.binom_cdf(k, n, p) == pytest.approx(exact, rel=1e-12, abs=0.0), (k, n, p)
+
     def test_pmf_exact_small_n(self):
         rng = random.Random(13)
         for n in [1, 4, 17, 38, 60]:
