@@ -354,16 +354,25 @@ def _coverage_values(p: np.ndarray, L: np.ndarray, U: np.ndarray, n: int) -> np.
 
 
 def _coverage_block(p, L, U, n):
-    """_coverage_values over one block of p."""
-    x_lo, x_bot = (np.searchsorted(U, p, side=side) for side in ("left", "right"))
-    x_top, x_hi = (np.searchsorted(L, p, side=side) - 1 for side in ("left", "right"))
+    """_coverage_values over one block of p.
+
+    x_hi enters at p where L(x_hi) = p and x_lo leaves where U(x_lo) = p, read
+    by gathers; clipping guards x_hi = -1 and x_lo = n + 1, where L(0) > p and
+    U(n) < p.  Only where a second neighbour also has its endpoint at p does
+    a run need the counting searches for its narrowed windows."""
+    x_lo = np.searchsorted(U, p, side="left")  # the first x with U(x) >= p
+    x_hi = np.searchsorted(L, p, side="right") - 1  # the last x with L(x) <= p
     out = _window_sum(p, x_lo, x_hi, n)  # C(p), pmf(x_hi), pmf(x_lo)
-    out[1] = out[0] - np.where(x_top < x_hi, out[1], 0.0)
-    out[2] = out[0] - np.where(x_bot > x_lo, out[2], 0.0)
-    runs = np.flatnonzero((x_top < x_hi - 1) | (x_bot > x_lo + 1))
+    out[1] = out[0] - np.where(L.take(x_hi, mode="clip") == p, out[1], 0.0)
+    out[2] = out[0] - np.where(U.take(x_lo, mode="clip") == p, out[2], 0.0)
+    runs = np.flatnonzero(
+        (x_hi > 0) & (L.take(x_hi - 1, mode="clip") == p)
+        | (x_lo < n) & (U.take(x_lo + 1, mode="clip") == p)
+    )
     if runs.size:
-        out[1, runs] = _window_sum(p[runs], x_lo[runs], x_top[runs], n)[0]
-        out[2, runs] = _window_sum(p[runs], x_bot[runs], x_hi[runs], n)[0]
+        p, x_lo, x_hi = p[runs], x_lo[runs], x_hi[runs]
+        out[1, runs] = _window_sum(p, x_lo, np.searchsorted(L, p, side="left") - 1, n)[0]
+        out[2, runs] = _window_sum(p, np.searchsorted(U, p, side="right"), x_hi, n)[0]
     return out
 
 
@@ -609,13 +618,12 @@ def expected_widths_batch(
 # calibration
 
 def _criterion_value(method, n, criterion, gamma):
+    """The criterion's coverage at nominal level gamma."""
     level = ConfidenceLevel(gamma)
-    if isinstance(criterion, MinCoverage):
-        L, U = _bounds_arrays(method, n, level)
-        return _exact_min(L, U, n, criterion.grid.lo, criterion.grid.hi)[1]
     if isinstance(criterion, MeanCoverage):
         return mean_coverage(method, n, level)
-    raise DomainError(f"unknown calibration criterion {criterion!r}")
+    L, U = _bounds_arrays(method, n, level)
+    return _exact_min(L, U, n, criterion.grid.lo, criterion.grid.hi)[1]
 
 
 _GAMMA_LO = 1e-6
@@ -631,66 +639,52 @@ def calibrate_alpha(
 ) -> ConfidenceLevel:
     """Nominal level gamma at which the coverage criterion hits 1 - alpha.
 
-    Minimum-coverage criterion: the largest gamma, within 1e-5, whose exact
-    minimum coverage over [lo, hi] is still at least 1 - alpha; intervals nest
-    in alpha, so that minimum never rises in gamma and plain bisection finds
-    it.  Mean-coverage criterion: the gamma whose mean coverage equals
-    1 - alpha within 1e-10 (or in a bracket at most 1e-12 wide), a root of
-    mean coverage, which is smooth and falls in gamma, found by regula falsi
-    on (1e-6, 0.5).
+    Intervals nest in alpha, so both criteria fall in gamma, and one
+    bracketed root loop finds where f(gamma) = criterion - target changes
+    sign.  Mean-coverage criterion: target 1 - alpha on (1e-6, 0.5), the
+    gamma with |f| <= 1e-10 (or in a bracket at most 1e-12 wide).
+    Minimum-coverage criterion: target 1 - alpha - 1e-9 on (1e-6, alpha),
+    the bracket's passing end once it is at most 1e-5 wide, i.e. the largest
+    gamma, within 1e-5, whose exact minimum coverage over [lo, hi] is still
+    at least 1 - alpha; calibration never raises alpha, so a method that
+    passes at alpha is returned as it is.
     """
-    target = 1.0 - level.alpha
-
-    def crit(gamma: float) -> float:
-        return _criterion_value(method, n, criterion, gamma)
-
-    if isinstance(criterion, MeanCoverage):
-        lo, hi = _GAMMA_LO, _GAMMA_HI
-        f_lo = crit(lo) - target
-        f_hi = crit(hi) - target
-        if f_lo < 0.0 or f_hi > 0.0:
-            raise CalibrationError(
-                f"mean coverage cannot reach {target} for gamma in ({lo}, {hi})"
-            )
-        # Illinois regula falsi (Dowell & Jarratt 1971, BIT 11, 168-174): when
-        # one end is kept twice in a row its f is halved, so the bracket
-        # closes from both sides; at most 60 evaluations, the ends included
-        gamma, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-        evals, moved = 2, None
-        while abs(f) > 1e-10 and hi - lo > 1e-12 and evals < 60:
-            gamma = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            f = crit(gamma) - target
-            evals += 1
-            if f > 0.0:
-                if moved == "lo":
-                    f_hi *= 0.5
-                lo, f_lo, moved = gamma, f, "lo"
-            else:
-                if moved == "hi":
-                    f_lo *= 0.5
-                hi, f_hi, moved = gamma, f, "hi"
-        if abs(f) > _GAMMA_TOL:
-            raise CalibrationError(
-                f"mean coverage missed {target} by {f} at gamma={gamma}, n={n}"
-            )
-        return ConfidenceLevel(gamma)
-
-    def passes(gamma: float) -> bool:
-        return crit(gamma) >= target - 1e-9
-
-    if not passes(_GAMMA_LO):
-        raise CalibrationError(
-            f"minimum coverage stays below {target} even at gamma={_GAMMA_LO}"
-        )
-    # Calibration only ever decreases the nominal alpha; a method whose
-    # minimum coverage already meets the target is left untouched.
-    if passes(level.alpha):
-        return ConfidenceLevel(level.alpha)
-    lo, hi = _GAMMA_LO, level.alpha
-    while hi - lo > _GAMMA_TOL:  # lo passes, hi fails
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
+    mean = isinstance(criterion, MeanCoverage)
+    lo = _GAMMA_LO
+    if mean:
+        what = "mean coverage"
+        hi, target, f_tol, width = _GAMMA_HI, 1.0 - level.alpha, 1e-10, 1e-12
+    elif isinstance(criterion, MinCoverage):
+        what = f"minimum coverage over [{criterion.grid.lo}, {criterion.grid.hi}]"
+        hi, target, f_tol, width = level.alpha, 1.0 - level.alpha - 1e-9, 0.0, _GAMMA_TOL
+    else:
+        raise DomainError(f"unknown calibration criterion {criterion!r}")
+    where = f"{what} of {method} at n={n}, gamma in ({lo}, {hi})"
+    f_lo = _criterion_value(method, n, criterion, lo) - target
+    f_hi = _criterion_value(method, n, criterion, hi) - target
+    if f_lo < 0.0 or (mean and f_hi > 0.0):
+        raise CalibrationError(f"{where}: cannot reach {target}")
+    if f_hi >= 0.0 and not mean:
+        return level
+    # Illinois regula falsi (Dowell & Jarratt 1971, BIT 11, 168-174): when
+    # one end is kept twice in a row its f is halved, so the bracket
+    # closes from both sides; at most 60 evaluations, the ends included
+    gamma, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+    evals, moved = 2, None
+    while abs(f) > f_tol and hi - lo > width and evals < 60:
+        gamma = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f = _criterion_value(method, n, criterion, gamma) - target
+        evals += 1
+        if f >= 0.0:  # gamma passes
+            if moved == "lo":
+                f_hi *= 0.5
+            lo, f_lo, moved = gamma, f, "lo"
         else:
-            hi = mid
-    return ConfidenceLevel(lo)
+            if moved == "hi":
+                f_lo *= 0.5
+            hi, f_hi, moved = gamma, f, "hi"
+    if abs(f) > f_tol and hi - lo > width:
+        raise CalibrationError(
+            f"{where}: missed {target} by {f} at gamma={gamma} after {evals} evaluations"
+        )
+    return ConfidenceLevel(gamma if mean else lo)

@@ -1,13 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-Criterion 6 is a full-scale run, gated behind BINOMCI_FULL=1.
 """
 import math
-import os
 import time
-
-import pytest
 
 from binomci.exact_eval import (
     MinCoverage,
@@ -151,9 +147,6 @@ def test_criterion_5_coverage_minima_at_250():
 
 
 def test_criterion_6_large_n_undercoverage():
-    if not os.environ.get("BINOMCI_FULL"):
-        print("ACCEPTANCE 6: SKIPPED - full-scale run; set BINOMCI_FULL=1 to enable")
-        pytest.skip("full-scale coverage run is gated behind BINOMCI_FULL=1")
     start = time.perf_counter()
     grid = PGrid(0.01, 0.99, 200000)
     jef = min_coverage(MethodSpec.jeffreys(), 2000, LEVEL, grid).min_coverage

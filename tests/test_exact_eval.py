@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -1103,23 +1104,44 @@ class TestCalibration:
         )
         assert got.alpha == 0.05
 
-    def test_jeffreys_min_criterion_bracketing(self):
-        grid = PGrid(0.01, 0.99, 4001)
-        got = calibrate_alpha(MethodSpec.jeffreys(), 100, LEVEL, MinCoverage(grid))
-        assert got.alpha < 0.05
-        at = min_coverage(MethodSpec.jeffreys(), 100, got, grid).min_coverage
-        assert at >= 0.95 - 1e-9
-        for step in (1e-3, exact_eval._GAMMA_TOL):
-            above = min_coverage(
-                MethodSpec.jeffreys(), 100, ConfidenceLevel(got.alpha + step), grid
-            ).min_coverage
-            assert above < 0.95 - 1e-9, step
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01])
+    @pytest.mark.parametrize("n", [20, 100, 200])
+    @pytest.mark.parametrize("spec", MIN_FAMILIES[1:4], ids=str)
+    def test_min_criterion_bracketing(self, spec, n, alpha):
+        # the largest passing gamma within _GAMMA_TOL: gamma passes, one
+        # tolerance above it fails
+        criterion, target = MinCoverage(PGrid(0.01, 0.99, 2)), 1.0 - alpha - 1e-9
+        got = calibrate_alpha(spec, n, ConfidenceLevel(alpha), criterion).alpha
+        assert got < alpha
+        at = exact_eval._criterion_value(spec, n, criterion, got)
+        above = exact_eval._criterion_value(spec, n, criterion, got + exact_eval._GAMMA_TOL)
+        assert at >= target > above
+
+    def test_min_criterion_evaluations(self, monkeypatch):
+        # the bisection this root loop replaced took 387 evaluations over
+        # these 27 cases (12, 15 and 16 at alpha .01, .05 and .1); it takes 311
+        calls = []
+        value = exact_eval._criterion_value
+        monkeypatch.setattr(
+            exact_eval, "_criterion_value", lambda *args: calls.append(1) or value(*args)
+        )
+        per_case = []
+        for spec in MIN_FAMILIES[1:4]:
+            for n in (20, 100, 200):
+                for alpha in (0.1, 0.05, 0.01):
+                    calls.clear()
+                    calibrate_alpha(
+                        spec, n, ConfidenceLevel(alpha), MinCoverage(PGrid(0.01, 0.99, 2))
+                    )
+                    per_case.append(len(calls))
+        assert max(per_case) <= 60
+        assert sum(per_case) < 387, per_case
 
     @pytest.mark.parametrize("n", [20, 100])
     @pytest.mark.parametrize("spec", MIN_FAMILIES, ids=str)
     def test_min_criterion_nonincreasing_in_gamma(self, spec, n):
         # intervals nest in alpha, so the exact minimum never rises as gamma
-        # grows; the bisection in calibrate_alpha relies on it
+        # grows; calibrate_alpha's root loop keeps a bracket on it
         criterion = MinCoverage(PGrid(0.01, 0.99, 2))
         mins = [
             exact_eval._criterion_value(spec, n, criterion, gamma)
@@ -1146,14 +1168,24 @@ class TestCalibration:
     def test_unattainable_criterion_raises(self):
         # the degenerate Wald intervals at x in {0, n} pin the minimum
         # coverage near 0 close to the grid edges for every gamma
-        with pytest.raises(CalibrationError):
-            calibrate_alpha(
-                MethodSpec.wald(), 10, LEVEL, MinCoverage(PGrid(0.001, 0.999, 501))
-            )
+        spec = MethodSpec.wald()
+        with pytest.raises(CalibrationError, match=re.escape(f"of {spec} at n=10,")):
+            calibrate_alpha(spec, 10, LEVEL, MinCoverage(PGrid(0.001, 0.999, 501)))
 
     def test_unattainable_mean_criterion_raises(self):
-        with pytest.raises(CalibrationError, match="cannot reach"):
-            calibrate_alpha(MethodSpec.wald(), 20, LEVEL, MeanCoverage())
+        spec = MethodSpec.wald()
+        with pytest.raises(CalibrationError, match=re.escape(f"of {spec} at n=20,")) as err:
+            calibrate_alpha(spec, 20, LEVEL, MeanCoverage())
+        assert "cannot reach" in str(err.value)
+
+    def test_root_loop_raises_at_its_evaluation_cap(self, monkeypatch):
+        # a step in gamma never brings |f| under 1e-10, and halving the kept
+        # end's f does not close a bracket to 1e-12 in 60 evaluations
+        monkeypatch.setattr(
+            exact_eval, "_criterion_value", lambda m, n, c, gamma: 0.96 if gamma < 0.3 else 0.9
+        )
+        with pytest.raises(CalibrationError, match="after 60 evaluations"):
+            calibrate_alpha(MethodSpec.wilson(), 30, LEVEL, MeanCoverage())
 
     @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01])
     @pytest.mark.parametrize("n", [20, 200, 1200])
