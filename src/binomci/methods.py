@@ -113,6 +113,13 @@ class MethodSpec:
                 f"one-sided {self.family.value} bounds are not implemented"
             )
 
+    def __str__(self) -> str:
+        """The CLI's --method spelling, then the side unless it is two-sided."""
+        name = self.family.value if self.prior is None else "jeffreys"
+        if self.prior not in (None, JEFFREYS_PRIOR):
+            name = f"beta:{float(self.prior.a)!r},{float(self.prior.b)!r}"
+        return name if self.side is Side.TWO_SIDED else f"{name} {self.side.value}"
+
     @classmethod
     def clopper_pearson(cls, side: Side = Side.TWO_SIDED) -> "MethodSpec":
         return cls(Family.CLOPPER_PEARSON, side)
@@ -162,6 +169,15 @@ class IntervalEstimate:
         return self.upper - self.lower
 
 
+def _end_priors(method: MethodSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((a_L, b_L), (a_U, b_U)): a CP or Beta-prior end is a quantile of the
+    Beta(x + a, n - x + b) posterior of its prior; CP's ends take (0, 1) and
+    (1, 0), a Beta-prior method its prior at both ends."""
+    if method.family is Family.CLOPPER_PEARSON:
+        return (0.0, 1.0), (1.0, 0.0)
+    return ((method.prior.a, method.prior.b),) * 2
+
+
 def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
     """(L, U) endpoint arrays for the success counts x; n may vary per lane.
 
@@ -183,11 +199,9 @@ def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
     U = np.ones(x.size)
     if fam in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
         # Row 0 of these (2, lanes) arrays is the lower end, row 1 the upper.
-        # CP's ends are quantiles of the posteriors of priors (0, 1) and (1, 0),
-        # solved where no shape is 0; closed forms fill its other lanes.
-        cp = fam is Family.CLOPPER_PEARSON
-        prior = [[0.0, 1.0], [1.0, 0.0]] if cp else [[method.prior.a, method.prior.b]] * 2
-        pa, pb = np.array(prior).T[:, :, None]
+        # Quantiles are solved where no posterior shape is 0; closed forms
+        # fill CP's other lanes.
+        pa, pb = np.array(_end_priors(method)).T[:, :, None]
         a = x + pa
         b = (n - x) + pb
         solve = (a > 0.0) & (b > 0.0) & np.array([[lower], [upper]])
@@ -198,7 +212,7 @@ def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
         ends = np.array([L, U])
         ends[solve] = w
         L, U = ends
-        if cp:
+        if fam is Family.CLOPPER_PEARSON:
             at_n, at_zero = (x == n) & lower, (x == 0) & upper
             L[at_n] = tail ** (1.0 / n[at_n])
             U[at_zero] = 1.0 - tail ** (1.0 / n[at_zero])

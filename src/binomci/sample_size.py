@@ -8,9 +8,10 @@ n-plus quantities measuring how many extra observations exactness costs.
 
 Every derived closed form inverts t_half n^(-1/2) + t_one / n = d by one
 root, _root_n, which never divides by t_one; the point-guess forms read
-their coefficients from `expansions`.  The exact search starts from that
-root carried to third order, _third_order_n, where `expansions` supplies
-the n^(-3/2) term of the width it searches on (see _estimate_for).
+their coefficients from `expansions`.  The exact search of every CP and
+Beta-prior method starts from that root carried to third order,
+_third_order_n, on CP's expansion shifted by each end's posterior mean
+(see _estimate_for).
 
 Several printed displays disagree with their own derivations; those
 operations therefore run in one of two modes.  DERIVED_ALGEBRA (the
@@ -25,14 +26,11 @@ from enum import Enum
 
 from . import exact_eval
 from .errors import DomainError, SearchBudgetError
-from .expansions import (
-    ExpansionOrder,
-    excess_length,
-    expected_distance_expansion,
-    expected_length_expansion,
+from .expansions import expected_distance_expansion, expected_length_expansion
+from .methods import (
+    ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side, _check_member, _end_priors
 )
-from .methods import ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side, _check_member
-from .special import JEFFREYS_PRIOR, BetaParams, _is_count, log_gamma, normal_quantile
+from .special import BetaParams, _is_count, log_gamma, normal_quantile
 
 
 class FormulaMode(Enum):
@@ -110,10 +108,6 @@ def _require_prior(q: SampleSizeQuery) -> BetaParams:
 def _check_target(d: float, p0: float) -> None:
     if not (0.0 < d < 1.0) or not (0.0 < p0 < 1.0):
         raise DomainError(f"need 0 < d < 1 and 0 < p0 < 1, got d={d}, p0={p0}")
-
-
-def _first_order_n(z: float, p0: float, d: float) -> float:
-    return z * z * (p0 * (1.0 - p0)) / (d * d)
 
 
 def _root_n(t_half: float, t_one: float, d: float, where: str) -> float:
@@ -290,40 +284,26 @@ def _third_order_n(
 def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLevel) -> float:
     """Closed-form start for exact_n's walk.
 
-    Where `expansions` supplies the n^(-3/2) term of the searched width, the
-    start is the third-order root (_third_order_n): Clopper-Pearson
-    two-sided (expected length) and upper (expected distance), and the
-    two-sided Jeffreys interval, whose expected length is CP's minus
-    excess_length, exactly 1/n with no n^(-3/2) term.  On the `planning`
-    benchmark's queries (n 100 to 2,600, p0 .02 to .5, alpha .01 to .1)
-    these land within 2 sizes of the exact answer.
-
-    Every other family keeps its second-order or printed estimate.  Wilson
-    and Agresti-Coull keep the printed formulas: a third-order start from
-    CP's length minus their third-order excess_length still left offsets
-    from -17 to +4 over 160 seeded searches of the same range, too wide for
-    one block.  Other Beta priors keep the Jeffreys formula, and Beta-prior
-    upper bounds the first-order size, since `expansions` has no expected
-    width for either.
+    Wilson and Agresti-Coull keep their printed formulas: a third-order
+    start from CP's length minus their excess_length left offsets from -17
+    to +4 over 160 seeded searches, too wide for one block.  Every other
+    start is the third-order root (_third_order_n) of CP's expansion with
+    each end's 1/n term moved by its posterior mean (methods._end_priors),
+    (x + a) / (n + a + b) = p + (a - (a + b) p) / n + ...: the upper end by
+    (a_U - 1) - (a_U + b_U - 1) p0 and the lower by a_L - (a_L + b_L - 1) p0,
+    exactly 0 for CP.  On the `planning` benchmark's queries (n 100 to
+    2,600, p0 .02 to .5, alpha .01 to .1) it lands within 2 sizes.
     """
+    if method.family in (Family.WILSON, Family.AGRESTI_COULL):
+        return approx_method_n(ApproxFamily(method.family.value), d, p0, level).n_unrounded
     two_sided = method.side is Side.TWO_SIDED
-    where = f" for p0={p0}"
-    if method.family is Family.CLOPPER_PEARSON:
-        expansion = expected_length_expansion if two_sided else expected_distance_expansion
-        terms = expansion(1, p0, level)  # coefficients do not depend on n
-        return _third_order_n(terms.t_half, terms.t_one, terms.t_threehalf, d, where)
-    if two_sided and method.prior == JEFFREYS_PRIOR:
-        terms = expected_length_expansion(1, p0, level)
-        # the excess at n = 1 is its 1/n coefficient, as it has no n^(-3/2) term
-        excess = excess_length(ApproxFamily.JEFFREYS, 1, p0, level, ExpansionOrder.THIRD_ORDER)
-        return _third_order_n(terms.t_half, terms.t_one - excess, terms.t_threehalf, d, where)
+    expansion = expected_length_expansion if two_sided else expected_distance_expansion
+    terms = expansion(1, p0, level)  # coefficients do not depend on n
+    (a_lo, b_lo), (a_up, b_up) = _end_priors(method)
+    t_one = terms.t_one + ((a_up - 1.0) - (a_up + b_up - 1.0) * p0)
     if two_sided:
-        if method.family is Family.WILSON:
-            return approx_method_n(ApproxFamily.WILSON, d, p0, level).n_unrounded
-        if method.family is Family.AGRESTI_COULL:
-            return approx_method_n(ApproxFamily.AGRESTI_COULL, d, p0, level).n_unrounded
-        return approx_method_n(ApproxFamily.JEFFREYS, d, p0, level).n_unrounded
-    return _first_order_n(level.z_full, p0, d)
+        t_one -= a_lo - (a_lo + b_lo - 1.0) * p0
+    return _third_order_n(terms.t_half, t_one, terms.t_threehalf, d, f" for p0={p0}")
 
 
 _EXACT_BLOCK = 5
@@ -343,10 +323,10 @@ def exact_n(
     batched pass with its neighbours, the _EXACT_BLOCK = 5 sizes centred on
     it; a miss then solves the sizes beyond it in the walk's direction,
     _EXACT_BLOCK of them or as many as it lies from the estimate, if more.
-    For Clopper-Pearson and two-sided Jeffreys the estimate is the
-    third-order root, within 2 sizes of the answer on the `planning`
-    benchmark's queries, so one pass of 5 nearly always holds both the
-    answer and the n - 1 that fails.
+    For Clopper-Pearson and every Beta prior the estimate is a third-order
+    root; on the `planning` benchmark's queries it lies within 2 sizes of
+    the answer, so one pass of 5 nearly always holds both the answer and
+    the n - 1 that fails.
 
     That n is the smallest wherever the expected width does not rise in n.
     Over n = 2..300 and alpha .001 to .3 it does not rise for Clopper-Pearson
@@ -355,6 +335,10 @@ def exact_n(
     (tests pin a seeded sweep).  It rises at small n for Beta-prior upper
     bounds at higher p0 (Jeffreys and uniform from p0 = 0.7, Beta(0.3, 2)
     from 0.2) and for two-sided Beta(0.1, 0.1) from n = 2 to 3 at p0 >= 0.2.
+    A Beta-prior upper bound whose 1/n coefficient a - (a + b) p0 +
+    (z^2 - 1)(1 - 2 p0)/3 is below 0 has a negative expected distance at
+    small n: a d above its expansion's peak starts the walk at n = 2, which
+    passes, and one below the peak can stop above a run of small passing n.
     Wald is rejected: its width is 0 at x = 0 and x = n, so its expected
     width rises with n at small n.
     """
@@ -447,7 +431,7 @@ def n_plus_one_sided(
     z = level.z_full
     if formula is FormulaMode.DERIVED_ALGEBRA:
         n_cp = cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
-        return n_cp - _first_order_n(z, p0, d)
+        return n_cp - z * z * (p0 * (1.0 - p0)) / (d * d)
     z2 = z * z
     q0 = 1.0 - p0
     pq = p0 * q0

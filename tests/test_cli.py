@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from binomci import cli
-from binomci.cli import _fmt, run
+from binomci.cli import _fmt, _parse_method, run
 from binomci.exact_eval import MinCoverage, PGrid, calibrate_alpha
-from binomci.methods import ConfidenceLevel, MethodSpec
+from binomci.methods import ConfidenceLevel, MethodSpec, Side
+from binomci.special import BetaParams
 
 
 def invoke(argv, capsys):
@@ -109,6 +110,20 @@ class TestInterval:
         )
         assert code == 2 and out == ""
         assert "--method beta:a,b" in err and reason in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [MethodSpec.clopper_pearson(), MethodSpec.clopper_pearson(Side.UPPER),
+     MethodSpec.wald(Side.LOWER), MethodSpec.wilson(), MethodSpec.agresti_coull(),
+     MethodSpec.jeffreys(), MethodSpec.jeffreys(Side.UPPER),
+     MethodSpec.beta_prior(BetaParams(1, 1)),
+     MethodSpec.beta_prior(BetaParams(1.0 / 3.0, 2.0), Side.LOWER)],
+    ids=str,
+)
+def test_method_prints_its_cli_spelling(spec):
+    method, *side = str(spec).split()
+    assert _parse_method(method, Side(*side) if side else Side.TWO_SIDED) == spec
 
 
 class TestExpectedLength:
@@ -336,6 +351,15 @@ class TestCoverageAndCalibrate:
             MethodSpec.jeffreys(), 100, ConfidenceLevel(0.05), MinCoverage(PGrid(0.01, 0.99, 4001))
         )
         assert out == f"gamma {_fmt(want.alpha)}\n"
+
+    def test_calibration_error_names_the_method_as_the_cli_does(self, capsys):
+        code, out, err = invoke(
+            ["calibrate", "--method", "wald", "--n", "10", "--alpha", "0.05",
+             "--lo", "0.001", "--hi", "0.999", "--criterion", "min"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "of wald at n=10" in err and "MethodSpec(" not in err
 
     @pytest.mark.parametrize(
         "command, option",

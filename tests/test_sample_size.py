@@ -7,6 +7,7 @@ import pytest
 from binomci import sample_size
 from binomci.errors import DomainError, SearchBudgetError
 from binomci.exact_eval import expected_widths_batch
+from binomci.expansions import expected_distance_expansion
 from binomci.methods import ApproxFamily, ConfidenceLevel, MethodSpec, Side
 from binomci.sample_size import (
     FormulaMode,
@@ -292,6 +293,16 @@ class TestExactSearch:
         res = exact_n(MethodSpec.clopper_pearson(), 0.2, 0.5, LEVEL, n_max=np.int64(1000))
         assert res == exact_n(MethodSpec.clopper_pearson(), 0.2, 0.5, LEVEL, n_max=1000)
 
+    def test_target_above_beta_upper_expansion_peak(self):
+        # uniform prior, p0 .9, alpha .3: the 1/n coefficient is -0.607, so the
+        # expected distance is negative at n = 2 and the expansion peaks below
+        # d = 0.0102; the walk starts at n = 2, the smallest passing n (a start
+        # without the 1/n term stopped at the first crossing, n = 76)
+        spec = MethodSpec.beta_prior(UNIFORM_PRIOR, Side.UPPER)
+        res = exact_n(spec, 0.0102, 0.9, ConfidenceLevel(0.3))
+        assert res.n == 2
+        assert res.achieved < 0.0
+
     def test_target_above_one_sided_expansion_peak(self):
         # the closed form has no solution here, but n = 2 already meets d
         res = exact_n(MethodSpec.clopper_pearson(Side.UPPER), 0.2, 0.9, LEVEL)
@@ -430,19 +441,126 @@ def planning_queries(seed: str, per_cell: int):
     return queries
 
 
-def test_exact_search_solves_few_widths(monkeypatch):
-    # the second-order start solved about 12 widths per search here
-    solved = []
+@pytest.fixture
+def solved(monkeypatch):
+    """The number of widths each of exact_n's batches solves, in order."""
+    counts = []
 
     def counting(method, sizes, p0, level):
-        solved.append(len(sizes))
+        counts.append(len(sizes))
         return expected_widths_batch(method, sizes, p0, level)
 
     monkeypatch.setattr(sample_size.exact_eval, "expected_widths_batch", counting)
+    return counts
+
+
+def test_exact_search_solves_few_widths(solved):
+    # the second-order start solved about 12 widths per search here
     queries = planning_queries("widths", 4)
     for _, spec, d, p0, level in queries:
         exact_n(spec, d, p0, level)
     assert sum(solved) / len(queries) <= 6.0
+
+
+BETA_PRIORS = [JEFFREYS_PRIOR, UNIFORM_PRIOR, BetaParams(1.5, 1.5), BetaParams(0.3, 2.0),
+               BetaParams(2.0, 0.3)]
+
+
+def test_beta_prior_upper_search_solves_few_widths(solved):
+    # the first-order start z^2 p0 q0 / d^2 solved 171 widths per search here,
+    # the shifted third-order start 8.9
+    rng = random.Random("beta upper widths")
+    searches = 40
+    for i in range(searches):
+        spec = MethodSpec.beta_prior(BETA_PRIORS[i % len(BETA_PRIORS)], Side.UPPER)
+        alpha = 0.01 * 20.0 ** rng.random()
+        p0 = rng.uniform(0.02, 0.9)
+        d = 10.0 ** rng.uniform(-2.3, -1.0)
+        exact_n(spec, d, p0, ConfidenceLevel(alpha))
+    assert sum(solved) / searches <= 15.0
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
+@pytest.mark.parametrize("prior", [prior for prior in BETA_PRIORS if prior.a != 1.5], ids=str)
+def test_beta_upper_one_over_n_term_matches_enumeration(prior, p):
+    # v(n) = n (E[U - p] - z sqrt(pq/n)) = c + O(n^(-1/2)), so Richardson's
+    # 2 v(16,000) - v(4,000) cancels the n^(-1/2) term and leaves c, the
+    # Cornish-Fisher 1/n coefficient of the posterior quantile after E over X
+    # (within 7.6e-4 in all 12 cases)
+    level = ConfidenceLevel(0.05)
+    z, a, b = level.z_full, prior.a, prior.b
+    spec = MethodSpec.beta_prior(prior, Side.UPPER)
+    c = a - (a + b) * p + (z * z - 1.0) * (1.0 - 2.0 * p) / 3.0
+    ns = [4000, 16000]
+    v = [n * (w - z * math.sqrt(p * (1.0 - p) / n))
+         for n, w in zip(ns, expected_widths_batch(spec, ns, p, level))]
+    assert abs(2.0 * v[1] - v[0] - c) <= 5e-3
+    # and exact_n's start solves the third-order expansion with that term
+    d = 0.01
+    s = 1.0 / math.sqrt(sample_size._estimate_for(spec, d, p, level))
+    t_threehalf = expected_distance_expansion(1, p, level).t_threehalf
+    residual = ((t_threehalf * s + c) * s + z * math.sqrt(p * (1.0 - p))) * s - d
+    assert abs(residual) <= 1e-12 * d
+
+
+# _estimate_for(...).hex() recorded from the per-family starts that preceded
+# the one Beta-posterior shift: that shift is exactly 0 for CP and exactly -1
+# for two-sided Jeffreys, and Wilson and Agresti-Coull keep their printed
+# forms, so none of these starts may move by a bit.  Drawn with alpha
+# log-uniform in [1e-6, .5], p0 in [1e-4, 1) and d in [1e-4, .9].
+GOLDEN_ESTIMATES = [
+    ("cp", 0.000831, 0.00506, 0.809, "0x1.5bf68d921e488p+3"),
+    ("cp", 3.26e-05, 0.00145, 0.000115, "0x1.ce6ed901d5cc2p+22"),
+    ("cp", 7.14e-05, 0.00183, 0.000179, "0x1.b87dc1d33d7b3p+21"),
+    ("cp", 2.63e-05, 0.00179, 0.0203, "0x1.46c614209c969p+9"),
+    ("cp", 0.0252, 0.00597, 0.0367, "0x1.2abde364df470p+7"),
+    ("cp", 0.000144, 0.0832, 0.000417, "0x1.82ed21e320c33p+24"),
+    ("cp", 0.000275, 0.00017, 0.00246, "0x1.e6a358fbc2c7ep+11"),
+    ("cp", 0.0669, 0.000304, 0.000375, "0x1.0bcf4fc94c830p+15"),
+    ("cp_upper", 0.0575, 0.000672, 0.0197, "0x1.44c471f52555fp+7"),
+    ("cp_upper", 7.52e-05, 0.0319, 0.00423, "0x1.a8ef9e2c5133dp+14"),
+    ("cp_upper", 1.92e-05, 0.00117, 0.791, "0x1.b8dc4f6170565p+4"),
+    ("cp_upper", 0.0051, 0.0412, 0.0282, "0x1.fb30a9908b07ap+8"),
+    ("cp_upper", 0.00673, 0.00332, 0.747, "0x1.4982e2009a39ap+3"),
+    ("cp_upper", 0.000392, 0.00659, 0.0337, "0x1.2eb79e9722e89p+8"),
+    ("cp_upper", 0.343, 0.000581, 0.584, "0x1.f81c19eed293dp+1"),
+    ("cp_upper", 0.000171, 0.024, 0.000278, "0x1.dea789757904fp+21"),
+    ("jeffreys", 0.0725, 0.983, 0.0142, "0x1.0b192f0993189p+10"),
+    ("jeffreys", 0.000187, 0.0371, 0.000692, "0x1.fc6a333dc0c83p+21"),
+    ("jeffreys", 0.0143, 0.355, 0.00623, "0x1.148fd07409801p+17"),
+    ("jeffreys", 0.0077, 0.0233, 0.601, "0x1.1d707a53534b0p+2"),
+    ("jeffreys", 0.114, 0.147, 0.00104, "0x1.1acb24967b111p+20"),
+    ("jeffreys", 0.0065, 0.0515, 0.000803, "0x1.11f4466c59ee1p+21"),
+    ("jeffreys", 0.000415, 0.416, 0.0982, "0x1.38114b189b513p+10"),
+    ("jeffreys", 0.0343, 0.305, 0.588, "0x1.5f8ce973870ecp+3"),
+    ("wilson", 0.000134, 0.758, 0.000364, "0x1.341ade74b6951p+26"),
+    ("wilson", 1.64e-06, 0.0026, 0.00174, "0x1.3bed77a599f34p+16"),
+    ("wilson", 1.56e-06, 0.0254, 0.00873, "0x1.d8021d18e0ac0p+14"),
+    ("wilson", 0.000186, 0.0548, 0.000723, "0x1.51e6fbb9af887p+22"),
+    ("wilson", 0.000377, 0.000111, 0.00884, "0x1.71b833d186a9fp+10"),
+    ("wilson", 0.000275, 0.647, 0.00397, "0x1.768c8c814b22ap+19"),
+    ("wilson", 0.000795, 0.159, 0.000208, "0x1.0959b982a991bp+27"),
+    ("wilson", 0.322, 0.000104, 0.000232, "0x1.27deedffb4f10p+13"),
+    ("ac", 0.000656, 0.036, 0.000148, "0x1.18ad3c5af8d6cp+26"),
+    ("ac", 0.000144, 0.00512, 0.17, "-0x1.10c732cf8d9a4p+2"),
+    ("ac", 0.0159, 0.0974, 0.00359, "0x1.35d179db9780fp+17"),
+    ("ac", 1.8e-05, 0.115, 0.00234, "0x1.4dcc9c4e2f31cp+20"),
+    ("ac", 4.6e-05, 0.00231, 0.000194, "0x1.f086fb5b7bf24p+21"),
+    ("ac", 0.00155, 0.000773, 0.000376, "0x1.ab973963f73bbp+17"),
+    ("ac", 7.87e-06, 0.000155, 0.408, "-0x1.3e5137589f1e6p+4"),
+    ("ac", 2.72e-05, 0.0193, 0.000157, "0x1.9c8850fae8745p+25"),
+]
+ESTIMATE_METHODS = {
+    **GOLDEN_METHODS,
+    "wilson": MethodSpec.wilson(),
+    "ac": MethodSpec.agresti_coull(),
+}
+
+
+@pytest.mark.parametrize("name,alpha,p0,d,start", GOLDEN_ESTIMATES)
+def test_exact_search_start_is_bit_identical(name, alpha, p0, d, start):
+    level = ConfidenceLevel(alpha)
+    assert sample_size._estimate_for(ESTIMATE_METHODS[name], d, p0, level).hex() == start
 
 
 def test_exact_search_start_is_within_two_sizes():
