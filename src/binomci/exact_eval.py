@@ -5,10 +5,10 @@ success count, pointwise coverage and its exact minimum over a p range, the
 closed-form mean coverage under a uniform pseudo-prior, and calibration of
 the nominal level against a coverage criterion.
 
-Endpoint arrays and mean coverage run the steps of :mod:`binomci.special`
-(each written once there) under its numpy namespace, and hand a continued
-fraction's last few lanes to its float loop.  The drivers below own only
-broadcasting, the x in {0, 1} masks, errstate and the compacting lane loops.
+Endpoint arrays and mean coverage run the steps of :mod:`binomci.special` (each
+written once there) under its numpy namespace, and hand the last few lanes of a
+fraction or a Halley solve to its float loops.  The drivers below own only
+broadcasting, the x in {0, 1} masks, errstate and the lane loops.
 Coverage scans add up the binomial pmf over each grid point's covering range
 instead: one saddle-point pmf (Loader 2000) at the range's largest term, then
 a ratio walk, so that scans with hundreds of thousands of grid points stay
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, ConvergenceError, DomainError
+from .errors import CalibrationError, DomainError
 from .methods import ConfidenceLevel, Family, MethodSpec, Side, _endpoints
 from .special import (
     _BETACF_MAXIT as _CF_MAXIT,
@@ -44,6 +44,7 @@ from .special import (
     _is_count,
     _log_beta,
     _quantile_start,
+    _solve_beta_quantile,
 )
 
 
@@ -112,28 +113,30 @@ def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
 
 
 def _solve_beta_quantile_vec(q, a, b, x):
+    """The Halley loop over lanes, handing its last ones to special's float loop
+    by _betacf_vec's rule: each resumes from its (x, lo, hi) and rounds left."""
     out = lanes = None
     lgb = _log_beta(VECTOR, a, b)
     lo = np.zeros_like(x)
     hi = np.ones_like(x)
     done = np.zeros(x.shape, dtype=bool)
-    for _ in range(_QUANTILE_MAXIT):
+    for m in range(_QUANTILE_MAXIT):
         err = _betainc_vec(x, a, b, lgb) - q
         done |= err == 0.0
-        with np.errstate(all="ignore"):
-            xn, lo, hi, stop = _halley_round(VECTOR, x, err, a, b, lgb, lo, hi)
+        xn, lo, hi, stop = _halley_round(VECTOR, x, err, a, b, lgb, lo, hi)
         x = np.where(done, x, xn)
         done |= stop
         del err, xn, stop  # before _retire
         out, lanes, done, x, q, a, b, lgb, lo, hi = _retire(
             out, lanes, done, x, q, a, b, lgb, lo, hi
         )
-        if not done.size:
-            return out
-    i = np.argmin(done)  # the first lane still iterating
-    raise ConvergenceError(
-        f"vector beta_quantile did not converge for q={q[i]}, a={a[i]}, b={b[i]}"
-    )
+        if done.size - np.count_nonzero(done) <= _FLOAT_LANES:
+            break
+    rounds = range(m + 1, _QUANTILE_MAXIT)
+    for i in np.flatnonzero(~done):
+        x[i] = _solve_beta_quantile(rounds, *(float(v[i]) for v in (q, a, b, lgb, x, lo, hi)))
+    done[:] = True  # so that _retire puts x at out[lanes], or keeps x as out
+    return _retire(out, lanes, done, x)[0]
 
 
 def _beta_quantile_vec(q, a, b) -> np.ndarray:
@@ -143,7 +146,7 @@ def _beta_quantile_vec(q, a, b) -> np.ndarray:
     )
     with np.errstate(all="ignore"):
         swap, q, a, b, seed = _quantile_start(VECTOR, q, a, b)
-    w = _solve_beta_quantile_vec(q, a, b, seed)
+        w = _solve_beta_quantile_vec(q, a, b, seed)
     return np.where(swap, 1.0 - w, w)
 
 

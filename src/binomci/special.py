@@ -9,8 +9,8 @@ and a continued fraction in the form of TOMS 708 bfrac), its inverse (mirrored
 start, Halley rounds) and the binomial pmf are written once, over an injected
 float (SCALAR) or numpy (VECTOR) namespace.  This module drives them one value
 at a time and :mod:`binomci.exact_eval` over arrays of lanes, but for the last
-few lanes of a fraction, which it finishes in this module's float loop; a
-driver owns only its input checks, the x in {0, 1} ends and its loop.
+few lanes of a fraction or a Halley solve, which it finishes in the float loops
+here; a driver owns only its input checks, the x in {0, 1} ends and its loop.
 """
 from __future__ import annotations
 
@@ -61,11 +61,13 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 # behind interval()) or VECTOR for numpy arrays (the lane loops of
 # binomci.exact_eval).  Only the loop drivers are written twice.
 #
-# Floats raise where numpy returns inf or nan (math.exp overflows, a division
-# by zero raises), so SCALAR.select(cond, f, g) calls only the branch it takes,
-# while VECTOR.select calls both and picks per lane.  lookup(table, i) reads a
-# numpy table at the integer-valued floats i.  The fraction's round divides
-# by its new denominator with no floor; the test suite finds no zero there over
+# Both take log, log1p, exp and power from numpy's array loops (SCALAR returns
+# floats; numpy squares a float for a float exponent 2, so power gets it as an
+# array), so a lane has the same bits under either.  Only a float division by zero raises
+# where numpy gives inf or nan, so SCALAR.select(cond, f, g) calls only the
+# branch it takes, while VECTOR.select calls both.  lookup(table, i) reads a
+# numpy table at the integer-valued floats i.  The fraction's round divides by
+# its new denominator with no floor; the test suite finds no zero there over
 # shapes in 10^[-3, 6], and _bfrac_from reports one as a ConvergenceError.
 
 _BETACF_EPS = 1e-15
@@ -74,14 +76,14 @@ _QUANTILE_MAXIT = 200
 
 
 SCALAR = SimpleNamespace(
-    log=math.log, log1p=math.log1p, exp=math.exp, sqrt=math.sqrt, isfinite=math.isfinite,
-    where=lambda cond, f, g: f if cond else g,
-    maximum=max, minimum=min,
-    lookup=lambda table, i: float(table[int(i)]),
+    log=lambda v: float(np.log(v)), log1p=lambda v: float(np.log1p(v)),
+    exp=lambda v: float(np.exp(v)), power=lambda v, e: float(np.power(v, np.array([e]))[0]),
+    sqrt=math.sqrt, isfinite=math.isfinite, where=lambda cond, f, g: f if cond else g,
+    maximum=max, minimum=min, lookup=lambda table, i: float(table[int(i)]),
     select=lambda cond, f, g: f() if cond else g(),
 )
 VECTOR = SimpleNamespace(
-    log=np.log, log1p=np.log1p, exp=np.exp, sqrt=np.sqrt, isfinite=np.isfinite,
+    log=np.log, log1p=np.log1p, exp=np.exp, power=np.power, sqrt=np.sqrt, isfinite=np.isfinite,
     where=np.where,
     maximum=np.maximum, minimum=np.minimum,
     lookup=lambda table, i: table[i.astype(np.intp)],
@@ -209,8 +211,8 @@ def _quantile_seed(xp, q, a, b):
         w = t + u
         return xp.select(
             q < t / w,
-            lambda: (a * w * q) ** (1.0 / a),
-            lambda: 1.0 - (b * w * (1.0 - q)) ** (1.0 / b),
+            lambda: xp.power(a * w * q, 1.0 / a),
+            lambda: 1.0 - xp.power(b * w * (1.0 - q), 1.0 / b),
         )
 
     x = xp.select((a >= 1.0) & (b >= 1.0), large_shapes, small_shapes)
@@ -382,16 +384,15 @@ def beta_quantile(q: float, a: float, b: float) -> float:
         raise DomainError(f"beta_quantile requires finite a, b > 0, got a={a}, b={b}")
     if not (0.0 < q < 1.0):
         raise DomainError(f"beta_quantile requires 0 < q < 1, got q={q}")
-    swap, q, a, b, seed = _quantile_start(SCALAR, q, a, b)
-    w = _solve_beta_quantile(q, a, b, seed)
+    with np.errstate(all="ignore"):
+        swap, q, a, b, seed = _quantile_start(SCALAR, q, a, b)
+        w = _solve_beta_quantile(range(_QUANTILE_MAXIT), q, a, b, log_beta(a, b), seed, 0.0, 1.0)
     return 1.0 - w if swap else w
 
 
-def _solve_beta_quantile(q: float, a: float, b: float, x: float) -> float:
-    """Halley loop of beta_quantile from the seed x."""
-    lgb = log_beta(a, b)
-    lo, hi = 0.0, 1.0
-    for _ in range(_QUANTILE_MAXIT):
+def _solve_beta_quantile(rounds, q, a, b, lgb, x, lo, hi) -> float:
+    """The Halley loop's float rounds, from x in the bracket [lo, hi]; lgb = ln B(a, b)."""
+    for _ in rounds:
         err = reg_inc_beta(x, a, b, lgb) - q
         if err == 0.0:
             return x
@@ -449,9 +450,9 @@ def binom_pmf(k: int, n: int, p: float) -> float:
     if p == 1.0:
         return 1.0 if k == n else 0.0
     if k == 0:
-        return math.exp(n * math.log1p(-p))
+        return SCALAR.exp(n * SCALAR.log1p(-p))
     if k == n:
-        return math.exp(n * math.log(p))
+        return SCALAR.exp(n * SCALAR.log(p))
     return _binom_pmf_inner(SCALAR, float(k), float(n), p)
 
 

@@ -27,7 +27,6 @@ from binomci.exact_eval import (
 )
 from binomci.methods import (
     ConfidenceLevel,
-    Family,
     MethodSpec,
     Observation,
     Side,
@@ -57,7 +56,7 @@ class TestVectorKernel:
             b = math.exp(rng.uniform(math.log(0.4), math.log(3e3)))
             x = rng.uniform(1e-6, 1 - 1e-6)
             vec = float(_betainc_vec(np.array([x]), np.array([a]), np.array([b]))[0])
-            assert vec == pytest.approx(sp.reg_inc_beta(x, a, b), abs=1e-13)
+            assert vec == sp.reg_inc_beta(x, a, b)
 
     def test_quantile_matches_scalar(self):
         rng = random.Random(19)
@@ -66,7 +65,7 @@ class TestVectorKernel:
             b = math.exp(rng.uniform(math.log(0.4), math.log(2e3)))
             q = rng.uniform(1e-5, 1 - 1e-5)
             vec = float(_beta_quantile_vec(np.array([q]), np.array([a]), np.array([b]))[0])
-            assert vec == pytest.approx(sp.beta_quantile(q, a, b), abs=1e-12)
+            assert vec == sp.beta_quantile(q, a, b)
 
     def test_lanes_do_not_depend_on_their_batch(self):
         # finished lanes leave the vector loops mid-run; every lane must still
@@ -189,6 +188,23 @@ class TestVectorKernel:
         with pytest.raises(ConvergenceError, match=r"a=4\.0, b=7\.0, x=0\.3"):
             _betainc_vec(np.array([0.3, 0.2]), np.array([4.0, 30.0]), np.array([7.0, 50.0]))
 
+    @pytest.mark.parametrize("spec, n, x", [
+        (MethodSpec.jeffreys(), 200, np.arange(201.0)),
+        (MethodSpec.clopper_pearson(), 2000, np.arange(2001.0)),
+        (MethodSpec.clopper_pearson(), 2000, np.array([1.0, 5, 40, 300, 999, 1500, 1999])),
+    ], ids=["jeffreys-200", "cp-2000", "cp-7-x"])
+    def test_halley_hands_its_last_lanes_to_floats(self, monkeypatch, spec, n, x):
+        # no vector Halley round after the first runs on _FLOAT_LANES lanes
+        # or fewer: those finish in the float loop with the bits they would
+        # get in the vector loop (test_float_tail_does_not_move_a_bit)
+        lanes = []
+        betainc = exact_eval._betainc_vec
+        monkeypatch.setattr(
+            exact_eval, "_betainc_vec", lambda *args: lanes.append(args[0].size) or betainc(*args)
+        )
+        exact_eval._bounds_for_x(spec, n, LEVEL, x)
+        assert lanes and all(k > exact_eval._FLOAT_LANES for k in lanes[1:]), lanes
+
     def test_float_tail_does_not_move_a_bit(self, monkeypatch):
         # the continued fraction's last few lanes finish over Python floats;
         # with _FLOAT_LANES = 0 every lane stays in the vector loop to the end
@@ -223,9 +239,10 @@ class TestVectorKernel:
         # near -500 into ~5e-14 relative error (5.2 eps |ln pmf| seen).
         # The Lanczos ln-gamma differences reach 1.3e-12 at 10^3 and 6e-8
         # at 10^7 on the same lanes.  The scalar binom_pmf runs the same
-        # forms and is checked on every lane; at k = 0 and k = n the power
-        # forms (1 - p)^n and p^n it replaced, whose rounding of 1 - p grows
-        # n-fold, reach 239 times the bound at 10^7 on edge lanes.
+        # forms with the same libm, so it gives the same bits on every lane;
+        # at k = 0 and k = n the power forms (1 - p)^n and p^n it replaced,
+        # whose rounding of 1 - p grows n-fold, reach 239 times the bound at
+        # 10^7 on edge lanes.
         mp = pytest.importorskip("mpmath")
         bounds = {
             10: 1.5e-14, 100: 6e-14, 1000: 5e-14, 10**4: 8e-14,
@@ -251,15 +268,14 @@ class TestVectorKernel:
                         continue
                     tol = bound + 12 * 2.0**-52 * abs(float(mp.log(ref)))
                     assert abs(float(g / ref) - 1.0) <= tol, (n, ki, pi)
-                    scalar = sp.binom_pmf(x, n, float(pi))
-                    assert abs(float(scalar / ref) - 1.0) <= tol, ("scalar", n, ki, pi)
+                    assert sp.binom_pmf(x, n, float(pi)) == g, ("scalar", n, ki, pi)
 
     def test_log_gamma_matches_scalar(self):
-        # the one Lanczos ln-gamma under numpy against its math-module run
-        xs = np.array([0.5, 1.0, 2.5, 10.0, 123.4, 5000.0])
+        # the one Lanczos ln-gamma over arrays and over floats, one libm
+        xs = np.concatenate([[0.5, 1.0, 2.5, 10.0, 123.4, 5000.0],
+                             np.exp(np.random.default_rng(31).uniform(-7.0, 16.0, 20_000))])
         vec = sp._log_gamma(sp.VECTOR, xs)
-        for x, v in zip(xs, vec):
-            assert v == pytest.approx(sp.log_gamma(float(x)), rel=1e-14)
+        assert vec.tolist() == [sp.log_gamma(x) for x in xs.tolist()]
 
     def test_bounds_match_methods_module(self):
         rng = random.Random(29)
@@ -268,19 +284,13 @@ class TestVectorKernel:
             L, U = _bounds_arrays(spec, n, LEVEL)
             for x in range(n + 1):
                 est = interval(spec, Observation(x, n), LEVEL)
-                assert L[x] == pytest.approx(est.lower, abs=1e-12)
-                assert U[x] == pytest.approx(est.upper, abs=1e-12)
+                assert (L[x], U[x]) == (est.lower, est.upper)
 
     def test_scalar_and_engine_endpoints_agree(self):
-        # interval() and the engine run one endpoint table and differ only in
-        # the quantile solver.  Closed forms and the normal-approximation
-        # families are equal; quantile lanes agree to 2e-14 relative (largest
-        # over every x at n <= 5000, alpha in {0.01, 0.05, 0.2}: 1.19e-14).
-        # Where a shape is 0.001 (x = 0 or n under a Beta(0.001, 0.001)
-        # prior) a relative error e in I_x moves the quantile by about
-        # e / 0.001.  Both drivers run the same kernel steps, so their I_x
-        # differ only by math vs numpy libm rounding; there they agree to
-        # 2e-12 (largest 6.7e-13, at n = 5000, x = 0, alpha = 0.01).
+        # interval() and the engine run one endpoint table and the same
+        # kernel steps over one libm, so every endpoint has the same bits,
+        # Beta(0.001, 0.001)'s x = 0 and x = n too, where a shape of 0.001
+        # turns a relative error e in I_x into about e / 0.001 in the quantile
         tiny = BetaParams(0.001, 0.001)
         specs = (
             [MethodSpec.clopper_pearson(s) for s in Side]
@@ -301,17 +311,34 @@ class TestVectorKernel:
             for alpha in (0.01, 0.05, 0.2):
                 level = ConfidenceLevel(alpha)
                 L, U = exact_eval._bounds_for_x(spec, ns, level, xs)
-                for i, (x, n) in enumerate(obs):
-                    est = interval(spec, Observation(x, n), level)
-                    edge = x in (0, n)
-                    for scalar, engine in ((est.lower, L[i]), (est.upper, U[i])):
-                        if spec.family is Family.BETA_PRIOR:
-                            rel = 2e-12 if edge and spec.prior == tiny else 2e-14
-                            assert scalar == pytest.approx(engine, rel=rel, abs=0.0)
-                        elif spec.family is Family.CLOPPER_PEARSON and not edge:
-                            assert scalar == pytest.approx(engine, rel=2e-14, abs=0.0)
-                        else:
-                            assert scalar == engine
+                scalar = [interval(spec, Observation(x, n), level) for x, n in obs]
+                assert [(e.lower, e.upper) for e in scalar] == list(zip(L, U))
+
+    def test_seeded_intervals_equal_engine_bits(self):
+        # random observations: CP, Jeffreys and Beta priors with shapes in
+        # 10^[-2, 1], n up to 10^6, alpha in 10^[-6, -0.4], every side
+        rng = random.Random(2029)
+        rows = []
+        for _ in range(1000):
+            family = rng.randrange(3)
+            side = rng.choice(list(Side))
+            if family == 0:
+                spec = MethodSpec.clopper_pearson(side)
+            elif family == 1:
+                spec = MethodSpec.jeffreys(side)
+            else:
+                prior = BetaParams(10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-2, 1))
+                spec = MethodSpec.beta_prior(prior, side)
+            n = int(10.0 ** rng.uniform(0, 6))
+            x = rng.choice((0, n, rng.randint(0, n)))
+            rows.append((spec, x, n, ConfidenceLevel(10.0 ** rng.uniform(-6, -0.4))))
+        wrong = []
+        for spec, x, n, level in rows:
+            est = interval(spec, Observation(x, n), level)
+            L, U = exact_eval._bounds_for_x(spec, n, level, np.array([float(x)]))
+            if (est.lower, est.upper) != (L[0], U[0]):
+                wrong.append((str(spec), x, n, level.alpha))
+        assert wrong == []
 
     def test_bounds_monotone_all_families(self):
         for spec in FAMILIES:

@@ -424,43 +424,29 @@ class TestGolden:
     def test_interval_golden_table(self):
         # One row per spec, n in {1, 2, 17, 100, 10^4, 10^6}, x in {0, 1, n // 3,
         # n - 1, n} and alpha in {0.2, 0.05, 1e-6}: "name n x alpha lower upper",
-        # endpoints as float.hex().  Recorded before the per-family formulas
-        # were merged into one table; four CP closed-form rows (x = 0 or
-        # x = n) were re-recorded, each by 1 ulp of tail^(1/n), and the
-        # quantile rows (CP with 0 < x < n, Jeffreys, Beta(0.001, 0.001))
+        # endpoints as float.hex(), for interval() and the engine's
+        # exact_eval._bounds_for_x alike.  Recorded before the per-family
+        # formulas were merged into one table; four CP closed-form rows
+        # (x = 0 or x = n) were re-recorded, each by 1 ulp of tail^(1/n), and
+        # the quantile rows (CP with 0 < x < n, Jeffreys, Beta(0.001, 0.001))
         # again for the Halley solver's stop rule and for the bfrac form of
         # the continued fraction (290 endpoints in 256 rows, by at most
         # 4.41e-11 relative, at n = 10^6).  Seven Wilson rows were
         # re-recorded when its ends at x = 0 and x = n became exactly 0 and
-        # 1 (each had been a few ulps off, up to 2^-54 below 0).  The Wald,
+        # 1 (each had been a few ulps off, up to 2^-54 below 0).  When the
+        # float kernel took numpy's log, log1p, exp and power, interval()'s
+        # rows became the engine's table of the time: 56 endpoints in 55
+        # quantile rows moved, by at most 1.24e-12 relative.  The Wald,
         # Agresti-Coull and CP closed-form endpoints never moved.
         lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
         assert len(lines) == 1050
         wrong = []
         for line in lines:
             name, n, x, alpha, lower, upper = line.split()
-            est = interval(
-                GOLDEN_SPECS[name], Observation(int(x), int(n)), ConfidenceLevel(float(alpha))
-            )
-            if (est.lower.hex(), est.upper.hex()) != (lower, upper):
-                wrong.append((line, est.lower.hex(), est.upper.hex()))
-        assert wrong == []
-
-    def test_engine_golden_table(self):
-        # The engine's endpoints (exact_eval._bounds_for_x, the vector
-        # quantile kernel) for the rows of golden_intervals.txt, in the same
-        # format.  They differ from interval()'s in the last bits of 55
-        # quantile rows, so they have a table of their own; recorded before
-        # the incomplete-beta and quantile-start steps were shared by both
-        # drivers, with the seven Wilson rows re-recorded as above.
-        lines = Path(__file__).with_name("golden_engine.txt").read_text().splitlines()
-        assert len(lines) == 1050
-        wrong = []
-        for line in lines:
-            name, n, x, alpha, lower, upper = line.split()
-            L, U = exact_eval._bounds_for_x(
-                GOLDEN_SPECS[name], int(n), ConfidenceLevel(float(alpha)), np.array([float(x)])
-            )
-            if (float(L[0]).hex(), float(U[0]).hex()) != (lower, upper):
-                wrong.append((line, float(L[0]).hex(), float(U[0]).hex()))
+            spec, level = GOLDEN_SPECS[name], ConfidenceLevel(float(alpha))
+            est = interval(spec, Observation(int(x), int(n)), level)
+            L, U = exact_eval._bounds_for_x(spec, int(n), level, np.array([float(x)]))
+            for got in ((est.lower, est.upper), (L[0], U[0])):
+                if (float(got[0]).hex(), float(got[1]).hex()) != (lower, upper):
+                    wrong.append((line, float(got[0]).hex(), float(got[1]).hex()))
         assert wrong == []
