@@ -420,33 +420,45 @@ GOLDEN_SPECS = {
 }
 
 
+def _golden_rows():
+    # One row per spec, n in {1, 2, 17, 100, 10^4, 10^6}, x in {0, 1, n // 3,
+    # n - 1, n} and alpha in {0.2, 0.05, 1e-6}: "name n x alpha lower upper",
+    # endpoints as float.hex().  Recorded before the per-family formulas were
+    # merged into one table; four CP closed-form rows (x = 0 or x = n) were
+    # re-recorded, each by 1 ulp of tail^(1/n), and the quantile rows (CP
+    # with 0 < x < n, Jeffreys, Beta(0.001, 0.001)) again for the Halley
+    # solver's stop rule and for the bfrac form of the continued fraction
+    # (290 endpoints in 256 rows, by at most 4.41e-11 relative, at
+    # n = 10^6).  Seven Wilson rows were re-recorded when its ends at x = 0
+    # and x = n became exactly 0 and 1 (each had been a few ulps off, up to
+    # 2^-54 below 0).  When the float kernel took numpy's log, log1p, exp
+    # and power, interval()'s rows became the engine's table of the time:
+    # 56 endpoints in 55 quantile rows moved, by at most 1.24e-12 relative.
+    # The Wald, Agresti-Coull and CP closed-form endpoints never moved.
+    lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
+    assert len(lines) == 1050
+    for line in lines:
+        name, n, x, alpha, lower, upper = line.split()
+        yield line, GOLDEN_SPECS[name], int(n), int(x), ConfidenceLevel(float(alpha)), (lower, upper)
+
+
 class TestGolden:
+    # interval() and the engine share every bit, so both drivers are held to
+    # the one table.
     def test_interval_golden_table(self):
-        # One row per spec, n in {1, 2, 17, 100, 10^4, 10^6}, x in {0, 1, n // 3,
-        # n - 1, n} and alpha in {0.2, 0.05, 1e-6}: "name n x alpha lower upper",
-        # endpoints as float.hex(), for interval() and the engine's
-        # exact_eval._bounds_for_x alike.  Recorded before the per-family
-        # formulas were merged into one table; four CP closed-form rows
-        # (x = 0 or x = n) were re-recorded, each by 1 ulp of tail^(1/n), and
-        # the quantile rows (CP with 0 < x < n, Jeffreys, Beta(0.001, 0.001))
-        # again for the Halley solver's stop rule and for the bfrac form of
-        # the continued fraction (290 endpoints in 256 rows, by at most
-        # 4.41e-11 relative, at n = 10^6).  Seven Wilson rows were
-        # re-recorded when its ends at x = 0 and x = n became exactly 0 and
-        # 1 (each had been a few ulps off, up to 2^-54 below 0).  When the
-        # float kernel took numpy's log, log1p, exp and power, interval()'s
-        # rows became the engine's table of the time: 56 endpoints in 55
-        # quantile rows moved, by at most 1.24e-12 relative.  The Wald,
-        # Agresti-Coull and CP closed-form endpoints never moved.
-        lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
-        assert len(lines) == 1050
         wrong = []
-        for line in lines:
-            name, n, x, alpha, lower, upper = line.split()
-            spec, level = GOLDEN_SPECS[name], ConfidenceLevel(float(alpha))
-            est = interval(spec, Observation(int(x), int(n)), level)
-            L, U = exact_eval._bounds_for_x(spec, int(n), level, np.array([float(x)]))
-            for got in ((est.lower, est.upper), (L[0], U[0])):
-                if (float(got[0]).hex(), float(got[1]).hex()) != (lower, upper):
-                    wrong.append((line, float(got[0]).hex(), float(got[1]).hex()))
+        for line, spec, n, x, level, want in _golden_rows():
+            est = interval(spec, Observation(x, n), level)
+            if (est.lower.hex(), est.upper.hex()) != want:
+                wrong.append((line, est.lower.hex(), est.upper.hex()))
+        assert wrong == []
+
+    def test_engine_golden_table(self):
+        # The engine's endpoints: exact_eval._bounds_for_x, the vector
+        # quantile kernel.
+        wrong = []
+        for line, spec, n, x, level, want in _golden_rows():
+            L, U = exact_eval._bounds_for_x(spec, n, level, np.array([float(x)]))
+            if (float(L[0]).hex(), float(U[0]).hex()) != want:
+                wrong.append((line, float(L[0]).hex(), float(U[0]).hex()))
         assert wrong == []
