@@ -42,7 +42,6 @@ from .special import (
     _halley_round,
     _inc_beta,
     _is_count,
-    _log_beta,
     _quantile_start,
     _solve_beta_quantile,
 )
@@ -112,13 +111,11 @@ def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
     return out
 
 
-def _solve_beta_quantile_vec(q, a, b, x):
-    """The Halley loop over lanes, handing its last ones to special's float loop
-    by _betacf_vec's rule: each resumes from its (x, lo, hi) and rounds left."""
+def _solve_beta_quantile_vec(q, a, b, lgb, x, lo, hi):
+    """The Halley loop over lanes from x in [lo, hi], lgb = ln B(a, b), handing
+    its last ones to special's float loop by _betacf_vec's rule: each resumes
+    from its (x, lo, hi) and rounds left."""
     out = lanes = None
-    lgb = _log_beta(VECTOR, a, b)
-    lo = np.zeros_like(x)
-    hi = np.ones_like(x)
     done = np.zeros(x.shape, dtype=bool)
     for m in range(_QUANTILE_MAXIT):
         err = _betainc_vec(x, a, b, lgb) - q
@@ -145,8 +142,8 @@ def _beta_quantile_vec(q, a, b) -> np.ndarray:
         np.asarray(q, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
     with np.errstate(all="ignore"):
-        swap, q, a, b, seed = _quantile_start(VECTOR, q, a, b)
-        w = _solve_beta_quantile_vec(q, a, b, seed)
+        swap, *start = _quantile_start(VECTOR, q, a, b)
+        w = _solve_beta_quantile_vec(*start)
     return np.where(swap, 1.0 - w, w)
 
 
@@ -303,11 +300,9 @@ class _Bounds(tuple):
         """The closed form of mean_coverage, both tails in one lane batch."""
         L, U = self
         n = L.size - 1
-        x = np.arange(n + 1, dtype=float)
-        a = np.tile(x + 1.0, 2)
-        b = np.tile(n - x + 1.0, 2)
-        inc = _betainc_vec(np.clip(np.concatenate([U, L]), 0.0, 1.0), a, b)
-        return float(np.sum(inc[: n + 1] - inc[n + 1 :]) / (n + 1.0))
+        a = np.arange(1.0, n + 2.0)  # x + 1, and n - x + 1 reversed
+        inc = _betainc_vec(np.array([U, L]), a, a[::-1])
+        return float(np.sum(inc[0] - inc[1]) / (n + 1.0))
 
 
 @_ByteBoundedLRU

@@ -199,12 +199,12 @@ def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
     U = np.ones(x.size)
     if fam in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
         # Row 0 of these (2, lanes) arrays is the lower end, row 1 the upper.
-        # Quantiles are solved where no posterior shape is 0; closed forms
-        # fill CP's other lanes.
+        # Quantiles are solved but at CP's x = 0 and x = n, where closed forms
+        # fill both ends (L = 0 and U = 1 where a posterior shape is 0).
         pa, pb = np.array(_end_priors(method)).T[:, :, None]
         a = x + pa
         b = (n - x) + pb
-        solve = (a > 0.0) & (b > 0.0) & np.array([[lower], [upper]])
+        solve = np.array([[lower], [upper]]) & ((x > 0) & (x < n) | (fam is Family.BETA_PRIOR))
         q = np.broadcast_to([[tail], [1.0 - tail]], a.shape)
         lanes = q[solve], a[solve], b[solve]
         del a, b  # keep the shape grids, and ends below, out of the solve's memory peak

@@ -29,7 +29,6 @@ __all__ = [
     "JEFFREYS_PRIOR",
     "UNIFORM_PRIOR",
     "log_gamma",
-    "log_beta",
     "reg_inc_beta",
     "beta_quantile",
     "normal_quantile",
@@ -221,15 +220,17 @@ def _quantile_seed(xp, q, a, b):
 
 
 def _quantile_start(xp, q, a, b):
-    """(swap, q, a, b, seed) of the beta-quantile solve.  A lane seeded above
-    1/2 has its root near 1, so it solves for 1 - x on (1 - q, b, a), where
-    the float grid is finer, seeded again on those shapes (a float only then,
-    arrays on every lane); the driver returns 1 - w there."""
+    """(swap, q, a, b, lgb, seed, lo, hi), the state a beta-quantile solve
+    starts from: lgb = ln B(a, b) and the bracket [lo, hi] = [0, 1], floats
+    that a vector round broadcasts.  A lane seeded above 1/2 has its root
+    near 1, so it solves for 1 - x on (1 - q, b, a), where the float grid is
+    finer, seeded again on those shapes (a float only then, arrays on every
+    lane); the driver returns 1 - w there."""
     seed = _quantile_seed(xp, q, a, b)
     swap = seed > 0.5
     q, a, b = xp.where(swap, 1.0 - q, q), xp.where(swap, b, a), xp.where(swap, a, b)
     seed = xp.select(swap, lambda: _quantile_seed(xp, q, a, b), lambda: seed)
-    return swap, q, a, b, seed
+    return swap, q, a, b, _log_beta(xp, a, b), seed, 0.0, 1.0
 
 
 def _halley_round(xp, x, err, a, b, lgb, lo, hi):
@@ -327,13 +328,6 @@ def log_gamma(x: float) -> float:
     return _log_gamma(SCALAR, x)
 
 
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)."""
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
-        raise DomainError(f"log_beta requires a, b > 0, got a={a}, b={b}")
-    return _log_beta(SCALAR, a, b)
-
-
 def _betacf(a: float, b: float, x: float, y: float) -> float:
     """Continued fraction of I_x(a, b) / front for x below the switch point
     and y = 1 - x (TOMS 708 bfrac's form, renormalized recurrence)."""
@@ -354,7 +348,7 @@ def _bfrac_from(terms, a, b, x, ab, c, yp1, an, bn, r) -> float:
 
 def reg_inc_beta(x: float, a: float, b: float, lgb: float | None = None) -> float:
     """Regularized incomplete beta function I_x(a, b), by the front factor and
-    continued fraction of _inc_beta.  lgb, if given, is log_beta(a, b) already
+    continued fraction of _inc_beta.  lgb, if given, is ln B(a, b) already
     computed by the caller."""
     if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
         raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
@@ -385,8 +379,8 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     if not (0.0 < q < 1.0):
         raise DomainError(f"beta_quantile requires 0 < q < 1, got q={q}")
     with np.errstate(all="ignore"):
-        swap, q, a, b, seed = _quantile_start(SCALAR, q, a, b)
-        w = _solve_beta_quantile(range(_QUANTILE_MAXIT), q, a, b, log_beta(a, b), seed, 0.0, 1.0)
+        swap, *start = _quantile_start(SCALAR, q, a, b)
+        w = _solve_beta_quantile(range(_QUANTILE_MAXIT), *start)
     return 1.0 - w if swap else w
 
 

@@ -8,6 +8,7 @@ import pytest
 from binomci import cli
 from binomci.cli import _fmt, _parse_method, run
 from binomci.exact_eval import MinCoverage, PGrid, calibrate_alpha
+from binomci.expansions import expected_distance_expansion
 from binomci.methods import ConfidenceLevel, MethodSpec, Side
 from binomci.special import BetaParams
 
@@ -140,6 +141,15 @@ class TestExpectedLength:
         )
         assert abs(float(out_exact) - float(out_exp)) < 0.01
 
+    def test_upper_expansion_prints_the_expected_distance(self, capsys):
+        code, out, _ = invoke(
+            ["expected-length", "--method", "cp", "--n", "100", "--p", "0.3",
+             "--alpha", "0.05", "--side", "upper", "--mode", "expansion"],
+            capsys,
+        )
+        value = expected_distance_expansion(100, 0.3, ConfidenceLevel(0.05)).value
+        assert code == 0 and out.strip() == _fmt(value) == "0.08393777387"
+
 
 class TestSampleSize:
     def test_formula_mode_prints_331(self, capsys):
@@ -170,6 +180,15 @@ class TestSampleSize:
         )
         assert code == 0
         assert parse_keyvals(out)["n"] == "208"
+
+    def test_two_sided_prior(self, capsys):
+        code, out, _ = invoke(
+            ["sample-size", "--method", "cp", "--d", "0.05", "--prior", "0.5,0.5",
+             "--alpha", "0.05"],
+            capsys,
+        )
+        assert code == 0
+        assert parse_keyvals(out) == {"n": "663", "n_unrounded": "662.1497544"}
 
     @pytest.mark.parametrize(
         "prior, reason",
@@ -254,6 +273,44 @@ def test_formula_without_printed_form_is_usage_error(argv, formula, capsys):
     code, out, err = invoke(argv + ["--formula", formula], capsys)
     assert code == 2 and out == "" and "--formula" in err
     assert invoke(argv, capsys)[0] == 0
+
+
+# command-handler checks: each is a usage error whose message says why
+USAGE_ERRORS = {
+    "expansion-lower": (
+        ["expected-length", "--method", "cp", "--n", "100", "--p", "0.3", "--alpha", "0.05",
+         "--mode", "expansion", "--side", "lower"],
+        "--mode expansion supports --side two-sided or upper",
+    ),
+    "expansion-wilson": (
+        ["expected-length", "--method", "wilson", "--n", "100", "--p", "0.3", "--alpha", "0.05",
+         "--mode", "expansion"],
+        "--mode expansion is defined for --method cp only",
+    ),
+    "sample-size-wald": (
+        ["sample-size", "--method", "wald", "--d", "0.05", "--p0", "0.3", "--alpha", "0.05"],
+        "sample-size supports --method cp only",
+    ),
+    "exact-without-p0": (
+        ["sample-size", "--d", "0.05", "--prior", "0.5,0.5", "--alpha", "0.05",
+         "--mode", "exact"],
+        "--mode exact needs a point guess --p0",
+    ),
+    "cost-bogus": (
+        ["cost", "--vs", "bogus", "--d", "0.05", "--p0", "0.5", "--alpha", "0.05"],
+        "unknown --vs 'bogus'",
+    ),
+    "cost-adjusted-x": (
+        ["cost", "--vs", "adjusted:x", "--d", "0.05", "--p0", "0.5", "--alpha", "0.05"],
+        "--vs adjusted:gamma needs a number, got 'adjusted:x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_names_its_reason(argv, message, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert code == 2 and out == "" and message in err
 
 
 class TestCost:
@@ -440,6 +497,15 @@ class TestFigures:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "p", "exact", "expansion"]
         assert len(rows) == 1 + 499
+
+    @pytest.mark.parametrize("n_list", [",", "a"])
+    def test_bad_n_list_is_usage_error(self, tmp_path, capsys, n_list):
+        target = tmp_path / "fig1.csv"
+        code, out, err = invoke(
+            ["figure", "--id", "1", "--n-list", n_list, "--out", str(target)], capsys
+        )
+        assert code == 2 and out == "" and f"bad n list {n_list!r}" in err
+        assert not target.exists()
 
     def test_exclusive_create_and_force(self, tmp_path, capsys):
         target = tmp_path / "fig.csv"

@@ -114,6 +114,22 @@ class TestVectorKernel:
         exact_eval._bounds_for_x(spec, 40, LEVEL, np.arange(41.0))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 40, 2000])
+    def test_cp_closed_form_ends_solve_no_lane(self, monkeypatch, n):
+        # of CP's 2n + 2 ends over x = 0..n, L(0) = 0 and U(n) = 1 have a zero
+        # shape, and L(n) and U(0) closed forms: the kernel solves 2n - 2 lanes
+        lanes = []
+        quantile = exact_eval._beta_quantile_vec
+        monkeypatch.setattr(
+            exact_eval, "_beta_quantile_vec",
+            lambda q, a, b: lanes.append(q.size) or quantile(q, a, b),
+        )
+        spec = MethodSpec.clopper_pearson()
+        L, U = exact_eval._bounds_for_x(spec, n, LEVEL, np.arange(n + 1.0))
+        assert lanes == [2 * n - 2]
+        assert (L[0], U[n]) == (0.0, 1.0)
+        assert (L[n], U[0]) == pytest.approx((0.025 ** (1 / n), 1 - 0.025 ** (1 / n)), abs=1e-15)
+
     def test_zero_newton_step_ends_the_solve(self, monkeypatch):
         # every CP endpoint lane at n=200, alpha=0.03: lower bounds solve
         # q=0.015 and upper bounds q=0.985 over the same shapes.  A lane whose
@@ -991,6 +1007,15 @@ class TestBoundsCache:
         cache.cache_clear()
         assert cache.cache_info() == (0, 0, 0, 0)
 
+    def test_non_monotone_arrays_raise(self, monkeypatch):
+        _bounds_arrays.cache_clear()
+        monkeypatch.setattr(exact_eval, "_bounds_for_x", lambda method, n, level, x: (-x, x))
+        try:
+            with pytest.raises(RuntimeError, match="not monotone for wilson at n=5, alpha=0.05"):
+                _bounds_arrays(MethodSpec.wilson(), 5, LEVEL)
+        finally:
+            _bounds_arrays.cache_clear()
+
 
 def _count_betainc(monkeypatch) -> list:
     """A list that gets one item per _betainc_vec call from now on."""
@@ -1191,6 +1216,10 @@ class TestCalibration:
             warm = calibrate_alpha(spec, 200, LEVEL, criterion)  # every key held
             assert warm.alpha == cold.alpha, criterion
         _bounds_arrays.cache_clear()
+
+    def test_unknown_criterion_raises(self):
+        with pytest.raises(DomainError, match="unknown calibration criterion 'min'"):
+            calibrate_alpha(MethodSpec.wilson(), 20, LEVEL, "min")
 
     def test_unattainable_criterion_raises(self):
         # the degenerate Wald intervals at x in {0, n} pin the minimum

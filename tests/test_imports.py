@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+name `special` declares in `__all__` is exported by the package.
 
 No linter ships with the project, so this parses each module with the
 standard library's `ast`.  `__init__.py` is skipped: it imports names only
@@ -8,6 +9,9 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import binomci
+from binomci import special
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "binomci"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -56,3 +60,7 @@ def test_check_finds_an_unused_import():
         "__all__ = ['unquoted']\nmessage = 'math'\n"
     )
     assert unused_imports(source) == ["math (line 1)"]
+
+
+def test_special_exports_every_declared_name():
+    assert [name for name in special.__all__ if not hasattr(binomci, name)] == []

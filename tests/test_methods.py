@@ -23,7 +23,7 @@ from binomci.methods import (
     wilson_interval,
 )
 from binomci.special import BetaParams, JEFFREYS_PRIOR, UNIFORM_PRIOR, binom_pmf
-from binomci import exact_eval
+from binomci import exact_eval, methods
 from binomci.expansions import cp_bound_expansion, excess_length
 from binomci.sample_size import (
     SampleSizeQuery,
@@ -200,6 +200,23 @@ class TestClopperPearson:
         assert up.upper == pytest.approx(1.0 - 0.05**0.1, abs=1e-15)
         lo = clopper_pearson_bound(Observation(10, 10), LEVEL, Side.LOWER)
         assert lo.lower == pytest.approx(0.05**0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
+    @pytest.mark.parametrize("x", [0, 10])
+    def test_closed_form_ends_solve_no_quantile(self, monkeypatch, side, x):
+        # L at x = n and U at x = 0 are closed forms; the other end there has a
+        # posterior shape of 0, so neither end solves a beta quantile
+        lanes = []
+        quantile = methods.beta_quantile
+        monkeypatch.setattr(
+            methods, "beta_quantile", lambda *lane: lanes.append(lane) or quantile(*lane)
+        )
+        interval(MethodSpec.clopper_pearson(side), Observation(x, 10), LEVEL)
+        assert lanes == []
+
+    def test_bound_rejects_two_sided(self):
+        with pytest.raises(DomainError, match="side upper or lower"):
+            clopper_pearson_bound(Observation(5, 20), LEVEL, Side.TWO_SIDED)
 
     def test_test_inversion_both_tails(self):
         # sum_{k=x}^n pmf(k, n, p_L) = alpha/2 and sum_{k=0}^x pmf(k, n, p_U) = alpha/2

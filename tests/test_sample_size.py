@@ -47,6 +47,10 @@ class TestQueryValidation:
         with pytest.raises(DomainError, match="got lower$"):
             SampleSizeQuery(0.05, LEVEL, Side.LOWER, p0=0.5)
 
+    def test_p0_range(self):
+        with pytest.raises(DomainError, match="p0 must be in"):
+            SampleSizeQuery(0.05, LEVEL, p0=1.5)
+
     def test_result_ceiling_invariant(self):
         with pytest.raises(DomainError):
             SampleSizeResult(5, 5.5, FormulaMode.DERIVED_ALGEBRA)
@@ -277,6 +281,14 @@ class TestExactSearch:
         # a nan d used to pass `d <= 0` and walk to n_max
         with pytest.raises(DomainError, match="target d"):
             exact_n(MethodSpec.clopper_pearson(), d, 0.5, LEVEL, n_max=3000)
+
+    def test_lower_side_spec_rejected(self):
+        with pytest.raises(DomainError, match="side two-sided or upper"):
+            exact_n(MethodSpec.clopper_pearson(Side.LOWER), 0.05, 0.5, LEVEL)
+
+    def test_p0_at_one_rejected(self):
+        with pytest.raises(DomainError, match="p0 must be in"):
+            exact_n(MethodSpec.clopper_pearson(), 0.05, 1.0, LEVEL)
 
     def test_n_max_below_two_rejected(self):
         with pytest.raises(DomainError):
