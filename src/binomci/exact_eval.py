@@ -37,6 +37,7 @@ from .special import (
     _bfrac_from,
     _bfrac_round,
     _bfrac_start,
+    _bfrac_terms,
     _binom_pmf_inner,
     _check_n,
     _halley_round,
@@ -49,7 +50,8 @@ from .special import (
 
 # ---------------------------------------------------------------------------
 # lane drivers of the special-function kernel (its steps are in binomci.special)
-_FLOAT_LANES = 16  # a vector round costs 16-33 us at 1 to 64 lanes, a float round 1 us a lane
+_FLOAT_LANES = 16  # a vector term costs 14-16 us at 1 to 64 lanes, a float term about 1 us
+_BLOCK_TERMS, _BLOCK_VALUES = 8, 4096  # most terms in a fraction block, most values in one of 2+
 
 def _retire(out, lanes, done, *state):
     """Once at most half the lanes still iterate, put the values of state[0] at
@@ -67,17 +69,27 @@ def _retire(out, lanes, done, *state):
 
 
 def _betacf_vec(a, b, x, y):
-    """The continued fraction of _inc_beta over lanes, dropping converged ones
-    (_retire).  Once at most _FLOAT_LANES are left, or the budget is spent, each
-    lane left finishes in special's float loop from its next term: the steps use
-    only + - * / abs, comparisons and where, which numpy and floats round alike."""
+    """The continued fraction of _inc_beta over lanes, a block of k terms at a
+    time: their coefficients as (k, lanes) rows in one pass, k at most
+    _BLOCK_TERMS and k * lanes at most _BLOCK_VALUES where k > 1, then the
+    recurrence row by row, then converged lanes dropped (_retire).  Once at
+    most _FLOAT_LANES are left, or the budget is spent, each lane left finishes
+    in special's float loop from its next term: the steps use only + - * / abs,
+    comparisons and where, which numpy and floats round alike, on exact n."""
     out = lanes = None
     ab, c, yp1, an, bn, r = _bfrac_start(VECTOR, a, b, x, y)
     done = np.zeros(x.shape, dtype=bool)
-    for m in range(1, _CF_MAXIT + 1):
-        an, bn, r_next, converged = _bfrac_round(VECTOR, m, a, b, x, ab, c, yp1, an, bn, r)
-        r = np.where(done, r, r_next)
-        done |= converged
+    m = 0  # terms run
+    while m < _CF_MAXIT:
+        k = max(1, min(_BLOCK_TERMS, _BLOCK_VALUES // max(done.size, 1), _CF_MAXIT - m))
+        alpha, beta = _bfrac_terms(VECTOR, np.arange(m + 1.0, m + k + 1.0)[:, None],
+                                   a, b, x, ab, c, yp1)
+        for j in range(k):
+            an, bn, r_next, converged = _bfrac_round(VECTOR, alpha[j], beta[j], an, bn, r)
+            r = np.where(done, r, r_next)
+            done |= converged
+        m += k
+        # alpha, beta live to the next block: freed here, the heap trims and refaults at 8k lanes
         del r_next, converged  # free this round's temporaries before _retire copies
         out, lanes, done, r, a, b, x, ab, c, yp1, an, bn = _retire(
             out, lanes, done, r, a, b, x, ab, c, yp1, an, bn

@@ -5,12 +5,13 @@ function and its inverse, the standard normal quantile (the standard
 library's AS 241) and the binomial mass/distribution functions.  Everything
 here is pure and deterministic.
 The steps of ln Gamma, the incomplete beta (front factor, switch-point mirror,
-and a continued fraction in the form of TOMS 708 bfrac), its inverse (mirrored
-start, Halley rounds) and the binomial pmf are written once, over an injected
-float (SCALAR) or numpy (VECTOR) namespace.  This module drives them one value
-at a time and :mod:`binomci.exact_eval` over arrays of lanes, but for the last
-few lanes of a fraction or a Halley solve, which it finishes in the float loops
-here; a driver owns only its input checks, the x in {0, 1} ends and its loop.
+and a continued fraction in the form of TOMS 708 bfrac: each term's
+coefficients, then its recurrence), its inverse (mirrored start, Halley
+rounds) and the binomial pmf are written once, over an injected float (SCALAR)
+or numpy (VECTOR) namespace.  This module drives them one value at a time and
+:mod:`binomci.exact_eval` over arrays of lanes, but for the last few lanes of a
+fraction or a Halley solve, which it finishes in the float loops here; a driver
+owns only its input checks, the x in {0, 1} ends and its loop.
 """
 from __future__ import annotations
 
@@ -64,7 +65,8 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 # floats; numpy squares a float for a float exponent 2, so power gets it as an
 # array), so a lane has the same bits under either.  Only a float division by zero raises
 # where numpy gives inf or nan, so SCALAR.select(cond, f, g) calls only the
-# branch it takes, while VECTOR.select calls both.  lookup(table, i) reads a
+# branch it takes, and VECTOR.select calls both only where the mask is mixed,
+# else the branch a uniform mask takes.  lookup(table, i) reads a
 # numpy table at the integer-valued floats i.  The fraction's round divides by
 # its new denominator with no floor; the test suite finds no zero there over
 # shapes in 10^[-3, 6], and _bfrac_from reports one as a ConvergenceError.
@@ -86,7 +88,7 @@ VECTOR = SimpleNamespace(
     where=np.where,
     maximum=np.maximum, minimum=np.minimum,
     lookup=lambda table, i: table[i.astype(np.intp)],
-    select=lambda cond, f, g: np.where(cond, f(), g()),
+    select=lambda c, f, g: f() if c.all() else g() if not c.any() else np.where(c, f(), g()),
 )
 
 
@@ -147,16 +149,21 @@ def _bfrac_start(xp, a, b, x, y):
     return a + b, c, y + 1.0, 0.0 * r, r, r
 
 
-def _bfrac_round(xp, n, a, b, x, ab, c, yp1, an, bn, r):
-    """Term n of the fraction by the forward three-term recurrence, rescaled
-    so that the new denominator is 1: the new (an, bn, r) and whether r moved
-    by at most 1e-15 of itself.  With s = a + 2n - 1 the terms are
+def _bfrac_terms(xp, n, a, b, x, ab, c, yp1):
+    """The coefficients (alpha, beta) of the fraction's term n: an int, or a
+    column of integer-valued floats, one term a row.  With s = a + 2n - 1,
     alpha = (a + n - 1)(a + b + n - 1) n (b - n) x^2 / s^2 and
     beta = n + n (b - n) x / s + (a + n)(c + n (1 + y)) / (s + 2)."""
     s = a + (2 * n - 1)
     w = n * (b - n) * x
     alpha = (a + (n - 1)) * (ab + (n - 1)) * (w * x) / (s * s)
-    beta = n + w / s + (a + n) * (c + n * yp1) / (s + 2.0)
+    return alpha, n + w / s + (a + n) * (c + n * yp1) / (s + 2.0)
+
+
+def _bfrac_round(xp, alpha, beta, an, bn, r):
+    """A term of the fraction by the forward three-term recurrence, rescaled
+    so that the new denominator is 1: the new (an, bn, r) and whether r moved
+    by at most 1e-15 of itself."""
     d = alpha * bn + beta
     r_next = (alpha * an + beta * r) / d
     return r / d, 1.0 / d, r_next, abs(r_next - r) <= _BETACF_EPS * r_next
@@ -171,9 +178,9 @@ def _log_beta_kernel(xp, x, a, b, lgb):
 def _inc_beta(xp, x, a, b, lgb, fraction):
     """I_x(a, b) for 0 < x < 1: the front factor x^a (1 - x)^b / B(a, b), with
     lgb = ln B(a, b) or None to compute it, times the driver's loop
-    fraction(a, b, x, y) over _bfrac_start and _bfrac_round.  Above the switch
-    point (a + 1)/(a + b + 2) the fraction runs on (b, a, 1 - x), where it
-    converges fastest, and I_x = 1 - I_{1-x}(b, a); y is then the original x."""
+    fraction(a, b, x, y) over _bfrac_start, _bfrac_terms and _bfrac_round.  Above
+    the switch point (a + 1)/(a + b + 2) the fraction runs on (b, a, 1 - x), where
+    it converges fastest, and I_x = 1 - I_{1-x}(b, a); y is then the original x."""
     if lgb is None:
         lgb = _log_beta(xp, a, b)
     front = xp.exp(_log_beta_kernel(xp, x, a, b, lgb))
@@ -338,7 +345,8 @@ def _bfrac_from(terms, a, b, x, ab, c, yp1, an, bn, r) -> float:
     """The fraction's float loop over terms, resumed from the state the term before left."""
     try:
         for m in terms:
-            an, bn, r, converged = _bfrac_round(SCALAR, m, a, b, x, ab, c, yp1, an, bn, r)
+            alpha, beta = _bfrac_terms(SCALAR, m, a, b, x, ab, c, yp1)
+            an, bn, r, converged = _bfrac_round(SCALAR, alpha, beta, an, bn, r)
             if converged:
                 return r
     except ZeroDivisionError:

@@ -248,6 +248,54 @@ class TestVectorKernel:
         monkeypatch.setattr(exact_eval, "_FLOAT_LANES", 0)
         assert outputs() == default
 
+    def test_term_blocks_do_not_move_a_bit(self, monkeypatch):
+        # the continued fraction runs blocks of up to _BLOCK_TERMS terms;
+        # one-term blocks give the same bits on the lanes and outputs of
+        # test_float_tail_does_not_move_a_bit and on one batch of 5,000
+        # lanes, which starts in one-term blocks and widens them as it retires
+        rng = np.random.default_rng(23)
+        k = 120
+        a = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), k))
+        b = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), k))
+        q = 10.0 ** rng.uniform(-12.0, math.log10(0.5), k)
+        q = np.where(rng.random(k) < 0.5, q, 1.0 - q)
+        big = 5_000
+        a_big, b_big = 10.0 ** rng.uniform(-3, 6, (2, big))
+        x_big, q_big = rng.uniform(0, 1, (2, big))
+        specs = (MethodSpec.clopper_pearson(), MethodSpec.jeffreys(),
+                 MethodSpec.beta_prior(BetaParams(0.3, 2.0)))
+
+        def outputs():
+            exact_eval._bounds_arrays.cache_clear()
+            x = _beta_quantile_vec(q, a, b)
+            got = [x, _betainc_vec(x, a, b)]
+            for spec in specs:
+                for n in (1, 20, 2000, 20_000):
+                    got.extend(_bounds_arrays(spec, n, LEVEL))
+                    got.append(mean_coverage(spec, n, LEVEL))
+            got.append(_betainc_vec(x_big, a_big, b_big))
+            got.append(_beta_quantile_vec(q_big, a_big, b_big))
+            exact_eval._bounds_arrays.cache_clear()
+            return [np.asarray(v).tolist() for v in got]
+
+        default = outputs()
+        monkeypatch.setattr(exact_eval, "_BLOCK_TERMS", 1)
+        assert outputs() == default
+
+    @pytest.mark.parametrize("lanes, rows", [(5_000, 1), (100, 8)])
+    def test_block_rows_follow_the_lane_budget(self, monkeypatch, lanes, rows):
+        # a batch above _BLOCK_VALUES = 4,096 lanes keeps one-term blocks;
+        # a small one computes _BLOCK_TERMS = 8 terms' coefficients at once
+        blocks = []
+        terms = exact_eval._bfrac_terms
+        monkeypatch.setattr(exact_eval, "_bfrac_terms", lambda xp, n, *lane: (
+            blocks.append((n.shape[0], lane[0].size)) or terms(xp, n, *lane)))
+        rng = np.random.default_rng(3102)
+        a, b = 10.0 ** rng.uniform(-3, 6, (2, lanes))
+        _betainc_vec(rng.uniform(0, 1, lanes), a, b)
+        assert blocks[0] == (rows, lanes)
+        assert all(k == rows for k, size in blocks if size == lanes), blocks
+
     def test_binom_pmf_matches_mpmath(self):
         # Loader's saddle-point pmf against 40-digit mpmath, per n: within
         # B(n), about twice the worst error seen where ln pmf >= -50, plus

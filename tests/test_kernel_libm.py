@@ -7,11 +7,15 @@ exp, log, log1p or pow, which round differently from numpy's array loops, or
 if a kernel step (a function whose first parameter is `xp`) raises to a
 computed power with `**`: a float `**` runs the C library's pow, and numpy
 squares a scalar base for an exponent of 2 where its array loop does not.
+The `**` check finds the kernel steps by that parameter, so every function of
+`special.py` that the package calls with SCALAR or VECTOR first must name it
+`xp`.
 """
 import ast
 from pathlib import Path
 
-SPECIAL = Path(__file__).resolve().parent.parent / "src" / "binomci" / "special.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "binomci"
+SPECIAL = PACKAGE / "special.py"
 FLOAT_LIBM = {"exp", "log", "log1p", "pow"}
 
 
@@ -58,3 +62,36 @@ def test_check_finds_a_float_libm_call():
     assert libm_breaches(source) == [
         "math.log1p (line 2)", "** in seed (line 5)", "math.exp (line 8)"
     ]
+
+
+def steps_without_xp(special: str, callers: list[str]) -> list[str]:
+    """Functions of `special` that a caller passes SCALAR or VECTOR as the first
+    argument, but whose first parameter is not named xp."""
+    called = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in ("SCALAR", "VECTOR")):
+                called.add(node.func.id)
+    return sorted(
+        node.name for node in ast.walk(ast.parse(special))
+        if isinstance(node, ast.FunctionDef) and node.name in called
+        and [p.arg for p in node.args.args[:1]] != ["xp"]
+    )
+
+
+def test_kernel_steps_take_xp_first():
+    callers = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert steps_without_xp(SPECIAL.read_text(), callers) == []
+
+
+def test_check_finds_a_step_without_xp():
+    special = (
+        "def step(xp, a):\n    return a\n"
+        "def recur(ns, a):\n    return a * a\n"
+        "def drive(a):\n    return recur(SCALAR, a)\n"
+        "def helper(a, ns):\n    return a\n"
+    )
+    caller = "def loop(a):\n    return step(VECTOR, a) + helper(a, VECTOR) + drive(SCALAR)\n"
+    assert steps_without_xp(special, [special, caller]) == ["drive", "recur"]

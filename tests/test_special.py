@@ -169,6 +169,25 @@ class TestContinuedFraction:
         for got in (scalar, vector):
             assert (np.abs(got[kept] - ref[kept]) <= bound).all()
 
+    def test_a_column_of_terms_has_the_bits_of_each_term(self):
+        # The lane driver computes a block of terms' coefficients at once,
+        # with n as a column of floats; each row must equal that term's call
+        # with a Python int n, which the float loop makes.
+        rng = np.random.default_rng(3101)
+        size = 2_000
+        a = 10.0 ** rng.uniform(-3, 6, size)
+        b = 10.0 ** rng.uniform(-3, 6, size)
+        x = (a + 1.0) / (a + b + 2.0) * rng.uniform(0, 1, size)
+        ab, c, yp1, *_ = sp._bfrac_start(sp.VECTOR, a, b, x, 1.0 - x)
+        for m in (1, 2, 9, 1993):
+            column = np.arange(m, m + 8.0)[:, None]
+            rows = sp._bfrac_terms(sp.VECTOR, column, a, b, x, ab, c, yp1)
+            assert rows[0].shape == rows[1].shape == (8, size)
+            for j in range(8):
+                alpha, beta = sp._bfrac_terms(sp.VECTOR, m + j, a, b, x, ab, c, yp1)
+                assert rows[0][j].tolist() == alpha.tolist()
+                assert rows[1][j].tolist() == beta.tolist()
+
 
 class TestBetaQuantile:
     def test_uniform_median(self):
@@ -224,6 +243,22 @@ class TestBetaQuantile:
                     calls.clear()
                     sp.beta_quantile(q, a, b)
                     assert 1 <= len(calls) <= 6, (q, a, b)
+
+    def test_vector_select_calls_only_the_branch_a_uniform_mask_takes(self):
+        # the quantile seed's branches run on every lane only where its mask is mixed
+        calls = []
+        f, g = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+
+        def select(mask):
+            return sp.VECTOR.select(
+                np.array(mask), lambda: calls.append("f") or f, lambda: calls.append("g") or g
+            )
+
+        assert select([True, True]) is f
+        assert select([False, False]) is g
+        assert calls == ["f", "g"]
+        assert select([True, False]).tolist() == [1.0, 4.0]
+        assert calls == ["f", "g", "f", "g"]
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(sp, "_QUANTILE_MAXIT", 1)
