@@ -7,8 +7,10 @@ the nominal level against a coverage criterion.
 
 Endpoint arrays and mean coverage run the steps of :mod:`binomci.special` (each
 written once there) under its numpy namespace, and hand the last few lanes of a
-fraction or a Halley solve to its float loops.  The drivers below own only
-broadcasting, the x in {0, 1} masks, errstate and the lane loops.
+fraction or a Halley solve to its float loops; endpoint arrays run the family
+table of :mod:`binomci.methods` under it too, whose `quantiles` op hands both
+ends' lanes to one quantile call.  The drivers below own only broadcasting,
+the x in {0, 1} masks, errstate and the lane loops.
 Coverage scans add up the binomial pmf over each grid point's covering range
 instead: one saddle-point pmf (Loader 2000) at the range's largest term, then
 a ratio walk, so that scans with hundreds of thousands of grid points stay
@@ -249,8 +251,10 @@ class CoverageReport:
 # interval endpoint arrays
 
 def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray):
-    """The family table's (L, U) for the success counts x, solved by the vector kernel."""
-    return _endpoints(method, n, level, x, _beta_quantile_vec)
+    """The family table's (L, U) for the success counts x, run over VECTOR
+    with the vector quantile kernel; n is broadcast to x's lanes."""
+    x, n = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(n, dtype=float))
+    return _endpoints(VECTOR, method, n, level, x, _beta_quantile_vec)
 
 
 # Total bytes of endpoint arrays the cache below holds: (L, U) for about

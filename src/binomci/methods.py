@@ -3,17 +3,19 @@
 One uniform abstraction (MethodSpec -> IntervalEstimate) over the exact
 Clopper-Pearson interval and bounds and the usual approximate competitors:
 Wald, Wilson score, Agresti-Coull and equal-tailed Bayesian beta intervals
-(Jeffreys and other Beta(a, b) priors).
+(Jeffreys and other Beta(a, b) priors).  Their formulas are one table,
+_endpoints, over the kernel namespace of :mod:`binomci.special`: interval()
+runs it on floats, the engine on arrays, and the namespace's `quantiles` op
+solves the Beta-quantile ends.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, UnsupportedSideError
 from .special import (
+    SCALAR,
     BetaParams,
     JEFFREYS_PRIOR,
     UNIFORM_PRIOR,
@@ -178,84 +180,59 @@ def _end_priors(method: MethodSpec) -> tuple[tuple[float, float], tuple[float, f
     return ((method.prior.a, method.prior.b),) * 2
 
 
-def _endpoints(method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
-    """(L, U) endpoint arrays for the success counts x; n may vary per lane.
+def _endpoints(xp, method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
+    """(L, U) for the success counts x out of n, over the kernel namespace xp.
 
-    The one table of the interval formulas, shared by interval() and the
-    enumeration engine.  quantile(q, a, b) solves beta quantiles over lanes:
-    interval() maps the scalar beta_quantile, the engine its vector kernel.
-    Both ends' quantile lanes go to quantile in one call, so that the vector
-    kernel pays its per-round numpy overhead once per endpoint array; each
-    lane goes through the same operations as when solved alone, so the
-    batch does not move a result.
+    The one table of the interval formulas: interval() runs it on floats
+    (SCALAR, with the scalar beta_quantile), the engine on arrays of lanes
+    (VECTOR, with its vector kernel; n may vary per lane, and is an array
+    there, as numpy powers a 0-d exponent by other loops).  A CP or
+    Beta-prior end is a quantile of its posterior, solved by xp.quantiles,
+    which under VECTOR hands both ends' lanes to one quantile call; a lane
+    goes through the same operations as when solved alone.
     """
     fam = method.family
     # one-sided bounds put the whole alpha in their tail; the other end is 0 or 1
     tail = level.alpha / 2.0 if method.side is Side.TWO_SIDED else level.alpha
     lower = method.side is not Side.UPPER
     upper = method.side is not Side.LOWER
-    x, n = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(n, dtype=float))
-    L = np.zeros(x.size)
-    U = np.ones(x.size)
     if fam in (Family.CLOPPER_PEARSON, Family.BETA_PRIOR):
-        # Row 0 of these (2, lanes) arrays is the lower end, row 1 the upper.
         # Quantiles are solved but at CP's x = 0 and x = n, where closed forms
         # fill both ends (L = 0 and U = 1 where a posterior shape is 0).
-        pa, pb = np.array(_end_priors(method)).T[:, :, None]
-        a = x + pa
-        b = (n - x) + pb
-        solve = np.array([[lower], [upper]]) & ((x > 0) & (x < n) | (fam is Family.BETA_PRIOR))
-        q = np.broadcast_to([[tail], [1.0 - tail]], a.shape)
-        lanes = q[solve], a[solve], b[solve]
-        del a, b  # keep the shape grids, and ends below, out of the solve's memory peak
-        w = quantile(*lanes)
-        ends = np.array([L, U])
-        ends[solve] = w
-        L, U = ends
+        (a_lower, b_lower), (a_upper, b_upper) = _end_priors(method)
+        inner = (x > 0.0) & (x < n) | (fam is Family.BETA_PRIOR)
+        L, U = xp.quantiles(
+            quantile, x, n,
+            (lower & inner, tail, a_lower, b_lower), (upper & inner, 1.0 - tail, a_upper, b_upper),
+        )
         if fam is Family.CLOPPER_PEARSON:
-            at_n, at_zero = (x == n) & lower, (x == 0) & upper
-            L[at_n] = tail ** (1.0 / n[at_n])
-            U[at_zero] = 1.0 - tail ** (1.0 / n[at_zero])
-    elif fam is Family.WALD:
-        ph = x / n
-        se = np.sqrt(ph * (1.0 - ph) / n)
-        z = level.z_half if method.side is Side.TWO_SIDED else level.z_full
-        if lower:
-            L = np.clip(ph - z * se, 0.0, 1.0)
-        if upper:
-            U = np.clip(ph + z * se, 0.0, 1.0)
-    elif fam is Family.WILSON:
-        z = level.z_half
-        z2 = z * z
+            root = xp.power(tail, 1.0 / n)
+            L = xp.where((x == n) & lower, root, L)
+            U = xp.where((x == 0.0) & upper, 1.0 - root, U)
+        return L, U
+    z = level.z_half if method.side is Side.TWO_SIDED else level.z_full
+    z2 = z * z
+    if fam is Family.WILSON:
         ph = x / n
         center = (x + z2 / 2.0) / (n + z2)
-        halfwidth = z / (n + z2) * np.sqrt(ph * (1.0 - ph) * n + z2 / 4.0)
+        halfwidth = z / (n + z2) * xp.sqrt(ph * (1.0 - ph) * n + z2 / 4.0)
         # closed ends 0 at x = 0 and 1 at x = n, where these round a few ulps off
-        L = np.where(x == 0, 0.0, center - halfwidth)
-        U = np.where(x == n, 1.0, center + halfwidth)
-    elif fam is Family.AGRESTI_COULL:
-        z = level.z_half
-        z2 = z * z
-        n_t = n + z2
-        p_t = (x + z2 / 2.0) / n_t
-        halfwidth = z * np.sqrt(p_t * (1.0 - p_t) / n_t)
-        L = np.clip(p_t - halfwidth, 0.0, 1.0)
-        U = np.clip(p_t + halfwidth, 0.0, 1.0)
+        return xp.where(x == 0.0, 0.0, center - halfwidth), xp.where(x == n, 1.0, center + halfwidth)
+    # Wald, and Agresti-Coull as Wald at the shrunk (x + z^2/2) / (n + z^2)
+    if fam is Family.AGRESTI_COULL:
+        x, n = x + z2 / 2.0, n + z2
+    ph = x / n
+    halfwidth = z * xp.sqrt(ph * (1.0 - ph) / n)
+    # clipped both ways: z_full < 0 where alpha > 1/2
+    L = xp.where(lower, xp.minimum(xp.maximum(ph - halfwidth, 0.0), 1.0), 0.0)
+    U = xp.where(upper, xp.minimum(xp.maximum(ph + halfwidth, 0.0), 1.0), 1.0)
     return L, U
-
-
-def _scalar_quantile(q, a, b) -> np.ndarray:
-    """The scalar beta_quantile mapped over lanes, far cheaper than the
-    vector kernel for the one lane or two of a single observation."""
-    q, a, b = np.broadcast_arrays(q, a, b)
-    lanes = zip(q.tolist(), a.tolist(), b.tolist())
-    return np.array([beta_quantile(*lane) for lane in lanes], dtype=float)
 
 
 def interval(spec: MethodSpec, obs: Observation, level: ConfidenceLevel) -> IntervalEstimate:
     """The interval or bound of a MethodSpec for one observation."""
-    L, U = _endpoints(spec, obs.n, level, [obs.x], _scalar_quantile)
-    return IntervalEstimate(float(L[0]), float(U[0]), spec, level)
+    L, U = _endpoints(SCALAR, spec, float(obs.n), level, float(obs.x), beta_quantile)
+    return IntervalEstimate(float(L), float(U), spec, level)
 
 
 def clopper_pearson_interval(obs: Observation, level: ConfidenceLevel) -> IntervalEstimate:
@@ -303,12 +280,3 @@ def beta_prior_interval(
     """Equal-tailed Bayesian credible interval or bound under a Beta(a, b) prior."""
     return interval(MethodSpec.beta_prior(prior, side), obs, level)
 
-
-def approx_method_spec(family: ApproxFamily, side: Side = Side.TWO_SIDED) -> MethodSpec:
-    """MethodSpec for one of the approximate comparison families."""
-    _check_member(family, ApproxFamily, "family")
-    if family is ApproxFamily.JEFFREYS:
-        return MethodSpec.jeffreys(side)
-    if family is ApproxFamily.WILSON:
-        return MethodSpec(Family.WILSON, side)
-    return MethodSpec(Family.AGRESTI_COULL, side)

@@ -11,7 +11,8 @@ rounds) and the binomial pmf are written once, over an injected float (SCALAR)
 or numpy (VECTOR) namespace.  This module drives them one value at a time and
 :mod:`binomci.exact_eval` over arrays of lanes, but for the last few lanes of a
 fraction or a Halley solve, which it finishes in the float loops here; a driver
-owns only its input checks, the x in {0, 1} ends and its loop.
+owns only its input checks, the x in {0, 1} ends and its loop.  The family
+table of :mod:`binomci.methods` runs over them too, by their `quantiles` op.
 """
 from __future__ import annotations
 
@@ -67,13 +68,31 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 # where numpy gives inf or nan, so SCALAR.select(cond, f, g) calls only the
 # branch it takes, and VECTOR.select calls both only where the mask is mixed,
 # else the branch a uniform mask takes.  lookup(table, i) reads a
-# numpy table at the integer-valued floats i.  The fraction's round divides by
-# its new denominator with no floor; the test suite finds no zero there over
-# shapes in 10^[-3, 6], and _bfrac_from reports one as a ConvergenceError.
+# numpy table at the integer-valued floats i.  quantiles(quantile, x, n, *ends)
+# gives the family table's (L, U): an end (solve, q, a, b) is quantile(q, x + a,
+# (n - x) + b) where solve holds, else 0 for L and 1 for U.  The fraction's
+# round divides by its new denominator with no floor; the test suite finds no
+# zero there over shapes in 10^[-3, 6], and _bfrac_from reports one as a
+# ConvergenceError.
 
 _BETACF_EPS = 1e-15
 _BETACF_MAXIT = 2000
 _QUANTILE_MAXIT = 200
+
+
+def _vector_quantiles(quantile, x, n, *ends):
+    """VECTOR's quantiles as a (2, lanes) array, both ends' lanes in one call,
+    the lower end's first; x and n are gathered before the prior shapes are
+    added, so that no full-size shape grid is alive during the solve."""
+    solve, q, pa, pb = map(np.array, zip(*ends))
+    end, lane = np.nonzero(solve)
+    xs = x[lane]
+    lanes = q[end], xs + pa[end], (n[lane] - xs) + pb[end]
+    del end, lane, xs  # out of the solve's memory peak
+    out = np.zeros(solve.shape)
+    out[1] = 1.0
+    out[solve] = quantile(*lanes)
+    return out
 
 
 SCALAR = SimpleNamespace(
@@ -82,6 +101,10 @@ SCALAR = SimpleNamespace(
     sqrt=math.sqrt, isfinite=math.isfinite, where=lambda cond, f, g: f if cond else g,
     maximum=max, minimum=min, lookup=lambda table, i: float(table[int(i)]),
     select=lambda cond, f, g: f() if cond else g(),
+    quantiles=lambda quantile, x, n, *ends: tuple(
+        quantile(q, x + a, (n - x) + b) if solve else end
+        for (solve, q, a, b), end in zip(ends, (0.0, 1.0))
+    ),
 )
 VECTOR = SimpleNamespace(
     log=np.log, log1p=np.log1p, exp=np.exp, power=np.power, sqrt=np.sqrt, isfinite=np.isfinite,
@@ -89,6 +112,7 @@ VECTOR = SimpleNamespace(
     maximum=np.maximum, minimum=np.minimum,
     lookup=lambda table, i: table[i.astype(np.intp)],
     select=lambda c, f, g: f() if c.all() else g() if not c.any() else np.where(c, f(), g()),
+    quantiles=_vector_quantiles,
 )
 
 

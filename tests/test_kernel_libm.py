@@ -1,21 +1,22 @@
-"""The L0 kernel takes its libm from numpy alone.
+"""The L0 kernel and the family table take their libm from numpy alone.
 
-A lane of the special-function kernel must get the same bits from the float
-driver (interval()) and the array driver (the engine).  This parses
-`special.py` with the standard library's `ast` and fails if it names `math`'s
-exp, log, log1p or pow, which round differently from numpy's array loops, or
-if a kernel step (a function whose first parameter is `xp`) raises to a
-computed power with `**`: a float `**` runs the C library's pow, and numpy
-squares a scalar base for an exponent of 2 where its array loop does not.
-The `**` check finds the kernel steps by that parameter, so every function of
-`special.py` that the package calls with SCALAR or VECTOR first must name it
-`xp`.
+A lane of the special-function kernel, and an endpoint of the family table,
+must get the same bits from the float driver (interval()) and the array
+driver (the engine).  This parses `special.py` and `methods.py` with the
+standard library's `ast` and fails if either names `math`'s exp, log, log1p
+or pow, which round differently from numpy's array loops, or if a kernel step
+(a function whose first parameter is `xp`) raises to a computed power with
+`**`: a float `**` runs the C library's pow, and numpy squares a scalar base
+for an exponent of 2 where its array loop does not.  The `**` check finds the
+kernel steps by that parameter, so every function of the package that it
+calls with SCALAR or VECTOR first must name it `xp`.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "binomci"
 SPECIAL = PACKAGE / "special.py"
+METHODS = PACKAGE / "methods.py"
 FLOAT_LIBM = {"exp", "log", "log1p", "pow"}
 
 
@@ -46,7 +47,8 @@ def libm_breaches(source: str) -> list[str]:
 
 
 def test_kernel_uses_one_libm():
-    assert libm_breaches(SPECIAL.read_text()) == []
+    for path in (SPECIAL, METHODS):
+        assert libm_breaches(path.read_text()) == [], path.name
 
 
 def test_check_finds_a_float_libm_call():
@@ -58,14 +60,18 @@ def test_check_finds_a_float_libm_call():
         "    return xp.select(q < 0.5, tail, tail) + q ** 2 + q ** -1.5\n"
         "def driver(q):\n"
         "    return math.exp(q) + math.sqrt(q) + q ** (1.0 / q)\n"
+        "def table(xp, method, n, level, x, quantile):\n"
+        "    tail = level.alpha / 2.0\n"
+        "    return xp.where(x == n, tail ** (1.0 / n), 0.0), 1.0\n"
     )
     assert libm_breaches(source) == [
-        "math.log1p (line 2)", "** in seed (line 5)", "math.exp (line 8)"
+        "math.log1p (line 2)", "** in seed (line 5)", "math.exp (line 8)",
+        "** in table (line 11)",
     ]
 
 
-def steps_without_xp(special: str, callers: list[str]) -> list[str]:
-    """Functions of `special` that a caller passes SCALAR or VECTOR as the first
+def steps_without_xp(module: str, callers: list[str]) -> list[str]:
+    """Functions of `module` that a caller passes SCALAR or VECTOR as the first
     argument, but whose first parameter is not named xp."""
     called = set()
     for source in callers:
@@ -75,15 +81,17 @@ def steps_without_xp(special: str, callers: list[str]) -> list[str]:
                     and node.args[0].id in ("SCALAR", "VECTOR")):
                 called.add(node.func.id)
     return sorted(
-        node.name for node in ast.walk(ast.parse(special))
+        node.name for node in ast.walk(ast.parse(module))
         if isinstance(node, ast.FunctionDef) and node.name in called
         and [p.arg for p in node.args.args[:1]] != ["xp"]
     )
 
 
 def test_kernel_steps_take_xp_first():
-    callers = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
-    assert steps_without_xp(SPECIAL.read_text(), callers) == []
+    # the steps are looked for in every module: methods._endpoints, the
+    # family table, is one
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert [name for module in sources for name in steps_without_xp(module, sources)] == []
 
 
 def test_check_finds_a_step_without_xp():

@@ -14,7 +14,6 @@ from binomci.methods import (
     Observation,
     Side,
     agresti_coull_interval,
-    approx_method_spec,
     beta_prior_interval,
     clopper_pearson_bound,
     clopper_pearson_interval,
@@ -22,7 +21,7 @@ from binomci.methods import (
     wald_interval,
     wilson_interval,
 )
-from binomci.special import BetaParams, JEFFREYS_PRIOR, UNIFORM_PRIOR, binom_pmf
+from binomci.special import SCALAR, BetaParams, JEFFREYS_PRIOR, UNIFORM_PRIOR, binom_pmf
 from binomci import exact_eval, methods
 from binomci.expansions import cp_bound_expansion, excess_length
 from binomci.sample_size import (
@@ -127,8 +126,8 @@ class TestTypes:
             MethodSpec(Family.AGRESTI_COULL, Side.LOWER)
 
     # One raw enum value per entry point; each used to fall through an `is`
-    # chain to another branch, e.g. approx_method_spec("jeffreys") gave
-    # Agresti-Coull and cp_bound_expansion(..., "upper") the lower bound.
+    # chain to another branch, e.g. cp_bound_expansion(..., "upper") gave
+    # the lower bound.
     @pytest.mark.parametrize(
         "name, call",
         [
@@ -150,7 +149,6 @@ class TestTypes:
                          id="n_plus_one_sided"),
             pytest.param("family", lambda: approx_method_n("wilson", 0.05, 0.3, LEVEL),
                          id="approx_method_n"),
-            pytest.param("family", lambda: approx_method_spec("jeffreys"), id="approx_method_spec"),
             pytest.param("vs", lambda: excess_length("wilson", 50, 0.3, LEVEL),
                          id="excess_length-vs"),
             pytest.param("order", lambda: excess_length(ApproxFamily.WILSON, 50, 0.3, LEVEL, 2),
@@ -404,19 +402,6 @@ class TestDispatch:
                 est = interval(spec, Observation(x, n), LEVEL)
                 assert 0.0 <= est.lower <= est.upper <= 1.0
 
-    def test_approx_family_mapping(self):
-        assert approx_method_spec(ApproxFamily.JEFFREYS).prior == JEFFREYS_PRIOR
-        assert approx_method_spec(ApproxFamily.WILSON).family is Family.WILSON
-        assert approx_method_spec(ApproxFamily.AGRESTI_COULL).family is Family.AGRESTI_COULL
-        # a one-sided request reaches MethodSpec, which rejects it for the
-        # two closed forms
-        for family in (ApproxFamily.WILSON, ApproxFamily.AGRESTI_COULL):
-            for side in (Side.UPPER, Side.LOWER):
-                with pytest.raises(UnsupportedSideError):
-                    approx_method_spec(family, side)
-        for side in (Side.UPPER, Side.LOWER):
-            assert approx_method_spec(ApproxFamily.JEFFREYS, side) == MethodSpec.jeffreys(side)
-
 
 TINY_PRIOR = BetaParams(0.001, 0.001)
 GOLDEN_SPECS = {
@@ -479,3 +464,47 @@ class TestGolden:
             if (float(L[0]).hex(), float(U[0]).hex()) != want:
                 wrong.append((line, float(L[0]).hex(), float(U[0]).hex()))
         assert wrong == []
+
+
+class TestOneTable:
+    # methods._endpoints is the one family table: interval() runs it over
+    # SCALAR on floats, the engine over VECTOR on arrays of lanes.
+
+    @pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
+    def test_cp_closed_form_ends_keep_their_bits_however_n_arrives(self, side):
+        # numpy powers a 0-d exponent by other loops than an array's (at
+        # exponent 0.5, a square root), so the engine must keep n an array:
+        # interval() (a float n), _bounds_arrays (an int n) and _bounds_for_x
+        # (an array n) give the closed forms tail^(1/n) and 1 - tail^(1/n)
+        # the same bits
+        spec = MethodSpec.clopper_pearson(side)
+        rng = random.Random(3201)
+        wrong = []
+        for _ in range(200):
+            level = ConfidenceLevel(10.0 ** rng.uniform(-6, -0.3))
+            for n in (1, 2, 3, 4):
+                arrays = exact_eval._bounds_arrays(spec, n, level)
+                ends = exact_eval._bounds_for_x(spec, np.full(2, float(n)), level, np.array([0.0, n]))
+                for i, x in enumerate((0, n)):
+                    est = interval(spec, Observation(x, n), level)
+                    got = {(est.lower, est.upper), (arrays[0][x], arrays[1][x]), (ends[0][i], ends[1][i])}
+                    if len(got) != 1:
+                        wrong.append((n, x, level.alpha, got))
+        assert wrong == []
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.95])
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_float_row_returns_floats(self, name, alpha):
+        # alpha 0.95 takes a one-sided Wald z below 0, whose end is clipped
+        # to [0, 1] from the other side
+        spec, level = GOLDEN_SPECS[name], ConfidenceLevel(alpha)
+        for n in (1, 2, 50, 10**6):
+            xs = sorted({0, 1, n - 1, n})
+            L, U = exact_eval._bounds_for_x(spec, n, level, np.array(xs, dtype=float))
+            for i, x in enumerate(xs):
+                ends = methods._endpoints(
+                    SCALAR, spec, float(n), level, float(x), methods.beta_quantile
+                )
+                assert [type(end) for end in ends] == [float, float], (n, x)
+                assert ends == (L[i], U[i]), (n, x)
+                assert 0.0 <= ends[0] <= ends[1] <= 1.0, (n, x)
