@@ -203,12 +203,9 @@ def _cmd_expected_length(args) -> int:
     else:
         if args.method.strip().lower() != "cp":
             raise UsageError("--mode expansion is defined for --method cp only")
-        if side is Side.TWO_SIDED:
-            value = expansions.expected_length_expansion(args.n, args.p, level).value
-        elif side is Side.UPPER:
-            value = expansions.expected_distance_expansion(args.n, args.p, level).value
-        else:
+        if side not in expansions._WIDTH_EXPANSION:
             raise UsageError("--mode expansion supports --side two-sided or upper")
+        value = expansions._WIDTH_EXPANSION[side](args.n, args.p, level).value
     print(_fmt(value))
     return 0
 
@@ -323,9 +320,9 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _width_figure_rows(args, level, side, expansion):
+def _width_figure_rows(args, level, side):
     """Figures 1 and 4: exact expected length or distance beside its expansion."""
-    spec = MethodSpec.clopper_pearson(side)
+    spec, expansion = MethodSpec.clopper_pearson(side), expansions._WIDTH_EXPANSION[side]
     rows = []
     for n in _parse_n_list(args.n_list):
         for p in exact_eval.PGrid(0.002, 0.998, 499).values():
@@ -402,14 +399,10 @@ def _coverage_figure_rows(args, level, mode):
 
 # figure id -> builder(args, level, formula mode) of its (header, rows)
 _FIGURES = {
-    "1": lambda args, level, mode: _width_figure_rows(
-        args, level, Side.TWO_SIDED, expansions.expected_length_expansion
-    ),
+    "1": lambda args, level, mode: _width_figure_rows(args, level, Side.TWO_SIDED),
     "2": _figure_2_rows,
     "3": _figure_3_rows,
-    "4": lambda args, level, mode: _width_figure_rows(
-        args, level, Side.UPPER, expansions.expected_distance_expansion
-    ),
+    "4": lambda args, level, mode: _width_figure_rows(args, level, Side.UPPER),
     "5": _figure_5_rows,
     "6": _figure_6_rows,
     "coverage": _coverage_figure_rows,

@@ -147,6 +147,12 @@ def expected_distance_expansion(n: int, p: float, level: ConfidenceLevel) -> Exp
     )
 
 
+# CP's expected-width expansion of each side: its two-sided length, its upper bound's distance to p
+_WIDTH_EXPANSION = {
+    Side.TWO_SIDED: expected_length_expansion, Side.UPPER: expected_distance_expansion
+}
+
+
 def length_correction_coeff(p: float, z: float) -> float:
     """n^(-3/2) coefficient of the realized length before taking expectations."""
     _require_interior(p, "length_correction_coeff")

@@ -202,8 +202,8 @@ def _endpoints(xp, method: MethodSpec, n, level: ConfidenceLevel, x, quantile):
         (a_lower, b_lower), (a_upper, b_upper) = _end_priors(method)
         inner = (x > 0.0) & (x < n) | (fam is Family.BETA_PRIOR)
         L, U = xp.quantiles(
-            quantile, x, n,
-            (lower & inner, tail, a_lower, b_lower), (upper & inner, 1.0 - tail, a_upper, b_upper),
+            quantile, x, n, inner,
+            (lower, tail, a_lower, b_lower), (upper, 1.0 - tail, a_upper, b_upper),
         )
         if fam is Family.CLOPPER_PEARSON:
             root = xp.power(tail, 1.0 / n)

@@ -26,7 +26,7 @@ from enum import Enum
 
 from . import exact_eval
 from .errors import DomainError, SearchBudgetError
-from .expansions import expected_distance_expansion, expected_length_expansion
+from .expansions import _WIDTH_EXPANSION, expected_distance_expansion, expected_length_expansion
 from .methods import (
     ApproxFamily, ConfidenceLevel, Family, MethodSpec, Side, _check_member, _end_priors
 )
@@ -296,12 +296,10 @@ def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLeve
     """
     if method.family in (Family.WILSON, Family.AGRESTI_COULL):
         return approx_method_n(ApproxFamily(method.family.value), d, p0, level).n_unrounded
-    two_sided = method.side is Side.TWO_SIDED
-    expansion = expected_length_expansion if two_sided else expected_distance_expansion
-    terms = expansion(1, p0, level)  # coefficients do not depend on n
+    terms = _WIDTH_EXPANSION[method.side](1, p0, level)  # coefficients do not depend on n
     (a_lo, b_lo), (a_up, b_up) = _end_priors(method)
     t_one = terms.t_one + ((a_up - 1.0) - (a_up + b_up - 1.0) * p0)
-    if two_sided:
+    if method.side is Side.TWO_SIDED:
         t_one -= a_lo - (a_lo + b_lo - 1.0) * p0
     return _third_order_n(terms.t_half, t_one, terms.t_threehalf, d, f" for p0={p0}")
 

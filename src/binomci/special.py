@@ -68,9 +68,10 @@ UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 # where numpy gives inf or nan, so SCALAR.select(cond, f, g) calls only the
 # branch it takes, and VECTOR.select calls both only where the mask is mixed,
 # else the branch a uniform mask takes.  lookup(table, i) reads a
-# numpy table at the integer-valued floats i.  quantiles(quantile, x, n, *ends)
-# gives the family table's (L, U): an end (solve, q, a, b) is quantile(q, x + a,
-# (n - x) + b) where solve holds, else 0 for L and 1 for U.  The fraction's
+# numpy table at the integer-valued floats i.  quantiles(quantile, x, n, inner,
+# *ends) gives the family table's (L, U): an end (side, q, a, b) is quantile(q,
+# x + a, (n - x) + b) where its side flag and the lane's inner mask hold, else 0
+# for L and 1 for U.  The fraction's
 # round divides by its new denominator with no floor; the test suite finds no
 # zero there over shapes in 10^[-3, 6], and _bfrac_from reports one as a
 # ConvergenceError.
@@ -80,11 +81,12 @@ _BETACF_MAXIT = 2000
 _QUANTILE_MAXIT = 200
 
 
-def _vector_quantiles(quantile, x, n, *ends):
+def _vector_quantiles(quantile, x, n, inner, *ends):
     """VECTOR's quantiles as a (2, lanes) array, both ends' lanes in one call,
     the lower end's first; x and n are gathered before the prior shapes are
     added, so that no full-size shape grid is alive during the solve."""
-    solve, q, pa, pb = map(np.array, zip(*ends))
+    side, q, pa, pb = map(np.array, zip(*ends))
+    solve = side[:, None] & inner
     end, lane = np.nonzero(solve)
     xs = x[lane]
     lanes = q[end], xs + pa[end], (n[lane] - xs) + pb[end]
@@ -101,9 +103,9 @@ SCALAR = SimpleNamespace(
     sqrt=math.sqrt, isfinite=math.isfinite, where=lambda cond, f, g: f if cond else g,
     maximum=max, minimum=min, lookup=lambda table, i: float(table[int(i)]),
     select=lambda cond, f, g: f() if cond else g(),
-    quantiles=lambda quantile, x, n, *ends: tuple(
-        quantile(q, x + a, (n - x) + b) if solve else end
-        for (solve, q, a, b), end in zip(ends, (0.0, 1.0))
+    quantiles=lambda quantile, x, n, inner, *ends: tuple(
+        quantile(q, x + a, (n - x) + b) if side and inner else end
+        for (side, q, a, b), end in zip(ends, (0.0, 1.0))
     ),
 )
 VECTOR = SimpleNamespace(
