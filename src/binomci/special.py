@@ -147,7 +147,7 @@ _HALF_LOG_TWO_PI = 0.91893853320467274178
 def _log_gamma(xp, x):
     s = _LANCZOS_C[0]
     for k in range(1, 15):
-        s += _LANCZOS_C[k] / (x + k - 1.0)
+        s += _LANCZOS_C[k] / (x + (k - 1.0))
     t = x + _LANCZOS_G - 0.5
     return _HALF_LOG_TWO_PI + (x - 0.5) * xp.log(t) - t + xp.log(s)
 

@@ -436,6 +436,9 @@ def _golden_rows():
     # 2^-54 below 0).  When the float kernel took numpy's log, log1p, exp
     # and power, interval()'s rows became the engine's table of the time:
     # 56 endpoints in 55 quantile rows moved, by at most 1.24e-12 relative.
+    # When ln Gamma's Lanczos terms kept a small argument's low digits, the
+    # 31 Beta(0.001, 0.001) rows moved, by at most 1.14e-10 relative (an end
+    # at x = 0 scales ln B's error by 1/a).
     # The Wald, Agresti-Coull and CP closed-form endpoints never moved.
     lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
     assert len(lines) == 1050

@@ -45,6 +45,14 @@ class TestLogGamma:
             ref = math.lgamma(x)
             assert abs(sp.log_gamma(x) - ref) <= 1e-12 + 5e-14 * abs(ref)
 
+    def test_relative_accuracy_small_arguments(self):
+        # Below 1, x + (k - 1) keeps x's low digits in each Lanczos term;
+        # (x + k) - 1 lost them (0.105 absolute at 1e-15, a zero divisor below 2^-53).
+        rng = np.random.default_rng(303)
+        for x in (10.0 ** rng.uniform(-300.0, -1.0, 20_000)).tolist():
+            ref = math.lgamma(x)
+            assert abs(sp.log_gamma(x) - ref) <= 1e-15 * abs(ref), x
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             sp.log_gamma(0.0)
