@@ -418,6 +418,8 @@ def _cmd_figure(args) -> int:
         handle = open(args.out, mode, newline="")
     except FileExistsError:
         raise UsageError(f"refusing to overwrite {args.out}; pass --force")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}")
     with handle:
         writer = csv.writer(handle)
         writer.writerow(header)

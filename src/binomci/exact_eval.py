@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError, ConvergenceError, DomainError
 from .methods import ConfidenceLevel, Family, MethodSpec, Side, _endpoints
 from .special import (
     _BETACF_MAXIT as _CF_MAXIT,
@@ -327,7 +327,7 @@ def _bounds_arrays(method: MethodSpec, n: int, level: ConfidenceLevel):
     _check_n(n)  # a bad key raises here, on a miss, so it is never held
     L, U = _bounds_for_x(method, n, level, np.arange(n + 1, dtype=float))
     if np.any(np.diff(L) < 0.0) or np.any(np.diff(U) < 0.0):
-        raise RuntimeError(
+        raise ConvergenceError(
             f"endpoint arrays are not monotone for {method} at n={n}, alpha={level.alpha}"
         )
     L.setflags(write=False)

@@ -110,6 +110,25 @@ def _check_target(d: float, p0: float) -> None:
         raise DomainError(f"need 0 < d < 1 and 0 < p0 < 1, got d={d}, p0={p0}")
 
 
+def _over_d2(num: float, d: float) -> float:
+    """num / d^2 in a printed form; inf where d^2 underflows to 0, as 1/d^2
+    is then above the float range."""
+    return num / (d * d) if d * d > 0.0 else math.inf
+
+
+def _finite(value: float, d: float) -> float:
+    """A closed form's n or n-plus at target d; DomainError naming d where it
+    is not a finite float."""
+    if not math.isfinite(value):
+        raise DomainError(f"target d={d} is too small for a finite sample size")
+    return value
+
+
+def _result(n: float, d: float, formula=FormulaMode.DERIVED_ALGEBRA) -> SampleSizeResult:
+    """A closed form's unrounded n as a result, checked by _finite."""
+    return SampleSizeResult(math.ceil(_finite(n, d)), n, formula)
+
+
 def _root_n(t_half: float, t_one: float, d: float, where: str) -> float:
     """The n solving t_half n^(-1/2) + t_one / n = d, a quadratic in sqrt(n).
 
@@ -131,8 +150,7 @@ def cp_n_two_sided(query: SampleSizeQuery) -> SampleSizeResult:
         raise DomainError("cp_n_two_sided requires a two-sided query")
     p0 = _require_point(query)
     terms = expected_length_expansion(1, p0, query.level)  # coefficients do not depend on n
-    n = _root_n(terms.t_half, terms.t_one, query.d, f" for p0={p0}")
-    return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
+    return _result(_root_n(terms.t_half, terms.t_one, query.d, f" for p0={p0}"), query.d)
 
 
 def cp_n_two_sided_prior(query: SampleSizeQuery) -> SampleSizeResult:
@@ -140,8 +158,7 @@ def cp_n_two_sided_prior(query: SampleSizeQuery) -> SampleSizeResult:
     if query.side is not Side.TWO_SIDED:
         raise DomainError("cp_n_two_sided_prior requires a two-sided query")
     t_half = 2.0 * query.level.z_half * prior_moment(_require_prior(query))
-    n = _root_n(t_half, 1.0, query.d, " for this prior")
-    return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
+    return _result(_root_n(t_half, 1.0, query.d, " for this prior"), query.d)
 
 
 def cp_n_one_sided(
@@ -162,21 +179,21 @@ def cp_n_one_sided(
     d = query.d
     if formula is FormulaMode.DERIVED_ALGEBRA:
         terms = expected_distance_expansion(1, p0, query.level)  # coefficients do not depend on n
-        n = _root_n(terms.t_half, terms.t_one, d, f" for p0={p0}")
-        return SampleSizeResult(math.ceil(n), n, formula)
+        return _result(_root_n(terms.t_half, terms.t_one, d, f" for p0={p0}"), d, formula)
     q0 = 1.0 - p0
     pq = p0 * q0
     z = query.level.z_full
     z2 = z * z
     disc = 3.0 * z2 * pq + 4.0 * (d * z2 - 2.0 * d * z2 * p0 + d * (1.0 + q0))
-    n = (
+    n = 0.5 * _over_d2(
         9.0 * z2 * pq
         + 3.0 * z * math.sqrt(3.0 * pq) * math.sqrt(max(disc, 0.0))
-        + 6.0 * (2.0 * z2 * (0.5 - p0) + (1.0 + q0))
-    ) / (2.0 * d * d)
+        + 6.0 * (2.0 * z2 * (0.5 - p0) + (1.0 + q0)),
+        d,
+    )
     if disc < 0.0 or not (n > 0.0):
         raise DomainError(f"target d={d} is unattainable for p0={p0}")
-    return SampleSizeResult(math.ceil(n), n, formula)
+    return _result(n, d, formula)
 
 
 _ONE_SIDED_PRIOR_LIMIT = 2.0
@@ -213,8 +230,7 @@ def cp_n_one_sided_prior(query: SampleSizeQuery) -> SampleSizeResult:
     coeff_half, coeff_one = _one_sided_prior_coeffs(
         _require_prior(query), query.level.z_full
     )
-    n = _root_n(coeff_half, coeff_one, query.d, " for this prior")
-    return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
+    return _result(_root_n(coeff_half, coeff_one, query.d, " for this prior"), query.d)
 
 
 def jeffreys_one_sided_n_verbatim(d: float, level: ConfidenceLevel) -> float:
@@ -226,9 +242,8 @@ def jeffreys_one_sided_n_verbatim(d: float, level: ConfidenceLevel) -> float:
     if not (0.0 < d < 1.0):
         raise DomainError(f"target d must be in (0, 1), got {d}")
     z = level.z_full
-    return 6.0 * z * (z + math.sqrt(z * z + 9.0 * d * math.pi)) / (d * d) + math.pi / (
-        16.0 * d
-    )
+    n = _over_d2(6.0 * z * (z + math.sqrt(z * z + 9.0 * d * math.pi)), d) + math.pi / (16.0 * d)
+    return _finite(n, d)
 
 
 def approx_method_n(
@@ -236,23 +251,23 @@ def approx_method_n(
 ) -> SampleSizeResult:
     """Printed sample-size formulas for the approximate comparison intervals."""
     _check_member(family, ApproxFamily, "family")
+    return _result(_approx_n(family, d, p0, level), d)
+
+
+def _approx_n(family: ApproxFamily, d: float, p0: float, level: ConfidenceLevel) -> float:
+    """approx_method_n's unrounded n, inf where d is too small for a finite one."""
     _check_target(d, p0)
     z = level.z_half
     z2 = z * z
     q0 = 1.0 - p0
     pq = p0 * q0
     if family is ApproxFamily.JEFFREYS:
-        n = 4.0 * z2 * pq / (d * d)
-    elif family is ApproxFamily.WILSON:
-        n = (
-            z2
-            * (pq + d * d / 2.0 + math.sqrt(pq * pq + d * d * (p0 - 0.5) ** 2))
-            * 2.0
-            / (d * d)
+        return _over_d2(4.0 * z2 * pq, d)
+    if family is ApproxFamily.WILSON:
+        return _over_d2(
+            z2 * (pq + d * d / 2.0 + math.sqrt(pq * pq + d * d * (p0 - 0.5) ** 2)) * 2.0, d
         )
-    else:
-        n = 4.0 * z2 * pq / (d * d) - z2
-    return SampleSizeResult(math.ceil(n), n, FormulaMode.DERIVED_ALGEBRA)
+    return _over_d2(4.0 * z2 * pq, d) - z2
 
 
 _NEWTON_STEPS = 8
@@ -278,7 +293,7 @@ def _third_order_n(
         s -= step
         if abs(step) <= 1e-15 * s:
             break
-    return 1.0 / (s * s) if math.isfinite(s) and s > 0.0 else n
+    return 1.0 / (s * s) if math.isfinite(s) and s * s > 0.0 else n
 
 
 def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLevel) -> float:
@@ -295,7 +310,7 @@ def _estimate_for(method: MethodSpec, d: float, p0: float, level: ConfidenceLeve
     2,600, p0 .02 to .5, alpha .01 to .1) it lands within 2 sizes.
     """
     if method.family in (Family.WILSON, Family.AGRESTI_COULL):
-        return approx_method_n(ApproxFamily(method.family.value), d, p0, level).n_unrounded
+        return _approx_n(ApproxFamily(method.family.value), d, p0, level)
     terms = _WIDTH_EXPANSION[method.side](1, p0, level)  # coefficients do not depend on n
     (a_lo, b_lo), (a_up, b_up) = _end_priors(method)
     t_one = terms.t_one + ((a_up - 1.0) - (a_up + b_up - 1.0) * p0)
@@ -364,11 +379,13 @@ def exact_n(
 
     # A d the closed forms cannot take (d >= 1 for the printed forms, which
     # any realized width meets, or one above the peak of the one-sided
-    # expansion) is large, so the walk then starts from the bottom.
+    # expansion) is large, so the walk then starts from the bottom.  A start
+    # at or past n_max (inf for a d too small for a finite one) is n_max.
     try:
-        n = min(max(2, math.ceil(_estimate_for(method, d, p0, level))), n_max)
+        estimate = _estimate_for(method, d, p0, level)
     except DomainError:
-        n = 2
+        estimate = 2.0
+    n = n_max if estimate >= n_max else max(2, math.ceil(estimate))
     start, reach = n, _EXACT_BLOCK - 1
     if passing(n, reach // 2, reach // 2):
         while n > 2 and passing(n - 1, max(reach, start - n + 1), 0):
@@ -409,11 +426,13 @@ def n_plus_two_sided(
         return n_cp - approx_method_n(vs, d, p0, level).n_unrounded
     root = math.sqrt(z2 * pq * pq + d * pq)
     if vs is ApproxFamily.JEFFREYS:
-        return (d - 2.0 * z * (z * pq - root)) / (d * d)
-    if vs is ApproxFamily.WILSON:
+        num = d - 2.0 * z * (z * pq - root)
+    elif vs is ApproxFamily.WILSON:
         other = math.sqrt(z2 * pq * pq + d * d * z2 * (p0 - 0.5) ** 2)
-        return (d * (1.0 + d * z2) + 2.0 * z * (root - other)) / (d * d)
-    return (d + z2 * (d * d - 2.0 * pq) + 2.0 * z * root) / (d * d)
+        num = d * (1.0 + d * z2) + 2.0 * z * (root - other)
+    else:
+        num = d + z2 * (d * d - 2.0 * pq) + 2.0 * z * root
+    return _finite(_over_d2(num, d), d)
 
 
 def n_plus_one_sided(
@@ -429,18 +448,19 @@ def n_plus_one_sided(
     z = level.z_full
     if formula is FormulaMode.DERIVED_ALGEBRA:
         n_cp = cp_n_one_sided(SampleSizeQuery(d, level, Side.UPPER, p0)).n_unrounded
-        return n_cp - z * z * (p0 * (1.0 - p0)) / (d * d)
+        return _finite(n_cp - _over_d2(z * z * (p0 * (1.0 - p0)), d), d)
     z2 = z * z
     q0 = 1.0 - p0
     pq = p0 * q0
     omega = 9.0 * z2 * pq + 12.0 * d * z2 - 24.0 * d * z2 * p0
     if omega + 12.0 * d * (0.5 - p0) < 0.0:
         raise DomainError(f"target d={d} is unattainable for p0={p0}")
-    return (
+    num = (
         math.sqrt(omega + 12.0 * d * (1.0 + q0))
         - math.sqrt(omega + 12.0 * d * (0.5 - p0))
         + d / 2.0
-    ) / (d * d)
+    )
+    return _finite(_over_d2(num, d), d)
 
 
 def n_plus_adjusted(d: float, p0: float, level: ConfidenceLevel, gamma: float) -> float:
@@ -456,8 +476,9 @@ def n_plus_adjusted(d: float, p0: float, level: ConfidenceLevel, gamma: float) -
     z_g = normal_quantile(1.0 - gamma / 2.0)
     q0 = 1.0 - p0
     pq = p0 * q0
-    return (
+    num = (
         d
         + 2.0 * pq * (z_a * z_a - 2.0 * z_g * z_g)
         + 2.0 * z_a * math.sqrt(z_a * z_a * pq * pq + d * pq)
-    ) / (d * d)
+    )
+    return _finite(_over_d2(num, d), d)

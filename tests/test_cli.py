@@ -514,6 +514,12 @@ class TestFigures:
         assert invoke(base, capsys)[0] == 2
         assert invoke(base + ["--force"], capsys)[0] == 0
 
+    def test_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "fig2.csv"
+        code, out, err = invoke(["figure", "--id", "2", "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
     def test_sample_size_figure_columns(self, tmp_path, capsys):
         target = tmp_path / "fig2.csv"
         assert invoke(["figure", "--id", "2", "--out", str(target)], capsys)[0] == 0
@@ -635,6 +641,78 @@ import binomci, binomci.cli
 added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(" ".join(sorted(added - set(sys.stdlib_module_names))))
 """
+
+
+# Odd but parseable commands: targets too small for a finite sample size,
+# extreme Beta shapes, an unwritable --out, and nan, inf and 1e300 for each
+# subcommand's real-valued options and Beta shapes.
+ODD_COMMANDS = [
+    "sample-size --d 1e-155 --p0 0.5 --alpha 0.05",
+    "sample-size --d 1e-155 --prior 0.5,0.5 --alpha 0.05",
+    "sample-size --side upper --p0 0.3 --formula paper --d 1e-300 --alpha 0.05",
+    "sample-size --d 1e-300 --p0 0.5 --alpha 0.05 --mode exact",
+    "cost --vs jeffreys --d 1e-300 --p0 0.5 --alpha 0.05",
+    "cost --vs adjusted:0.04 --d 1e-300 --p0 0.5 --alpha 0.05",
+    "cost --vs jeffreys --formula paper --d 1e-300 --p0 0.5 --alpha 0.05",
+    "interval --method beta:1e-300,1 --x 0 --n 5 --alpha 0.05",
+    "coverage --method beta:1e-300,1 --n 5 --alpha 0.05",
+    "expected-length --method beta:1e6,1e12 --n 5 --p 0.3 --alpha 0.05",
+    "figure --id 2 --out {missing}",
+]
+for v in ("nan", "inf", "1e300"):
+    ODD_COMMANDS += [
+        f"interval --method cp --x 3 --n 10 --alpha {v}",
+        f"expected-length --method cp --n 10 --p 0.3 --alpha {v}",
+        f"expected-length --method cp --n 10 --p {v} --alpha 0.05",
+        f"expected-length --method cp --n 10 --p {v} --alpha 0.05 --mode expansion",
+        f"expected-length --method cp --n 10 --p 0.3 --alpha {v} --mode expansion --side upper",
+        f"coverage --method wilson --n 10 --alpha {v}",
+        f"coverage --method cp --n 10 --alpha 0.05 --lo {v}",
+        f"coverage --method cp --n 10 --alpha 0.05 --hi {v}",
+        f"coverage --method cp --n 10 --alpha {v} --criterion mean",
+        f"sample-size --d {v} --p0 0.5 --alpha 0.05",
+        f"sample-size --d 0.1 --p0 {v} --alpha 0.05",
+        f"sample-size --d 0.1 --p0 0.5 --alpha {v}",
+        f"sample-size --d {v} --p0 0.5 --alpha 0.05 --mode exact",
+        f"sample-size --d {v} --p0 0.3 --alpha 0.05 --side upper --formula paper",
+        f"sample-size --d {v} --prior 0.5,0.5 --alpha 0.05 --side upper",
+        f"cost --vs wilson --d {v} --p0 0.5 --alpha 0.05",
+        f"cost --vs ac --d 0.1 --p0 {v} --alpha 0.05 --formula paper",
+        f"cost --vs one-sided --d {v} --p0 0.5 --alpha 0.05",
+        f"cost --vs jeffreys --d 0.1 --p0 0.5 --alpha {v}",
+        f"cost --vs adjusted:{v} --d 0.1 --p0 0.5 --alpha 0.05",
+        f"calibrate --method jeffreys --n 10 --alpha {v} --criterion mean",
+        f"calibrate --method wilson --n 10 --alpha 0.05 --criterion min --lo {v}",
+        f"figure --id 2 --out {{out}} --d {v}",
+        f"figure --id 1 --out {{out}} --alpha {v}",
+    ]
+    for shapes in (f"{v},1", f"1,{v}"):
+        ODD_COMMANDS += [
+            f"interval --method beta:{shapes} --x 2 --n 5 --alpha 0.05",
+            f"interval --method beta:{shapes} --x 0 --n 5 --alpha 0.05 --side upper",
+            f"expected-length --method beta:{shapes} --n 5 --p 0.3 --alpha 0.05",
+            f"coverage --method beta:{shapes} --n 5 --alpha 0.05",
+            f"coverage --method beta:{shapes} --n 5 --alpha 0.05 --criterion mean",
+            f"calibrate --method beta:{shapes} --n 5 --alpha 0.05 --criterion mean",
+            f"sample-size --d 0.1 --prior {shapes} --alpha 0.05",
+            f"sample-size --d 0.1 --prior {shapes} --alpha 0.05 --side upper",
+        ]
+
+
+def test_odd_commands_exit_with_one_error_line(tmp_path, capsys):
+    # run() returns 0, 1 or 2 and lets no exception escape; a failure is one
+    # "error: " line on stderr, never a traceback
+    wrong = []
+    for i, command in enumerate(ODD_COMMANDS):
+        argv = command.format(out=tmp_path / f"{i}.csv", missing=tmp_path / "no" / "x.csv")
+        try:
+            code = run(argv.split())
+        except BaseException as exc:  # SystemExit included: argparse must accept each
+            code = repr(exc)
+        err = capsys.readouterr().err.splitlines()
+        if code not in (0, 1, 2) or code and not (len(err) == 1 and err[0].startswith("error: ")):
+            wrong.append((command, code, err[:3]))
+    assert wrong == []
 
 
 def test_import_needs_only_numpy_and_the_standard_library():

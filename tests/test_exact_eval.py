@@ -1059,7 +1059,7 @@ class TestBoundsCache:
         _bounds_arrays.cache_clear()
         monkeypatch.setattr(exact_eval, "_bounds_for_x", lambda method, n, level, x: (-x, x))
         try:
-            with pytest.raises(RuntimeError, match="not monotone for wilson at n=5, alpha=0.05"):
+            with pytest.raises(ConvergenceError, match="not monotone for wilson at n=5, alpha=0.05"):
                 _bounds_arrays(MethodSpec.wilson(), 5, LEVEL)
         finally:
             _bounds_arrays.cache_clear()

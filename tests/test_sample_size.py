@@ -720,3 +720,53 @@ class TestNPlusAdjusted:
     def test_gamma_validation(self):
         with pytest.raises(DomainError):
             n_plus_adjusted(0.04, 0.5, LEVEL, 0.0)
+
+
+# Closed forms whose n or n-plus is not a finite float at d = 1e-300, where
+# d^2 underflows to 0; each once raised ZeroDivisionError or OverflowError.
+TINY_TARGET_FORMS = {
+    "cp_n_two_sided": lambda d: cp_n_two_sided(SampleSizeQuery(d, LEVEL, p0=0.5)),
+    "cp_n_two_sided_prior": lambda d: cp_n_two_sided_prior(
+        SampleSizeQuery(d, LEVEL, prior=JEFFREYS_PRIOR)
+    ),
+    "cp_n_one_sided": lambda d: cp_n_one_sided(SampleSizeQuery(d, LEVEL, Side.UPPER, 0.3)),
+    "cp_n_one_sided_paper": lambda d: cp_n_one_sided(
+        SampleSizeQuery(d, LEVEL, Side.UPPER, 0.3), FormulaMode.PAPER_VERBATIM
+    ),
+    "cp_n_one_sided_prior": lambda d: cp_n_one_sided_prior(
+        SampleSizeQuery(d, LEVEL, Side.UPPER, prior=JEFFREYS_PRIOR)
+    ),
+    "jeffreys_one_sided_n_verbatim": lambda d: jeffreys_one_sided_n_verbatim(d, LEVEL),
+    "approx_method_n": lambda d: approx_method_n(ApproxFamily.WILSON, d, 0.5, LEVEL),
+    "n_plus_two_sided": lambda d: n_plus_two_sided(ApproxFamily.JEFFREYS, d, 0.5, LEVEL),
+    "n_plus_two_sided_paper": lambda d: n_plus_two_sided(
+        ApproxFamily.JEFFREYS, d, 0.5, LEVEL, FormulaMode.PAPER_VERBATIM
+    ),
+    "n_plus_one_sided": lambda d: n_plus_one_sided(d, 0.5, LEVEL),
+    "n_plus_one_sided_paper": lambda d: n_plus_one_sided(
+        d, 0.5, LEVEL, FormulaMode.PAPER_VERBATIM
+    ),
+    "n_plus_adjusted": lambda d: n_plus_adjusted(d, 0.5, LEVEL, 0.04),
+}
+
+
+@pytest.mark.parametrize("form", TINY_TARGET_FORMS.values(), ids=TINY_TARGET_FORMS)
+def test_tiny_target_is_domain_error_naming_d(form):
+    with pytest.raises(DomainError, match="target d=1e-300 is too small"):
+        form(1e-300)
+
+
+@pytest.mark.parametrize("name", ["cp_n_two_sided", "cp_n_two_sided_prior"])
+def test_target_past_the_float_range_is_domain_error(name):
+    # d^2 is a finite 1e-310 here, but n is above the float range
+    with pytest.raises(DomainError, match="target d=1e-155 is too small"):
+        TINY_TARGET_FORMS[name](1e-155)
+
+
+@pytest.mark.parametrize("d", [1e-155, 1e-300])
+@pytest.mark.parametrize("spec", [MethodSpec.clopper_pearson(), MethodSpec.wilson()], ids=str)
+def test_tiny_target_search_starts_at_n_max(spec, d, solved):
+    # an infinite start is n_max, not a walk up from n = 2
+    with pytest.raises(SearchBudgetError, match="no n <= 2000"):
+        exact_n(spec, d, 0.5, LEVEL, n_max=2000)
+    assert solved == [3]
