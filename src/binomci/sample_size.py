@@ -11,7 +11,8 @@ root, _root_n, which never divides by t_one; the point-guess forms read
 their coefficients from `expansions`.  The exact search of every CP and
 Beta-prior method starts from that root carried to third order,
 _third_order_n, on CP's expansion shifted by each end's posterior mean
-(see _estimate_for).
+(see _estimate_for).  A closed form whose n or n-plus is not a finite float
+raises DomainError naming d (_finite); exact_n starts such a search at n_max.
 
 Several printed displays disagree with their own derivations; those
 operations therefore run in one of two modes.  DERIVED_ALGEBRA (the
@@ -124,7 +125,9 @@ def _finite(value: float, d: float) -> float:
     return value
 
 
-def _result(n: float, d: float, formula=FormulaMode.DERIVED_ALGEBRA) -> SampleSizeResult:
+def _result(
+    n: float, d: float, formula: FormulaMode = FormulaMode.DERIVED_ALGEBRA
+) -> SampleSizeResult:
     """A closed form's unrounded n as a result, checked by _finite."""
     return SampleSizeResult(math.ceil(_finite(n, d)), n, formula)
 
