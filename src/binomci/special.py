@@ -269,7 +269,8 @@ def _quantile_start(xp, q, a, b):
 def _halley_round(xp, x, err, a, b, lgb, lo, hi):
     """One safeguarded Halley round of the beta-quantile solve at x, where
     err = I_x(a, b) - q is nonzero.  Returns the next x, the bracket [lo, hi]
-    shrunk to x's side, and whether the solve stops there.
+    shrunk to x's side, whether the solve stops there, and whether the step
+    is near enough for _density_integral to carry err to the next x.
 
     u = err / pdf is the Newton step and g = (ln pdf)'; the round steps to
     x - u / (1 - u g / 2), or to x - u where that divisor is outside
@@ -279,7 +280,11 @@ def _halley_round(xp, x, err, a, b, lgb, lo, hi):
     step below 1e-15 x + 1e-18, on a bracket narrower than 1e-15 of its
     lower end, or after an accepted step whose Newton-predicted remaining
     error |g| / 2 * dx^2 is at most 1e-15 x: a further round would only
-    chase the rounding noise of I_x.
+    chase the rounding noise of I_x.  A step is near where it is accepted
+    and dx (|g| + sqrt|h''| + 1/x + 1/(1 - x)) <= _NEAR, h'' = (ln pdf)''
+    at x: within a tenth of the scales on which ln pdf bends and of its
+    distance to the pdf's branch points at 0 and 1.  (h'' divides by x
+    twice: x * x underflows below 1e-154.)
     """
     pos = err > 0.0
     hi = xp.where(pos, x, hi)
@@ -299,7 +304,40 @@ def _halley_round(xp, x, err, a, b, lgb, lo, hi):
         | ((hi - lo) <= 1e-15 * lo)
         | (ok & (0.5 * abs(g) * dx * dx <= 1e-15 * xn))
     )
-    return xn, lo, hi, stop
+    h2 = (a - 1.0) / x / x + (b - 1.0) / (1.0 - x) / (1.0 - x)
+    near = ok & (dx * (abs(g) + xp.sqrt(abs(h2)) + 1.0 / x + 1.0 / (1.0 - x)) <= _NEAR)
+    return xn, lo, hi, stop, near
+
+
+# Five-point Gauss-Legendre (Abramowitz & Stegun 25.4.30): its remainder,
+# 3.9e-13 (2h)^11 f^(10) over a step of 2h, is below 4e-20 of a near-Gaussian
+# density's integral at 2h / sigma = _NEAR, and the step's tenth of its
+# distance to 0 and 1 keeps the branch points of x^(a - 1) (1 - x)^(b - 1)
+# out of reach.  What is left is the rounding of _log_beta_kernel's terms:
+# against 40-digit mpmath on 575 seeded near steps (shapes in 10^[-2, 4]) the
+# error is at most 1.44 (1e-15 + eps M) of the integral, eps M that rounding.
+# Three points were up to 1.0e-12 off there: they need 2h / sigma <= 0.01,
+# and round 1's step, the seed's error, has a median of 2.8e-3 sigma at n = 30.
+_GL_INNER = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_GL_OUTER = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_GL_NODES = (-_GL_OUTER, -_GL_INNER, 0.0, _GL_INNER, _GL_OUTER)
+_GL_W_INNER = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
+_GL_W_OUTER = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
+_GL_WEIGHTS = (_GL_W_OUTER, _GL_W_INNER, 128.0 / 225.0, _GL_W_INNER, _GL_W_OUTER)
+_NEAR = 0.1
+
+
+def _density_integral(xp, x, xn, a, b, lgb):
+    """The integral of the Beta(a, b) density from x to xn (negative where
+    xn < x), lgb = ln B(a, b), by five-point Gauss-Legendre over
+    _log_beta_kernel: I_xn(a, b) = I_x(a, b) + this, within a few ulps of
+    it where the step is near (_halley_round)."""
+    half = 0.5 * (xn - x)
+    mid = x + half
+    s = 0.0
+    for t, w in zip(_GL_NODES, _GL_WEIGHTS):
+        s = s + w * xp.exp(_log_beta_kernel(xp, mid + half * t, a - 1.0, b - 1.0, lgb))
+    return half * s
 
 
 # ln k! - ln(sqrt(2 pi k) (k / e)^k) for k = 0..15 (0 at k = 0 by convention)
@@ -418,15 +456,23 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     return 1.0 - w if swap else w
 
 
-def _solve_beta_quantile(rounds, q, a, b, lgb, x, lo, hi) -> float:
-    """The Halley loop's float rounds, from x in the bracket [lo, hi]; lgb = ln B(a, b)."""
+def _solve_beta_quantile(rounds, q, a, b, lgb, x, lo, hi, err=None) -> float:
+    """The Halley loop's float rounds, from x in the bracket [lo, hi]; lgb = ln B(a, b).
+
+    err = I_x(a, b) - q as the round before carried it, or None: a round
+    after a near step adds the density's integral over it to the previous
+    err (_density_integral), and any other evaluates I_x by the continued
+    fraction, the first round and those after a bisection or a far step."""
     for _ in rounds:
-        err = reg_inc_beta(x, a, b, lgb) - q
+        if err is None:
+            err = reg_inc_beta(x, a, b, lgb) - q
         if err == 0.0:
             return x
-        x, lo, hi, stop = _halley_round(SCALAR, x, err, a, b, lgb, lo, hi)
+        xn, lo, hi, stop, near = _halley_round(SCALAR, x, err, a, b, lgb, lo, hi)
         if stop:
-            return x
+            return xn
+        err = err + _density_integral(SCALAR, x, xn, a, b, lgb) if near else None
+        x = xn
     raise ConvergenceError(
         f"beta_quantile did not converge for q={q}, a={a}, b={b}"
     )

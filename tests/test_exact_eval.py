@@ -210,16 +210,24 @@ class TestVectorKernel:
         (MethodSpec.clopper_pearson(), 2000, np.array([1.0, 5, 40, 300, 999, 1500, 1999])),
     ], ids=["jeffreys-200", "cp-2000", "cp-7-x"])
     def test_halley_hands_its_last_lanes_to_floats(self, monkeypatch, spec, n, x):
-        # no vector Halley round after the first runs on _FLOAT_LANES lanes
-        # or fewer: those finish in the float loop with the bits they would
-        # get in the vector loop (test_float_tail_does_not_move_a_bit)
-        lanes = []
-        betainc = exact_eval._betainc_vec
+        # a lane runs the continued fraction about once: in round 1 and after
+        # a far step, while a near step carries I_x - q by the density's
+        # integral.  The vector fraction runs at most 1.05 lanes per solved
+        # lane, and never on _FLOAT_LANES lanes or fewer: those take the
+        # float fraction, and the last lanes of a solve the float loop, with
+        # the bits of the vector loop (test_float_tail_does_not_move_a_bit)
+        lanes, solved = [], []
+        betainc, quantile = exact_eval._betainc_vec, exact_eval._beta_quantile_vec
         monkeypatch.setattr(
             exact_eval, "_betainc_vec", lambda *args: lanes.append(args[0].size) or betainc(*args)
         )
+        monkeypatch.setattr(
+            exact_eval, "_beta_quantile_vec",
+            lambda *args: solved.append(args[0].size) or quantile(*args),
+        )
         exact_eval._bounds_for_x(spec, n, LEVEL, x)
-        assert lanes and all(k > exact_eval._FLOAT_LANES for k in lanes[1:]), lanes
+        assert sum(lanes) <= 1.05 * sum(solved), (lanes, solved)
+        assert all(k > exact_eval._FLOAT_LANES for k in lanes), lanes
 
     def test_float_tail_does_not_move_a_bit(self, monkeypatch):
         # the continued fraction's last few lanes finish over Python floats;

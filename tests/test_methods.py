@@ -438,7 +438,10 @@ def _golden_rows():
     # 56 endpoints in 55 quantile rows moved, by at most 1.24e-12 relative.
     # When ln Gamma's Lanczos terms kept a small argument's low digits, the
     # 31 Beta(0.001, 0.001) rows moved, by at most 1.14e-10 relative (an end
-    # at x = 0 scales ln B's error by 1/a).
+    # at x = 0 scales ln B's error by 1/a).  When a Halley round after a near
+    # step carried I_x - q by the density's integral over it instead of a
+    # second continued fraction, 376 endpoints in 314 quantile rows moved, by
+    # at most 1.43e-11 relative at alpha 1e-6 and 7.03e-13 at .05 and .2.
     # The Wald, Agresti-Coull and CP closed-form endpoints never moved.
     lines = Path(__file__).with_name("golden_intervals.txt").read_text().splitlines()
     assert len(lines) == 1050
