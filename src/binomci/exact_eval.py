@@ -86,8 +86,11 @@ def _betacf_vec(a, b, x, y):
     m = 0  # terms run
     while m < _CF_MAXIT:
         k = max(1, min(_BLOCK_TERMS, _BLOCK_VALUES // max(done.size, 1), _CF_MAXIT - m))
-        alpha, beta = _bfrac_terms(VECTOR, np.arange(m + 1.0, m + k + 1.0)[:, None],
-                                   a, b, x, ab, c, yp1)
+        # one term takes n as one value, which numpy broadcasts faster than a (1, 1) column
+        n = np.arange(m + 1.0, m + k + 1.0)[:, None] if k > 1 else np.array([m + 1.0])
+        alpha, beta = _bfrac_terms(VECTOR, n, a, b, x, ab, c, yp1)
+        if k == 1:
+            alpha, beta = alpha[None], beta[None]
         for j in range(k):
             an, bn, r_next, converged = _bfrac_round(VECTOR, alpha[j], beta[j], an, bn, r)
             r = np.where(done, r, r_next)

@@ -176,8 +176,9 @@ def _bfrac_start(xp, a, b, x, y):
 
 
 def _bfrac_terms(xp, n, a, b, x, ab, c, yp1):
-    """The coefficients (alpha, beta) of the fraction's term n: an int, or a
-    column of integer-valued floats, one term a row.  With s = a + 2n - 1,
+    """The coefficients (alpha, beta) of the fraction's term n: an int, one
+    integer-valued float in an array, or a column of them, one term a row.
+    With s = a + 2n - 1,
     alpha = (a + n - 1)(a + b + n - 1) n (b - n) x^2 / s^2 and
     beta = n + n (b - n) x / s + (a + n)(c + n (1 + y)) / (s + 2)."""
     s = a + (2 * n - 1)
