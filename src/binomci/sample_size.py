@@ -137,11 +137,18 @@ def _root_n(t_half: float, t_one: float, d: float, where: str) -> float:
 
     sqrt(n) = (t_half + sqrt(t_half^2 + 4 t_one d)) / (2 d) never divides by
     t_one, so a t_one near zero costs no digits (Goldberg 1991, section 1.4).
+    Where t_half < 0 (a one-sided alpha above 1/2) that sum cancels, and the
+    same root is taken as 2 t_one / (sqrt(t_half^2 + 4 t_one d) - t_half).
     A t_one < 0 makes the expansion peak at a finite n; a d above the peak
     leaves a negative discriminant and is unattainable.
     """
     disc = t_half * t_half + 4.0 * t_one * d
-    root_n = (t_half + math.sqrt(disc)) / (2.0 * d) if disc >= 0.0 else math.nan
+    if not (disc >= 0.0):
+        root_n = math.nan
+    elif t_half >= 0.0:
+        root_n = (t_half + math.sqrt(disc)) / (2.0 * d)
+    else:
+        root_n = 2.0 * t_one / (math.sqrt(disc) - t_half)
     if not (root_n > 0.0):
         raise DomainError(f"target d={d} is unattainable{where}")
     return root_n * root_n

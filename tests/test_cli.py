@@ -651,6 +651,8 @@ ODD_COMMANDS = [
     "sample-size --d 1e-155 --prior 0.5,0.5 --alpha 0.05",
     "sample-size --side upper --p0 0.3 --formula paper --d 1e-300 --alpha 0.05",
     "sample-size --d 1e-300 --p0 0.5 --alpha 0.05 --mode exact",
+    "sample-size --d 3.272130634310096e-256 --alpha 0.5413427394536561 --side upper"
+    " --p0 2.8424046219764744e-86 --mode exact",
     "cost --vs jeffreys --d 1e-300 --p0 0.5 --alpha 0.05",
     "cost --vs adjusted:0.04 --d 1e-300 --p0 0.5 --alpha 0.05",
     "cost --vs jeffreys --formula paper --d 1e-300 --p0 0.5 --alpha 0.05",

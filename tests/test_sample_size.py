@@ -228,6 +228,29 @@ def test_closed_form_solves_its_expansion(form, guesses, coeffs, alpha, d):
         assert abs(residual) <= 1e-13 * d, (guess, n, residual)
 
 
+@pytest.mark.parametrize("alpha", [0.52, 0.6, 0.75, 0.9])
+@pytest.mark.parametrize("d", [1e-12, 1e-6, 0.005, 0.1])
+def test_one_sided_prior_root_at_alpha_above_half(alpha, d):
+    # z_full < 0 above alpha = 1/2, so the n^(-1/2) coefficient A is negative
+    # and (A + sqrt(A^2 + 4 B d)) / (2 d) cancels; the rationalized root is
+    # within 1e-14 of the quadratic's root in 60-digit mpmath (the cancelling
+    # form was up to 19 % off), and DomainError where it has no positive root
+    mp = pytest.importorskip("mpmath")
+    level = ConfidenceLevel(alpha)
+    for prior in RESIDUAL_PRIORS:
+        query = SampleSizeQuery(d, level, Side.UPPER, prior=prior)
+        a_coeff, b_coeff = _prior_coeffs(False, prior, level)
+        with mp.workdps(60):
+            disc = mp.mpf(a_coeff) ** 2 + 4 * mp.mpf(b_coeff) * d
+            root = (a_coeff + mp.sqrt(disc)) / (2 * mp.mpf(d)) if disc >= 0 else -1
+            if not root > 0:
+                with pytest.raises(DomainError, match="unattainable"):
+                    cp_n_one_sided_prior(query)
+                continue
+            n = cp_n_one_sided_prior(query).n_unrounded
+            assert abs(n / root**2 - 1) <= 1e-14, (prior, n, root**2)
+
+
 class TestApproxMethodN:
     def test_jeffreys_formula(self):
         res = approx_method_n(ApproxFamily.JEFFREYS, 0.05, 0.5, LEVEL)
@@ -771,4 +794,14 @@ def test_tiny_target_search_starts_at_n_max(spec, d, solved):
     # an infinite start is n_max, not a walk up from n = 2
     with pytest.raises(SearchBudgetError, match="no n <= 2000"):
         exact_n(spec, d, 0.5, LEVEL, n_max=2000)
+    assert solved == [3]
+
+
+def test_tiny_one_sided_target_above_alpha_half_starts_at_n_max(solved):
+    # alpha > 1/2 puts the root's t_half below 0; the cancelling form gave 0
+    # there, "unattainable", and the walk went up from n = 2 for hours
+    spec = MethodSpec.clopper_pearson(Side.UPPER)
+    level = ConfidenceLevel(0.5413427394536561)
+    with pytest.raises(SearchBudgetError, match="no n <= 1000000"):
+        exact_n(spec, 3.272130634310096e-256, 2.8424046219764744e-86, level)
     assert solved == [3]
