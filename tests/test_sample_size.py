@@ -805,3 +805,13 @@ def test_tiny_one_sided_target_above_alpha_half_starts_at_n_max(solved):
     with pytest.raises(SearchBudgetError, match="no n <= 1000000"):
         exact_n(spec, 3.272130634310096e-256, 2.8424046219764744e-86, level)
     assert solved == [3]
+
+
+def test_start_at_p0_near_zero_is_not_the_cubic_root(solved):
+    # at p0 = 1e-17 the cubic term is 2.0e6 times the other two at the
+    # second-order root (49); the third-order root, 32,033, made the walk
+    # down solve 31,880 widths in 6.6 s
+    spec = MethodSpec.clopper_pearson()
+    level = ConfidenceLevel(0.0854571721402093)
+    assert exact_n(spec, 0.020431879140054066, 1e-17, level).n == 153
+    assert sum(solved) <= 300, solved
