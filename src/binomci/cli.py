@@ -392,7 +392,7 @@ def _coverage_figure_rows(args, level, mode):
             grid = exact_eval.PGrid(lo, hi, 2)  # checks 0 < lo < hi < 1
             for n in _parse_n_list(args.coverage_n_list):
                 L, U = exact_eval._bounds_arrays(spec, n, level)
-                argmin_p, min_cov, _ = exact_eval._exact_min(L, U, n, grid.lo, grid.hi)
+                argmin_p, min_cov = exact_eval._exact_min(L, U, n, grid.lo, grid.hi)[:2]
                 rows.append([name, lo, hi, n, min_cov, argmin_p])
     return ["method", "lo", "hi", "n", "min_coverage", "argmin_p"], rows
 

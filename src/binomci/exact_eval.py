@@ -16,9 +16,10 @@ instead: one saddle-point pmf (Loader 2000) at the range's largest term, then
 a ratio walk, so that scans with hundreds of thousands of grid points stay
 cheap; they run in this process.  Expected widths weight x by the same ratio
 walk, from the mode, normalized by its sum (see _support).  The minimum
-coverage is a one-sided limit at an endpoint (see _exact_min), and the
-minimum over a grid is read beside each endpoint (see _grid_candidates);
-each is reported at the smallest p whose coverage ties with it, within a
+coverage is a one-sided limit at an endpoint (see _exact_min); the minimum
+over a grid is read beside each endpoint (see _grid_candidates), on a large
+grid only where the limits beside them do not rule it out (_grid_coverage).
+Each is reported at the smallest p whose coverage ties with it, within a
 relative 1e-9, so mirror minima do not flip.  An endpoint-cache entry holds a
 key's (L, U) and, once asked for, its mean coverage, which goes with the arrays.
 """
@@ -495,17 +496,20 @@ def min_coverage(
 
     argmin_p is the endpoint (or lo or hi) the infimum is approached at from
     one side, so coverage_probability(argmin_p) may be above min_coverage.
-    grid_min_coverage and grid_argmin_p are read, in the same scan, at the
-    grid points beside each realized endpoint only (see _grid_candidates).
+    grid_min_coverage and grid_argmin_p are read at the grid points beside
+    each realized endpoint (see _grid_candidates): in the same scan where
+    they are few, else those the limits beside them leave (_grid_coverage).
     Both argmins are the smallest p whose coverage is within a relative 1e-9
     of the minimum (see _argmin_p).  mean_coverage is the one held with
-    (L, U), computed once per key.  `workers` is accepted and ignored: the
-    scan runs in this process.
+    (L, U), computed once per key.  `workers` is accepted and ignored.
     """
     L, U = _bounds_arrays(method, n, level)
     grid_p = grid.values()
     cand_p = grid_p[_grid_candidates(grid_p, L, U)]
-    min_p, min_cov, cand_cov = _exact_min(L, U, n, grid.lo, grid.hi, cand_p)
+    also = cand_p if cand_p.size <= _ONE_SCAN_CANDIDATES else cand_p[:0]
+    min_p, min_cov, probes, cand_cov = _exact_min(L, U, n, grid.lo, grid.hi, also)
+    if also.size < cand_p.size:
+        cand_cov = _grid_coverage(cand_p, L, U, n, *probes)
     return CoverageReport(
         min_coverage=min_cov,
         argmin_p=min_p,
@@ -522,8 +526,8 @@ def _grid_candidates(grid_p, L, U):
     consecutive endpoints the coverage rises, then falls (see _exact_min), so
     over one piece's grid points it is smallest at the first or the last.
     Where it is 1 up to rounding, an inner point can read a few ulps lower.
-    A mask, not np.unique of the indices: 0.13 against 1.4 ms on 200,000
-    points at n = 2000.
+    That is 7,100 of 20,001 points at n = 2000, so _grid_coverage bounds them.
+    A mask, not np.unique of the indices: 0.13 against 1.4 ms at 200,000.
     """
     ends = np.concatenate([L, U])
     left = np.searchsorted(grid_p, ends, side="left")  # the first point >= e
@@ -535,8 +539,9 @@ def _grid_candidates(grid_p, L, U):
 
 
 def _exact_min(L, U, n, lo, hi, also=()):
-    """(argmin p, minimum) of the coverage over [lo, hi], with no grid, and
-    the coverage at the points `also`, in one scan.
+    """(argmin p, minimum) of the coverage over [lo, hi], with no grid; the
+    probes lo < endpoints in (lo, hi) < hi with their C(p), C(p-), C(p+); and
+    the coverage at the points `also`: all from one scan.
 
     Between consecutive realized endpoints the covering range [a, b] of x is
     fixed, and P(a <= X <= b) rises, then falls in p (H. Wang 2007, Statist.
@@ -544,12 +549,42 @@ def _exact_min(L, U, n, lo, hi, also=()):
     limit C(e-), C(e+) at an endpoint e in (lo, hi); C(p) is at least both.
     """
     ends = np.concatenate([L, U])
-    probes = np.concatenate([also, [lo, hi], ends[(ends > lo) & (ends < hi)]])
-    cov, left, right = _coverage_over(probes, L, U, n)
-    k = len(also)
-    limits = np.minimum(left[k:], right[k:])
-    limits[:2] = right[k], left[k + 1]  # [lo, hi] holds only one side of lo and hi
-    return _argmin_p(probes[k:], limits), float(limits.min()), cov[:k]
+    inner = np.sort(ends[(ends > lo) & (ends < hi)])
+    probes = np.concatenate([[lo], inner, [hi], also])
+    rows = _coverage_over(probes, L, U, n)
+    k = inner.size + 2
+    probes, (cov, left, right) = probes[:k], rows[:, :k]
+    left[0], right[-1] = right[0], left[-1]  # [lo, hi] holds only one side of lo and hi
+    limits = np.minimum(left, right)
+    return _argmin_p(probes, limits), float(limits.min()), (probes, cov, left, right), rows[0, k:]
+
+
+# Above this many grid candidates a report bounds them (_grid_coverage): a second
+# scan costs 0.3-0.4 ms, a candidate in the first about 0.5 us.  Best of 31 cached
+# 20,001-point reports, one scan / two (2-CPU machine, numpy 2.4.6): 0.76/0.83 ms
+# at 964 candidates (n = 250), 0.96/0.96 at 1,346, 1.21/1.09 at 1,922 (n = 500).
+_ONE_SCAN_CANDIDATES, _FIRST_CANDIDATES = 1350, 16  # 2,001 points: at most 1,017 to n = 300
+
+
+def _grid_coverage(cand_p, L, U, n, p, cov, left, right):
+    """The coverage at each grid candidate that can hold or tie the grid's
+    minimum, inf at the others, from _exact_min's probes p and rows.  One on
+    a probe takes its C(p).  On a piece e_i < g < e_i+1, C(g) is at least
+    min(C(e_i+), C(e_i+1-)); times 1 - _TIE_RTOL that bounds the computed
+    C(g), within 1.3e-14 of scipy at n = 10^5 and a few ulps below 1 where C
+    is 1.  The _FIRST_CANDIDATES lowest bounds are evaluated, then each within
+    _TIE_RTOL of the lowest coverage found, until none is left."""
+    i = np.searchsorted(p, cand_p)  # p[i - 1] < g <= p[i]; g = lo has i = 0
+    on = p[i] == cand_p
+    got = np.where(on, cov[i], np.inf)
+    bound = np.where(on, np.inf, np.minimum(right[i - 1], left[i]) * (1.0 - _TIE_RTOL))
+    todo = np.argpartition(bound, min(_FIRST_CANDIDATES, bound.size - 1))[:_FIRST_CANDIDATES]
+    while todo.size:
+        got[todo] = _coverage_over(cand_p[todo], L, U, n)[0]
+        bound[todo] = np.inf
+        low = got.min()
+        todo = np.flatnonzero(bound <= low + _TIE_RTOL * low)
+    return got
 
 
 # Relative gap below which two coverages tie for the minimum.  The coverage

@@ -979,7 +979,7 @@ class TestMinCoverage:
         assert rep.grid_min_coverage == coverage_probability(spec, n, grid.values(), level).min()
 
     @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.001])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 37, 250, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 37, 250, 500, 2000])
     @pytest.mark.parametrize("spec", MIN_FAMILIES, ids=str)
     def test_grid_minimum_matches_full_scan(self, spec, n, alpha):
         # the grid minimum reads only the grid points beside each endpoint;
@@ -1009,6 +1009,60 @@ class TestMinCoverage:
             else:  # coverage 1 up to rounding
                 assert abs(rep.grid_min_coverage - cov.min()) <= 1e-15, grid
 
+    def test_bounded_candidates_keep_the_one_scan_bits(self, monkeypatch):
+        # every report field equals the one from the exact minimum's scan with
+        # all grid candidates in it, on both sides of the crossover, and with
+        # the bounds forced on every report
+        rng = random.Random(3701)
+        reports, sides = [], set()
+        for i in range(200):
+            spec = rng.choice(MIN_FAMILIES)
+            n = round(3000.0 ** rng.random()) if i % 2 else rng.randrange(300, 3001)
+            alpha = 1e-6 if i % 5 == 0 else 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+            L, U = _bounds_arrays(spec, n, ConfidenceLevel(alpha))
+            ends = np.concatenate([L, U])
+            ends = np.unique(ends[(ends > 1e-4) & (ends < 1.0 - 1e-4)])
+            points = round(200000.0 ** rng.random()) if i % 2 else rng.randrange(2001, 40001)
+            lo, hi = sorted(rng.uniform(1e-4, 1.0 - 1e-4) for _ in range(2))
+            if i % 3 == 0 and ends.size >= 2:  # lo, hi or both on an endpoint
+                a, b = sorted(rng.sample(range(ends.size), 2))
+                lo, hi = [(ends[a], ends[b]), (ends[a], hi), (lo, ends[b])][i % 9 // 3]
+            mantissa = np.frexp(ends)[0]
+            inner = ends[(mantissa > 0.51) & (mantissa < 0.99) & (ends < 0.99)]
+            if i % 7 == 0 and inner.size:  # the binade grid with an endpoint at its middle
+                e = float(inner[rng.randrange(inner.size)])
+                d = math.ldexp(1.0, math.frexp(e)[1] - 16)
+                lo, hi, points = e - 100 * d, e + 100 * d, 201
+                assert PGrid(lo, hi, points).values()[100] == e
+            if not lo < hi:
+                lo, hi = 0.01, 0.99
+            reports.append((spec, n, ConfidenceLevel(alpha), PGrid(float(lo), float(hi), max(points, 2))))
+            cand = exact_eval._grid_candidates(reports[-1][3].values(), L, U).sum()
+            sides.add(bool(cand > exact_eval._ONE_SCAN_CANDIDATES))
+        assert sides == {False, True}
+        got = [min_coverage(*r) for r in reports]
+        monkeypatch.setattr(exact_eval, "_ONE_SCAN_CANDIDATES", 10**9)
+        assert [min_coverage(*r) for r in reports] == got
+        monkeypatch.setattr(exact_eval, "_ONE_SCAN_CANDIDATES", 0)
+        assert [min_coverage(*r) for r in reports] == got
+
+    def test_large_reports_evaluate_few_candidates(self, monkeypatch):
+        # the benchmark's coverage-figure keys above the crossover and its
+        # 200,000-point scans each evaluate at most 32 grid candidates
+        sizes = []
+        scan = exact_eval._coverage_over
+        monkeypatch.setattr(
+            exact_eval, "_coverage_over", lambda p, *rest: sizes.append(p.size) or scan(p, *rest)
+        )
+        keys = [(spec, n, 0.05, PGrid(lo, hi, 20001))
+                for n in (500, 1000, 2000) for lo, hi in ((0.01, 0.99), (0.1, 0.9))
+                for spec in MIN_FAMILIES[:4]]
+        keys += [(spec, 2000, 0.01, PGrid(0.01, 0.99, 200000)) for spec in MIN_FAMILIES[:4]]
+        for spec, n, alpha, grid in keys:
+            sizes.clear()
+            min_coverage(spec, n, ConfidenceLevel(alpha), grid)
+            assert len(sizes) >= 2 and sum(sizes[1:]) <= 32, (spec, n, grid, sizes)
+
     def test_pieces_take_the_inner_limit_at_each_end(self):
         # over [lo, hi] between consecutive endpoints the infimum is C(lo+) or
         # C(hi-); C(lo-) and C(hi+) lie outside and do not count
@@ -1023,7 +1077,7 @@ class TestMinCoverage:
                 at = {p: _exact_sum(n, p, *_window_at(p, L, U, "closed")) for p in inner}
                 outer = min(_exact_sum(n, lo, *_window_at(lo, L, U, "left")),
                             _exact_sum(n, hi, *_window_at(hi, L, U, "right")))
-                argmin_p, got, _ = exact_eval._exact_min(L, U, n, lo, hi)
+                argmin_p, got = exact_eval._exact_min(L, U, n, lo, hi)[:2]
                 want = min(limit.values())
                 assert got == pytest.approx(want, abs=1e-15), (n, lo, hi)
                 if abs(limit[lo] - limit[hi]) > 1e-12:

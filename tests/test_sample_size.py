@@ -26,6 +26,7 @@ from binomci.sample_size import (
     prior_moment,
 )
 from binomci.special import BetaParams, JEFFREYS_PRIOR, UNIFORM_PRIOR
+from golden import estimates, searches
 
 LEVEL = ConfidenceLevel(0.05)
 
@@ -367,44 +368,7 @@ class TestExactSearch:
 # most 3.7e-15 relative, from the modified-Lentz form), and with each
 # Halley round after a near step carrying I_x - q by the density's integral
 # instead of a second fraction (32 moved, by at most 8.8e-15 relative).
-GOLDEN_SEARCHES = [
-    ("cp", 0.01, 0.02, 0.07212, 134, "0x1.261b0a912ce52p-4"),
-    ("cp", 0.01, 0.1, 0.09775, 267, "0x1.903400b144450p-4"),
-    ("cp", 0.01, 0.3, 0.09638, 616, "0x1.8abdc330c8174p-4"),
-    ("cp", 0.01, 0.5, 0.06651, 1525, "0x1.106ca6ced7f15p-4"),
-    ("cp", 0.05, 0.02, 0.01002, 3197, "0x1.484915c0513dep-7"),
-    ("cp", 0.05, 0.1, 0.1176, 114, "0x1.e07499f2bb12ep-4"),
-    ("cp", 0.05, 0.3, 0.1136, 265, "0x1.d06aaac6d41f4p-4"),
-    ("cp", 0.05, 0.5, 0.08002, 622, "0x1.4790a36a64c36p-4"),
-    ("cp", 0.1, 0.02, 0.01189, 1662, "0x1.859bc8f3c055fp-7"),
-    ("cp", 0.1, 0.1, 0.01802, 3107, "0x1.273a150740973p-6"),
-    ("cp", 0.1, 0.3, 0.1508, 111, "0x1.3368ce2de1737p-3"),
-    ("cp", 0.1, 0.5, 0.104, 267, "0x1.a956bde6ca958p-4"),
-    ("cp_upper", 0.01, 0.02, 0.0133, 942, "0x1.b3a623eaacf3dp-7"),
-    ("cp_upper", 0.01, 0.1, 0.01802, 1724, "0x1.27337825ae70dp-6"),
-    ("cp_upper", 0.01, 0.3, 0.01946, 3129, "0x1.3ed522017c331p-6"),
-    ("cp_upper", 0.01, 0.5, 0.1163, 105, "0x1.da90225611af7p-4"),
-    ("cp_upper", 0.05, 0.02, 0.01456, 447, "0x1.dd1a123f43bb9p-7"),
-    ("cp_upper", 0.05, 0.1, 0.02015, 730, "0x1.49e92d3cee15ep-6"),
-    ("cp_upper", 0.05, 0.3, 0.01946, 1593, "0x1.3ec3c6883a785p-6"),
-    ("cp_upper", 0.05, 0.5, 0.01502, 3062, "0x1.ec2342e4d33bcp-7"),
-    ("cp_upper", 0.1, 0.02, 0.01794, 222, "0x1.256bf8c23d054p-6"),
-    ("cp_upper", 0.1, 0.1, 0.02432, 334, "0x1.8df6a11af843ep-6"),
-    ("cp_upper", 0.1, 0.3, 0.02398, 663, "0x1.88abc758121abp-6"),
-    ("cp_upper", 0.1, 0.5, 0.01654, 1559, "0x1.0ef14934d4b5fp-6"),
-    ("jeffreys", 0.01, 0.02, 0.01317, 3006, "0x1.af7ce563abca8p-7"),
-    ("jeffreys", 0.01, 0.1, 0.1545, 98, "0x1.3ad8a357c6079p-3"),
-    ("jeffreys", 0.01, 0.3, 0.1493, 246, "0x1.3160f3ffe44e2p-3"),
-    ("jeffreys", 0.01, 0.5, 0.1052, 595, "0x1.aec98f9b02354p-4"),
-    ("jeffreys", 0.05, 0.02, 0.01417, 1501, "0x1.d02dd2cfbee14p-7"),
-    ("jeffreys", 0.05, 0.1, 0.02147, 2998, "0x1.5fb7ba91a6c02p-6"),
-    ("jeffreys", 0.05, 0.3, 0.1796, 97, "0x1.6f271c5606c05p-3"),
-    ("jeffreys", 0.05, 0.5, 0.124, 247, "0x1.fb4adc44e3e12p-4"),
-    ("jeffreys", 0.1, 0.02, 0.0188, 598, "0x1.33fa9bd5f51abp-6"),
-    ("jeffreys", 0.1, 0.1, 0.02548, 1498, "0x1.a16391490d82dp-6"),
-    ("jeffreys", 0.1, 0.3, 0.02752, 2998, "0x1.c2e25d341c632p-6"),
-    ("jeffreys", 0.1, 0.5, 0.1645, 98, "0x1.4f629692d90dep-3"),
-]
+GOLDEN_SEARCHES = searches()  # tests/golden_searches.txt
 GOLDEN_METHODS = {
     "cp": MethodSpec.clopper_pearson(),
     "cp_upper": MethodSpec.clopper_pearson(Side.UPPER),
@@ -545,48 +509,7 @@ def test_beta_upper_one_over_n_term_matches_enumeration(prior, p):
 # for two-sided Jeffreys, and Wilson and Agresti-Coull keep their printed
 # forms, so none of these starts may move by a bit.  Drawn with alpha
 # log-uniform in [1e-6, .5], p0 in [1e-4, 1) and d in [1e-4, .9].
-GOLDEN_ESTIMATES = [
-    ("cp", 0.000831, 0.00506, 0.809, "0x1.5bf68d921e488p+3"),
-    ("cp", 3.26e-05, 0.00145, 0.000115, "0x1.ce6ed901d5cc2p+22"),
-    ("cp", 7.14e-05, 0.00183, 0.000179, "0x1.b87dc1d33d7b3p+21"),
-    ("cp", 2.63e-05, 0.00179, 0.0203, "0x1.46c614209c969p+9"),
-    ("cp", 0.0252, 0.00597, 0.0367, "0x1.2abde364df470p+7"),
-    ("cp", 0.000144, 0.0832, 0.000417, "0x1.82ed21e320c33p+24"),
-    ("cp", 0.000275, 0.00017, 0.00246, "0x1.e6a358fbc2c7ep+11"),
-    ("cp", 0.0669, 0.000304, 0.000375, "0x1.0bcf4fc94c830p+15"),
-    ("cp_upper", 0.0575, 0.000672, 0.0197, "0x1.44c471f52555fp+7"),
-    ("cp_upper", 7.52e-05, 0.0319, 0.00423, "0x1.a8ef9e2c5133dp+14"),
-    ("cp_upper", 1.92e-05, 0.00117, 0.791, "0x1.b8dc4f6170565p+4"),
-    ("cp_upper", 0.0051, 0.0412, 0.0282, "0x1.fb30a9908b07ap+8"),
-    ("cp_upper", 0.00673, 0.00332, 0.747, "0x1.4982e2009a39ap+3"),
-    ("cp_upper", 0.000392, 0.00659, 0.0337, "0x1.2eb79e9722e89p+8"),
-    ("cp_upper", 0.343, 0.000581, 0.584, "0x1.f81c19eed293dp+1"),
-    ("cp_upper", 0.000171, 0.024, 0.000278, "0x1.dea789757904fp+21"),
-    ("jeffreys", 0.0725, 0.983, 0.0142, "0x1.0b192f0993189p+10"),
-    ("jeffreys", 0.000187, 0.0371, 0.000692, "0x1.fc6a333dc0c83p+21"),
-    ("jeffreys", 0.0143, 0.355, 0.00623, "0x1.148fd07409801p+17"),
-    ("jeffreys", 0.0077, 0.0233, 0.601, "0x1.1d707a53534b0p+2"),
-    ("jeffreys", 0.114, 0.147, 0.00104, "0x1.1acb24967b111p+20"),
-    ("jeffreys", 0.0065, 0.0515, 0.000803, "0x1.11f4466c59ee1p+21"),
-    ("jeffreys", 0.000415, 0.416, 0.0982, "0x1.38114b189b513p+10"),
-    ("jeffreys", 0.0343, 0.305, 0.588, "0x1.5f8ce973870ecp+3"),
-    ("wilson", 0.000134, 0.758, 0.000364, "0x1.341ade74b6951p+26"),
-    ("wilson", 1.64e-06, 0.0026, 0.00174, "0x1.3bed77a599f34p+16"),
-    ("wilson", 1.56e-06, 0.0254, 0.00873, "0x1.d8021d18e0ac0p+14"),
-    ("wilson", 0.000186, 0.0548, 0.000723, "0x1.51e6fbb9af887p+22"),
-    ("wilson", 0.000377, 0.000111, 0.00884, "0x1.71b833d186a9fp+10"),
-    ("wilson", 0.000275, 0.647, 0.00397, "0x1.768c8c814b22ap+19"),
-    ("wilson", 0.000795, 0.159, 0.000208, "0x1.0959b982a991bp+27"),
-    ("wilson", 0.322, 0.000104, 0.000232, "0x1.27deedffb4f10p+13"),
-    ("ac", 0.000656, 0.036, 0.000148, "0x1.18ad3c5af8d6cp+26"),
-    ("ac", 0.000144, 0.00512, 0.17, "-0x1.10c732cf8d9a4p+2"),
-    ("ac", 0.0159, 0.0974, 0.00359, "0x1.35d179db9780fp+17"),
-    ("ac", 1.8e-05, 0.115, 0.00234, "0x1.4dcc9c4e2f31cp+20"),
-    ("ac", 4.6e-05, 0.00231, 0.000194, "0x1.f086fb5b7bf24p+21"),
-    ("ac", 0.00155, 0.000773, 0.000376, "0x1.ab973963f73bbp+17"),
-    ("ac", 7.87e-06, 0.000155, 0.408, "-0x1.3e5137589f1e6p+4"),
-    ("ac", 2.72e-05, 0.0193, 0.000157, "0x1.9c8850fae8745p+25"),
-]
+GOLDEN_ESTIMATES = estimates()  # tests/golden_estimates.txt
 ESTIMATE_METHODS = {
     **GOLDEN_METHODS,
     "wilson": MethodSpec.wilson(),
