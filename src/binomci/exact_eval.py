@@ -48,6 +48,8 @@ from .special import (
     _halley_round,
     _inc_beta,
     _is_count,
+    _log_beta,
+    _near,
     _quantile_start,
     _solve_beta_quantile,
 )
@@ -131,18 +133,18 @@ def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
     return out
 
 
-def _solve_beta_quantile_vec(q, a, b, lgb, x, lo, hi):
+def _solve_beta_quantile_vec(q, a, b, lgb, x, lo, hi, err=None):
     """The Halley loop over lanes from x in [lo, hi], lgb = ln B(a, b), handing
     its last ones to special's float loop by _betacf_vec's rule: each resumes
     from its (x, lo, hi), its carried err or None, and rounds left.  As in
     that loop, a lane's err = I_x - q comes from the continued fraction in
     round 1 and after a far step, and from the density's integral over a near
     one added to the err before (_density_integral): a lane runs the fraction
-    about once."""
+    about once.  err, if given, is round 1's, carried in from elsewhere."""
     out = lanes = None
     done = np.zeros(x.shape, dtype=bool)
-    near = np.zeros(x.shape, dtype=bool)  # no err is carried into round 1
-    err = np.empty(x.shape)
+    near = np.full(x.shape, err is not None)  # whether round 1's err is carried in
+    err = np.empty(x.shape) if err is None else err
     for m in range(_QUANTILE_MAXIT):
         err = _on_lanes(~(near | done), err, _fraction_err, x, a, b, lgb, q)
         done |= err == 0.0
@@ -190,14 +192,24 @@ def _on_lanes(mask, out, step, *lanes):
     return out
 
 
-def _beta_quantile_vec(q, a, b) -> np.ndarray:
-    """Vectorized beta quantile, mirrored per-lane like the scalar routine."""
+def _beta_quantile_vec(q, a, b, base=None, keep=None) -> np.ndarray:
+    """Vectorized beta quantile, mirrored per-lane like the scalar routine.
+    keep, if given, gets the lanes (swap, q, a, b, lgb, roots w) as solved.
+    From base, those lanes at other q, each keeps its orientation, shapes and
+    lgb and starts at its w, where I_w - q is base's q - q up to that solve's
+    residual: round 1 runs no fraction."""
     q, a, b = np.broadcast_arrays(
         np.asarray(q, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
     with np.errstate(all="ignore"):
-        swap, *start = _quantile_start(VECTOR, q, a, b)
-        w = _solve_beta_quantile_vec(*start)
+        if base is None:
+            swap, q, a, b, lgb, x, lo, hi = _quantile_start(VECTOR, q, a, b)
+        else:
+            swap, q0, a, b, lgb, x = base
+            q, lo, hi = np.where(swap, 1.0 - q, q), 0.0, 1.0
+        w = _solve_beta_quantile_vec(q, a, b, lgb, x, lo, hi, None if base is None else q0 - q)
+    if keep is not None:
+        keep.append((swap, q, a, b, lgb, w))
     return np.where(swap, 1.0 - w, w)
 
 
@@ -290,11 +302,11 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 # interval endpoint arrays
 
-def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray):
-    """The family table's (L, U) for the success counts x, run over VECTOR
-    with the vector quantile kernel; n is broadcast to x's lanes."""
+def _bounds_for_x(method: MethodSpec, n, level: ConfidenceLevel, x: np.ndarray, quantile=None):
+    """The family table's (L, U) for the success counts x, run over VECTOR with
+    `quantile` or the vector quantile kernel; n is broadcast to x's lanes."""
     x, n = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(n, dtype=float))
-    return _endpoints(VECTOR, method, n, level, x, _beta_quantile_vec)
+    return _endpoints(VECTOR, method, n, level, x, quantile or _beta_quantile_vec)
 
 
 # Total bytes of endpoint arrays the cache below holds: (L, U) for about
@@ -354,18 +366,32 @@ class _Bounds(tuple):
     @functools.cached_property
     def mean_coverage(self) -> float:
         """The closed form of mean_coverage, both tails in one lane batch."""
-        L, U = self
-        n = L.size - 1
-        a = np.arange(1.0, n + 2.0)  # x + 1, and n - x + 1 reversed
-        inc = _betainc_vec(np.array([U, L]), a, a[::-1])
-        return float(np.sum(inc[0] - inc[1]) / (n + 1.0))
+        return _mean_lanes(np.array(self[::-1]))[0]
 
 
-@_ByteBoundedLRU
-def _bounds_arrays(method: MethodSpec, n: int, level: ConfidenceLevel):
-    """(L, U) endpoint arrays over x = 0..n, nondecreasing in x, as a _Bounds."""
+def _mean_lanes(e, base=None):
+    """The mean coverage at rows e = (U, L), x = 0..n, and its lanes (e, inc,
+    lgb): inc = I_e(x + 1, n - x + 1), lgb = ln B of those shapes.  From base,
+    the lanes at another level, a lane whose e moved near (special._near) adds
+    the density's integral over the move to its inc there; others run _betainc_vec."""
+    a = np.broadcast_to(np.arange(1.0, e.shape[1] + 1.0), e.shape)  # x + 1
+    b = a[:, ::-1]  # n - x + 1
+    if base is None:
+        lgb = _log_beta(VECTOR, a, b)
+        inc = _betainc_vec(e, a, b, lgb)
+    else:
+        e0, inc0, lgb = base
+        with np.errstate(all="ignore"):  # e0 at 0 or 1 is never near
+            near = _near(VECTOR, e0, abs(e - e0), a, b, (a - 1.0) / e0 - (b - 1.0) / (1.0 - e0))
+            inc = inc0 + _density_integral(VECTOR, e0, e, a, b, lgb)
+        inc = _on_lanes(~near, inc, _betainc_vec, e, a, b, lgb)
+    return float(np.sum(inc[0] - inc[1]) / e.shape[1]), (e, inc, lgb)
+
+
+def _solve_bounds(method: MethodSpec, n: int, level: ConfidenceLevel, quantile=None):
+    """(L, U) over x = 0..n, nondecreasing in x, as a _Bounds; quantile as for _bounds_for_x."""
     _check_n(n)  # a bad key raises here, on a miss, so it is never held
-    L, U = _bounds_for_x(method, n, level, np.arange(n + 1, dtype=float))
+    L, U = _bounds_for_x(method, n, level, np.arange(n + 1, dtype=float), quantile)
     if np.any(np.diff(L) < 0.0) or np.any(np.diff(U) < 0.0):
         raise ConvergenceError(
             f"endpoint arrays are not monotone for {method} at n={n}, alpha={level.alpha}"
@@ -375,9 +401,9 @@ def _bounds_arrays(method: MethodSpec, n: int, level: ConfidenceLevel):
     return _Bounds((L, U))
 
 
-# The cache itself, for membership tests: the benchmark's tracer replaces the
-# name _bounds_arrays, through which every read goes, with a plain wrapper.
-_held_bounds = _bounds_arrays
+# _held_bounds is the cache itself, for membership tests: the benchmark's tracer
+# replaces the name _bounds_arrays, through which every read goes, with a plain wrapper.
+_bounds_arrays = _held_bounds = _ByteBoundedLRU(_solve_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -705,18 +731,22 @@ def expected_widths_batch(
 # ---------------------------------------------------------------------------
 # calibration
 
-def _criterion_value(method, n, criterion, gamma):
-    """The criterion's coverage at nominal level gamma."""
-    level = ConfidenceLevel(gamma)
+def _criterion_value(method, n, criterion, gamma, base=None):
+    """The criterion's coverage at nominal level gamma and the level's lanes
+    (quantile, mean; None where unused), solved from base, another level's
+    lanes, if given.  No level enters the endpoint cache: a warm one's bits depend on its path."""
+    keep, (q_base, mean_base) = [None], base or (None, None)
+    quantile = functools.partial(_beta_quantile_vec, base=q_base, keep=keep)
+    L, U = _solve_bounds(method, n, ConfidenceLevel(gamma), quantile)
     if isinstance(criterion, MeanCoverage):
-        return mean_coverage(method, n, level)
-    L, U = _bounds_arrays(method, n, level)
-    return _exact_min(L, U, n, criterion.grid.lo, criterion.grid.hi)[1]
+        value, mean = _mean_lanes(np.array([U, L]), mean_base)
+    else:
+        value, mean = _exact_min(L, U, n, criterion.grid.lo, criterion.grid.hi)[1], None
+    return value, (keep[-1], mean)
 
 
-_GAMMA_LO = 1e-6
-_GAMMA_HI = 0.5
-_GAMMA_TOL = 1e-5
+_GAMMA_LO, _GAMMA_HI, _GAMMA_TOL = 1e-6, 0.5, 1e-5
+_WARM = 0.1  # largest move in gamma, relative, that a level solves warm over
 
 
 def calibrate_alpha(
@@ -731,14 +761,14 @@ def calibrate_alpha(
     bracketed root loop finds where f(gamma) = criterion - target changes
     sign.  Mean-coverage criterion: target 1 - alpha on (1e-6, 0.5), the
     gamma with |f| <= 1e-10 (or in a bracket at most 1e-12 wide).
-    Minimum-coverage criterion: target 1 - alpha - 1e-9 on (1e-6, alpha),
-    the bracket's passing end once it is at most 1e-5 wide, i.e. the largest
-    gamma, within 1e-5, whose exact minimum coverage over [lo, hi] is still
-    at least 1 - alpha; calibration never raises alpha, so a method that
-    passes at alpha is returned as it is.
+    Minimum-coverage criterion: target 1 - alpha - 1e-9 on (min(1e-6,
+    alpha/2), alpha), the bracket's passing end once it is at most 1e-5 wide,
+    i.e. the largest gamma, within 1e-5, whose exact minimum coverage over
+    [lo, hi] is still at least 1 - alpha; calibration never raises alpha, so
+    a method that passes at alpha is returned as it is.  A level after the two
+    ends solves from the lanes of the nearer end if within _WARM of it.
     """
     mean = isinstance(criterion, MeanCoverage)
-    lo = _GAMMA_LO
     if mean:
         what = "mean coverage"
         hi, target, f_tol, width = _GAMMA_HI, 1.0 - level.alpha, 1e-10, 1e-12
@@ -747,13 +777,16 @@ def calibrate_alpha(
         hi, target, f_tol, width = level.alpha, 1.0 - level.alpha - 1e-9, 0.0, _GAMMA_TOL
     else:
         raise DomainError(f"unknown calibration criterion {criterion!r}")
+    lo = min(_GAMMA_LO, hi / 2.0)
     where = f"{what} of {method} at n={n}, gamma in ({lo}, {hi})"
-    f_lo = _criterion_value(method, n, criterion, lo) - target
-    f_hi = _criterion_value(method, n, criterion, hi) - target
-    if f_lo < 0.0 or (mean and f_hi > 0.0):
-        raise CalibrationError(f"{where}: cannot reach {target}")
+    f_hi, at_hi = _criterion_value(method, n, criterion, hi)
+    f_hi -= target
     if f_hi >= 0.0 and not mean:
         return level
+    f_lo, at_lo = _criterion_value(method, n, criterion, lo)
+    f_lo -= target
+    if f_lo < 0.0 or (mean and f_hi > 0.0):
+        raise CalibrationError(f"{where}: cannot reach {target}")
     # Illinois regula falsi (Dowell & Jarratt 1971, BIT 11, 168-174): when
     # one end is kept twice in a row its f is halved, so the bracket
     # closes from both sides; at most 60 evaluations, the ends included
@@ -761,16 +794,19 @@ def calibrate_alpha(
     evals, moved = 2, None
     while abs(f) > f_tol and hi - lo > width and evals < 60:
         gamma = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        f = _criterion_value(method, n, criterion, gamma) - target
+        end, at = (lo, at_lo) if gamma - lo < hi - gamma else (hi, at_hi)
+        at = at if abs(gamma - end) <= _WARM * end else None  # else cold
+        f, at = _criterion_value(method, n, criterion, gamma, at)
+        f -= target
         evals += 1
         if f >= 0.0:  # gamma passes
             if moved == "lo":
                 f_hi *= 0.5
-            lo, f_lo, moved = gamma, f, "lo"
+            lo, f_lo, at_lo, moved = gamma, f, at, "lo"
         else:
             if moved == "hi":
                 f_lo *= 0.5
-            hi, f_hi, moved = gamma, f, "hi"
+            hi, f_hi, at_hi, moved = gamma, f, at, "hi"
     if abs(f) > f_tol and hi - lo > width:
         raise CalibrationError(
             f"{where}: missed {target} by {f} at gamma={gamma} after {evals} evaluations"

@@ -305,9 +305,13 @@ def _halley_round(xp, x, err, a, b, lgb, lo, hi):
         | ((hi - lo) <= 1e-15 * lo)
         | (ok & (0.5 * abs(g) * dx * dx <= 1e-15 * xn))
     )
+    return xn, lo, hi, stop, ok & _near(xp, x, dx, a, b, g)
+
+
+def _near(xp, x, dx, a, b, g):
+    """_halley_round's near rule for a move of dx from x; g = (ln pdf)' at x."""
     h2 = (a - 1.0) / x / x + (b - 1.0) / (1.0 - x) / (1.0 - x)
-    near = ok & (dx * (abs(g) + xp.sqrt(abs(h2)) + 1.0 / x + 1.0 / (1.0 - x)) <= _NEAR)
-    return xn, lo, hi, stop, near
+    return dx * (abs(g) + xp.sqrt(abs(h2)) + 1.0 / x + 1.0 / (1.0 - x)) <= _NEAR
 
 
 # Five-point Gauss-Legendre (Abramowitz & Stegun 25.4.30): its remainder,

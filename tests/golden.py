@@ -13,7 +13,12 @@ Run as a script, from the root of a checkout,
 
 it recomputes the values of every query, writes the tables, and prints each
 moved value as old -> new and the largest relative move per table.  On a
-tree whose results have not moved it writes byte-identical files.
+tree whose results have not moved it writes byte-identical files.  With
+
+    python tests/golden.py --check
+
+it writes nothing, prints the same, and exits with status 1 if any value
+moved.
 """
 from __future__ import annotations
 
@@ -69,7 +74,9 @@ def _relative_move(old: str, new: str) -> float:
     return 0.0 if a == b else abs(b - a) / max(abs(a), abs(b))
 
 
-def main() -> None:
+def main(check: bool = False) -> int:
+    """Re-record every table, or with check only compare; 1 if a value moved."""
+    status = 0
     for table, recompute in _recomputers().items():
         lines, largest = [], 0.0
         for row in rows(table):
@@ -77,12 +84,20 @@ def main() -> None:
             new = recompute(*query)
             for before, after in zip(old, new):
                 if before != after:
+                    status = 1
                     print(f"{table}: {' '.join(query)}: {before} -> {after}")
                     largest = max(largest, _relative_move(before, after))
             lines.append(" ".join(query + new) + "\n")
-        (HERE / table).write_text("".join(lines))
+        if not check:
+            (HERE / table).write_text("".join(lines))
         print(f"{table}: {len(lines)} rows, largest relative move {largest:.3g}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Re-record the golden tables.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if a value moved")
+    sys.exit(main(parser.parse_args().check))

@@ -30,6 +30,7 @@ from binomci.methods import (
     MethodSpec,
     Observation,
     Side,
+    _end_priors,
     interval,
 )
 from binomci import special as sp
@@ -1160,7 +1161,7 @@ class TestBoundsCache:
 
     def test_non_monotone_arrays_raise(self, monkeypatch):
         _bounds_arrays.cache_clear()
-        monkeypatch.setattr(exact_eval, "_bounds_for_x", lambda method, n, level, x: (-x, x))
+        monkeypatch.setattr(exact_eval, "_bounds_for_x", lambda method, n, level, x, q=None: (-x, x))
         try:
             with pytest.raises(ConvergenceError, match="not monotone for wilson at n=5, alpha=0.05"):
                 _bounds_arrays(MethodSpec.wilson(), 5, LEVEL)
@@ -1300,6 +1301,30 @@ class TestMeanCoverage:
                     assert abs(mean_coverage(CP, n, level) - float(ref)) <= 2e-13, (n, alpha)
 
 
+WARM_SPECS = [
+    MethodSpec.jeffreys(), MethodSpec.clopper_pearson(),
+    MethodSpec.beta_prior(BetaParams(0.3, 2.0)), MethodSpec.uniform_prior(),
+]
+
+
+def _record_levels(monkeypatch) -> list:
+    """A list that gets (level, warm, criterion value, (L, U)) for each level a
+    calibration evaluates from now on; warm when solved from another level's."""
+    levels, ends = [], []
+    evaluate, solve = exact_eval._criterion_value, exact_eval._solve_bounds
+
+    def record(method, n, criterion, gamma, base=None):
+        value, at = evaluate(method, n, criterion, gamma, base)
+        levels.append((ConfidenceLevel(gamma), base is not None, value, ends.pop()))
+        return value, at
+
+    monkeypatch.setattr(exact_eval, "_criterion_value", record)
+    monkeypatch.setattr(
+        exact_eval, "_solve_bounds", lambda *args: ends.append(solve(*args)) or ends[-1]
+    )
+    return levels
+
+
 class TestCalibration:
     def test_cp_min_criterion_is_noop(self):
         got = calibrate_alpha(
@@ -1316,8 +1341,8 @@ class TestCalibration:
         criterion, target = MinCoverage(PGrid(0.01, 0.99, 2)), 1.0 - alpha - 1e-9
         got = calibrate_alpha(spec, n, ConfidenceLevel(alpha), criterion).alpha
         assert got < alpha
-        at = exact_eval._criterion_value(spec, n, criterion, got)
-        above = exact_eval._criterion_value(spec, n, criterion, got + exact_eval._GAMMA_TOL)
+        at = exact_eval._criterion_value(spec, n, criterion, got)[0]
+        above = exact_eval._criterion_value(spec, n, criterion, got + exact_eval._GAMMA_TOL)[0]
         assert at >= target > above
 
     def test_min_criterion_evaluations(self, monkeypatch):
@@ -1347,7 +1372,7 @@ class TestCalibration:
         # grows; calibrate_alpha's root loop keeps a bracket on it
         criterion = MinCoverage(PGrid(0.01, 0.99, 2))
         mins = [
-            exact_eval._criterion_value(spec, n, criterion, gamma)
+            exact_eval._criterion_value(spec, n, criterion, gamma)[0]
             for gamma in np.linspace(1e-3, 0.2, 40)
         ]
         assert all(b <= a for a, b in zip(mins, mins[1:]))
@@ -1360,13 +1385,84 @@ class TestCalibration:
         )
 
     @pytest.mark.parametrize("spec", [MethodSpec.jeffreys(), MethodSpec.agresti_coull()], ids=str)
-    def test_held_means_do_not_move_gamma(self, spec):
+    def test_held_means_do_not_move_gamma(self, monkeypatch, spec):
+        # a calibration holds none of its levels, and reads none: gamma is the
+        # same float from an empty cache and from one holding (L, U) and the
+        # mean at every level it visits
+        levels = _record_levels(monkeypatch)
         for criterion in (MeanCoverage(), MinCoverage(PGrid(0.01, 0.99, 2))):
             _bounds_arrays.cache_clear()
+            levels.clear()
             cold = calibrate_alpha(spec, 200, LEVEL, criterion)
-            warm = calibrate_alpha(spec, 200, LEVEL, criterion)  # every key held
-            assert warm.alpha == cold.alpha, criterion
+            assert _bounds_arrays.cache_info().entries == 0
+            assert sum(warm for _, warm, _, _ in levels) >= 2
+            for level, _, _, _ in levels:
+                mean_coverage(spec, 200, level)
+            held = _bounds_arrays.cache_info().entries
+            assert held == len({level for level, _, _, _ in levels})
+            assert calibrate_alpha(spec, 200, LEVEL, criterion).alpha == cold.alpha, criterion
+            assert _bounds_arrays.cache_info().entries == held
         _bounds_arrays.cache_clear()
+
+    @pytest.mark.parametrize("n", [20, 200, 1200])
+    @pytest.mark.parametrize("spec", WARM_SPECS, ids=str)
+    def test_warm_levels_match_cold_solves(self, monkeypatch, spec, n):
+        # each level solved warm from a bracket end is within 1e-14 relative
+        # of the cold solve at that level, or within the 2 ulps of q a root
+        # resolves to there, 2 eps / pdf: a root below 1e-15 (the Halley
+        # stop's 1e-18 floor) or an upper end at q near 1 solved unmirrored,
+        # e.g. Beta(0.3, 2) at n = 20 and 200, alpha .01 (1.5e-11 and
+        # 1.4e-14 relative); its mean within 1e-13 of mean_coverage.  A level
+        # solved cold has the cold bits.
+        levels = _record_levels(monkeypatch)
+        x = np.arange(n + 1.0)
+        shapes = [(x + a, n - x + b) for a, b in _end_priors(spec)]
+        warm_levels = 0
+        for alpha in (0.1, 0.05, 0.01):
+            for criterion in (MinCoverage(PGrid(0.01, 0.99, 2)), MeanCoverage()):
+                levels.clear()
+                calibrate_alpha(spec, n, ConfidenceLevel(alpha), criterion)
+                for level, warm, value, ends in levels:
+                    for got, want, (a, b) in zip(ends, exact_eval._bounds_for_x(spec, n, level, x), shapes):
+                        if not warm:
+                            assert got.tolist() == want.tolist(), level
+                            continue
+                        with np.errstate(all="ignore"):
+                            pdf = np.exp(sp._log_beta_kernel(
+                                sp.VECTOR, want, a - 1.0, b - 1.0, sp._log_beta(sp.VECTOR, a, b)
+                            ))
+                            tol = 1e-14 * want + 2.0 * np.finfo(float).eps / pdf
+                        assert np.all((got == want) | (abs(got - want) <= tol)), level
+                    if isinstance(criterion, MeanCoverage):
+                        assert abs(value - mean_coverage(spec, n, level)) <= (1e-13 if warm else 0.0)
+                    warm_levels += warm
+        assert warm_levels >= 6
+
+    def test_monotone_guard_runs_on_warm_levels(self, monkeypatch):
+        quantile = exact_eval._beta_quantile_vec
+
+        def reversed_when_warm(q, a, b, base=None, keep=None):
+            out = quantile(q, a, b, base, keep)
+            return out if base is None else out[::-1]
+
+        monkeypatch.setattr(exact_eval, "_beta_quantile_vec", reversed_when_warm)
+        with pytest.raises(ConvergenceError, match="not monotone for jeffreys at n=200"):
+            calibrate_alpha(MethodSpec.jeffreys(), 200, LEVEL, MeanCoverage())
+
+    @pytest.mark.parametrize("alpha,jeffreys_passes", [(1e-6, False), (1e-7, False), (1e-12, True)])
+    def test_min_criterion_below_the_bracket_floor(self, alpha, jeffreys_passes):
+        # the bracket was (1e-6, alpha), inverted for alpha below 1e-6, so CP,
+        # which passes at alpha (0.99999990468 at 1e-7), raised "cannot reach";
+        # it is (min(1e-6, alpha / 2), alpha) now
+        level, criterion = ConfidenceLevel(alpha), MinCoverage(PGrid(0.01, 0.99, 2))
+        assert calibrate_alpha(MethodSpec.clopper_pearson(), 50, level, criterion) is level
+        if jeffreys_passes:
+            assert calibrate_alpha(MethodSpec.jeffreys(), 50, level, criterion) is level
+            return
+        with pytest.raises(CalibrationError, match="cannot reach") as err:
+            calibrate_alpha(MethodSpec.jeffreys(), 50, level, criterion)
+        lo, hi = map(float, re.search(r"gamma in \(([^,]+), ([^)]+)\)", str(err.value)).groups())
+        assert lo < hi == alpha
 
     def test_unknown_criterion_raises(self):
         with pytest.raises(DomainError, match="unknown calibration criterion 'min'"):
@@ -1389,7 +1485,8 @@ class TestCalibration:
         # a step in gamma never brings |f| under 1e-10, and halving the kept
         # end's f does not close a bracket to 1e-12 in 60 evaluations
         monkeypatch.setattr(
-            exact_eval, "_criterion_value", lambda m, n, c, gamma: 0.96 if gamma < 0.3 else 0.9
+            exact_eval, "_criterion_value",
+            lambda m, n, c, gamma, base=None: (0.96 if gamma < 0.3 else 0.9, None),
         )
         with pytest.raises(CalibrationError, match="after 60 evaluations"):
             calibrate_alpha(MethodSpec.wilson(), 30, LEVEL, MeanCoverage())
@@ -1398,14 +1495,14 @@ class TestCalibration:
     @pytest.mark.parametrize("n", [20, 200, 1200])
     @pytest.mark.parametrize("spec", MIN_FAMILIES[:4], ids=str)  # Wald cannot reach some
     def test_mean_criterion_root(self, monkeypatch, spec, n, alpha):
-        calls = []
-        mean = exact_eval.mean_coverage
+        calls = []  # evaluations, counted at the per-level hook
+        value = exact_eval._criterion_value
         monkeypatch.setattr(
-            exact_eval, "mean_coverage", lambda *args: calls.append(1) or mean(*args)
+            exact_eval, "_criterion_value", lambda *args: calls.append(1) or value(*args)
         )
         got = calibrate_alpha(spec, n, ConfidenceLevel(alpha), MeanCoverage())
         assert len(calls) <= 12
-        assert abs(mean(spec, n, got) - (1.0 - alpha)) <= 1e-10
+        assert abs(mean_coverage(spec, n, got) - (1.0 - alpha)) <= 1e-10
 
     def test_mean_criterion_matches_fine_bisection(self):
         spec = MethodSpec.clopper_pearson()
