@@ -7,12 +7,13 @@ the nominal level against a coverage criterion.
 
 Endpoint arrays and mean coverage run the steps of :mod:`binomci.special` (each
 written once there) under its numpy namespace, and hand the last few lanes of a
-fraction or a Halley solve to its float loops; endpoint arrays run the family
-table of :mod:`binomci.methods` under it too, whose `quantiles` op hands both
-ends' lanes to one quantile call.  The drivers below own only broadcasting,
-the x in {0, 1} masks, errstate and the lane loops.
+fraction or a Halley solve to its float loops; _betainc_vec, the one entry for
+I_x over lanes, runs a call with that few lanes through them whole.  Endpoint
+arrays run the family table of :mod:`binomci.methods` under it too, whose
+`quantiles` op hands both ends' lanes to one quantile call.  The drivers below
+own only broadcasting, the x in {0, 1} masks, errstate and the lane loops.
 Coverage scans add up the binomial pmf over each grid point's covering range
-instead: one saddle-point pmf (Loader 2000) at the range's largest term, then
+instead: the kernel's pmf step (Loader 2000) at the range's largest term, then
 a ratio walk, so that scans with hundreds of thousands of grid points stay
 cheap; they run in this process.  Expected widths weight x by the same ratio
 walk, from the mode, normalized by its sum (see _support).  The minimum
@@ -42,13 +43,15 @@ from .special import (
     _bfrac_round,
     _bfrac_start,
     _bfrac_terms,
-    _binom_pmf_inner,
+    _binom_pmf,
     _check_n,
+    _check_p,
     _density_integral,
     _halley_round,
     _inc_beta,
     _is_count,
     _log_beta,
+    _log_pdf_slope,
     _near,
     _quantile_start,
     _solve_beta_quantile,
@@ -114,23 +117,23 @@ def _betacf_vec(a, b, x, y):
 
 
 def _betainc_vec(x, a, b, lgb=None) -> np.ndarray:
-    """I_x(a, b) over lanes; lgb, if given, is ln B(a, b) already computed."""
-    x, a, b = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    )
-    out = np.empty(x.shape, dtype=float)
-    at_zero = x <= 0.0
-    at_one = x >= 1.0
-    interior = ~(at_zero | at_one)
-    out[at_zero] = 0.0
-    out[at_one] = 1.0
-    if interior.any():
+    """I_x(a, b) over lanes of one shape, 0 at x <= 0 and 1 at x >= 1; lgb, if
+    given, is ln B(a, b) already computed.  A call with _FLOAT_LANES or fewer
+    lanes inside (0, 1) runs them one by one through special.reg_inc_beta
+    (looked up there, where the benchmark's tracer wraps it), which is then
+    faster: 28 against 169 us for one lane, 330 against 380 for 16 (n = 400)."""
+    inner = ~((x <= 0.0) | (x >= 1.0)) if x.size > _FLOAT_LANES else None
+    if inner is not None and np.count_nonzero(inner) > _FLOAT_LANES:
+        out = np.where(x >= 1.0, 1.0, 0.0)
         with np.errstate(all="ignore"):
-            out[interior] = _inc_beta(
-                VECTOR, x[interior], a[interior], b[interior],
-                None if lgb is None else lgb[interior], _betacf_vec,
+            out[inner] = _inc_beta(
+                VECTOR, x[inner], a[inner], b[inner], None if lgb is None else lgb[inner], _betacf_vec
             )
-    return out
+        return out
+    lanes = zip(x.ravel().tolist(), a.ravel().tolist(), b.ravel().tolist(),
+                [None] * x.size if lgb is None else lgb.ravel().tolist())
+    return np.array([float(v[0] >= 1.0) if v[0] <= 0.0 or v[0] >= 1.0 else special.reg_inc_beta(*v)
+                     for v in lanes]).reshape(x.shape)
 
 
 def _solve_beta_quantile_vec(q, a, b, lgb, x, lo, hi, err=None):
@@ -146,7 +149,10 @@ def _solve_beta_quantile_vec(q, a, b, lgb, x, lo, hi, err=None):
     near = np.full(x.shape, err is not None)  # whether round 1's err is carried in
     err = np.empty(x.shape) if err is None else err
     for m in range(_QUANTILE_MAXIT):
-        err = _on_lanes(~(near | done), err, _fraction_err, x, a, b, lgb, q)
+        err = _on_lanes(
+            ~(near | done), err, lambda x, a, b, lgb, q: _betainc_vec(x, a, b, lgb) - q,
+            x, a, b, lgb, q,
+        )
         done |= err == 0.0
         xn, lo, hi, stop, near = _halley_round(VECTOR, x, err, a, b, lgb, lo, hi)
         xn = np.where(done, x, xn)
@@ -170,16 +176,6 @@ def _solve_beta_quantile_vec(q, a, b, lgb, x, lo, hi, err=None):
         )
     done[:] = True  # so that _retire puts x at out[lanes], or keeps x as out
     return _retire(out, lanes, done, x)[0]
-
-
-def _fraction_err(x, a, b, lgb, q):
-    """I_x(a, b) - q by the continued fraction: over lanes, or over floats by
-    special.reg_inc_beta (looked up there, where the benchmark's tracer wraps
-    it) where there are _FLOAT_LANES or fewer, which is then faster (28
-    against 169 us for one lane, 330 against 380 for 16, n = 400)."""
-    if x.size > _FLOAT_LANES:
-        return _betainc_vec(x, a, b, lgb) - q
-    return np.array([special.reg_inc_beta(*v) for v in zip(*(w.tolist() for w in (x, a, b, lgb)))]) - q
 
 
 def _on_lanes(mask, out, step, *lanes):
@@ -211,21 +207,6 @@ def _beta_quantile_vec(q, a, b, base=None, keep=None) -> np.ndarray:
     if keep is not None:
         keep.append((swap, q, a, b, lgb, w))
     return np.where(swap, 1.0 - w, w)
-
-
-def _binom_pmf_vec(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """P(X = k) under Binomial(n, p) for integer 0 <= k <= n and 0 < p < 1:
-    the kernel's saddle-point step (Loader 2000) for 0 < k < n,
-    q^n = exp(n log1p(-p)) at k = 0 and p^n at k = n."""
-    k, p = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(p, dtype=float))
-    out = np.empty(k.shape)
-    lo = k == 0.0
-    hi = k == n
-    out[lo] = np.exp(n * np.log1p(-p[lo]))
-    out[hi] = np.exp(n * np.log(p[hi]))
-    mid = ~(lo | hi)
-    out[mid] = _binom_pmf_inner(VECTOR, k[mid], float(n), p[mid])
-    return out
 
 
 def _walk_sum(term, num, r, steps, n):
@@ -382,7 +363,7 @@ def _mean_lanes(e, base=None):
     else:
         e0, inc0, lgb = base
         with np.errstate(all="ignore"):  # e0 at 0 or 1 is never near
-            near = _near(VECTOR, e0, abs(e - e0), a, b, (a - 1.0) / e0 - (b - 1.0) / (1.0 - e0))
+            near = _near(VECTOR, e0, abs(e - e0), a, b, _log_pdf_slope(VECTOR, e0, a, b))
             inc = inc0 + _density_integral(VECTOR, e0, e, a, b, lgb)
         inc = _on_lanes(~near, inc, _betainc_vec, e, a, b, lgb)
     return float(np.sum(inc[0] - inc[1]) / e.shape[1]), (e, inc, lgb)
@@ -458,14 +439,15 @@ def _coverage_block(p, L, U, n):
 
 def _window_sum(p, lo, hi, n):
     """P(lo <= X <= hi) under Binomial(n, p) and the walk's pmf at hi and at lo,
-    as rows (0 where lo > hi): `_binom_pmf_vec` at the largest term, s =
+    as rows (0 where lo > hi): special's `_binom_pmf` at the largest term, s =
     floor((n + 1) p) clipped into [lo, hi], then the walk up and down from s
     with the ratio pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * p / q."""
     idx = np.flatnonzero(lo <= hi)
     pc, qc = p[idx], 1.0 - p[idx]
     lo, hi = lo[idx], hi[idx]
     s = np.clip(np.floor((n + 1.0) * pc), lo, hi)
-    top = _binom_pmf_vec(s, n, pc)
+    with np.errstate(divide="ignore", invalid="ignore"):  # unselected branches at s in {0, n}
+        top = _binom_pmf(VECTOR, s, n, pc)
     # the walk down from s is the walk up from n - s under Binomial(n, q);
     # both walks are one lane batch, up in the first half, down in the second
     walks, last = _walk_sum(
@@ -668,11 +650,6 @@ def _expected_width(side: Side, p: float, pmf, L, U) -> float:
     return float(np.dot(pmf, width))
 
 
-def _check_p(p: float) -> None:
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"expected width requires 0 < p < 1, got p={p}")
-
-
 def expected_width_exact(
     method: MethodSpec, n: int, p: float, level: ConfidenceLevel
 ) -> float:
@@ -690,7 +667,7 @@ def expected_width_exact(
     depend on their batch, so both give the same bits, and the bits of
     expected_widths_batch.
     """
-    _check_p(p)
+    _check_p(p, "expected width")
     _check_n(n)
     x, pmf = _support(method, n, p)
     if 2 * x.size >= n + 1 or (method, n, level) in _held_bounds:
@@ -711,7 +688,7 @@ def expected_widths_batch(
     searches cheap: their sizes rarely repeat, so the endpoint cache would
     only add the lanes no width reads.
     """
-    _check_p(p)
+    _check_p(p, "expected width")
     if not ns:
         return []
     for n in ns:
@@ -762,11 +739,12 @@ def calibrate_alpha(
     sign.  Mean-coverage criterion: target 1 - alpha on (1e-6, 0.5), the
     gamma with |f| <= 1e-10 (or in a bracket at most 1e-12 wide).
     Minimum-coverage criterion: target 1 - alpha - 1e-9 on (min(1e-6,
-    alpha/2), alpha), the bracket's passing end once it is at most 1e-5 wide,
-    i.e. the largest gamma, within 1e-5, whose exact minimum coverage over
-    [lo, hi] is still at least 1 - alpha; calibration never raises alpha, so
-    a method that passes at alpha is returned as it is.  A level after the two
-    ends solves from the lanes of the nearer end if within _WARM of it.
+    alpha/2), alpha), the lower end no lower than the least level accepted,
+    the bracket's passing end once it is at most 1e-5 wide, i.e. the largest
+    gamma, within 1e-5, whose exact minimum coverage over [lo, hi] is still at
+    least 1 - alpha; calibration never raises alpha, so a method that passes
+    at alpha is returned as it is.  A level after the two ends solves from
+    the lanes of the nearer end if within _WARM of it.
     """
     mean = isinstance(criterion, MeanCoverage)
     if mean:
@@ -777,7 +755,7 @@ def calibrate_alpha(
         hi, target, f_tol, width = level.alpha, 1.0 - level.alpha - 1e-9, 0.0, _GAMMA_TOL
     else:
         raise DomainError(f"unknown calibration criterion {criterion!r}")
-    lo = min(_GAMMA_LO, hi / 2.0)
+    lo = max(min(_GAMMA_LO, hi / 2.0), ConfidenceLevel._MIN_ALPHA)
     where = f"{what} of {method} at n={n}, gamma in ({lo}, {hi})"
     f_hi, at_hi = _criterion_value(method, n, criterion, hi)
     f_hi -= target

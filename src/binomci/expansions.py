@@ -21,7 +21,7 @@ from .methods import (
     Side,
     _check_member,
 )
-from .special import _check_n
+from .special import _check_n, _check_p
 
 
 class ExpansionOrder(Enum):
@@ -54,11 +54,6 @@ class ExpansionTerms:
             + self.t_threehalf / (rn * self.n)
         )
         object.__setattr__(self, "value", assembled)
-
-
-def _require_interior(p: float, what: str) -> None:
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"{what} requires 0 < p < 1, got p={p}")
 
 
 def _third_order_bracket(ph: float, z: float, tilt: float, c: float) -> float:
@@ -120,7 +115,7 @@ def cp_bound_expansion(
 
 def expected_length_expansion(n: int, p: float, level: ConfidenceLevel) -> ExpansionTerms:
     """Expansion of the expected two-sided Clopper-Pearson length at fixed p."""
-    _require_interior(p, "expected_length_expansion")
+    _check_p(p, "expected_length_expansion")
     _check_n(n)
     z = level.z_half
     pq = p * (1.0 - p)
@@ -134,7 +129,7 @@ def expected_length_expansion(n: int, p: float, level: ConfidenceLevel) -> Expan
 
 def expected_distance_expansion(n: int, p: float, level: ConfidenceLevel) -> ExpansionTerms:
     """Expansion of the expected distance from the upper CP bound to p."""
-    _require_interior(p, "expected_distance_expansion")
+    _check_p(p, "expected_distance_expansion")
     _check_n(n)
     z = level.z_full
     q = 1.0 - p
@@ -155,7 +150,7 @@ _WIDTH_EXPANSION = {
 
 def length_correction_coeff(p: float, z: float) -> float:
     """n^(-3/2) coefficient of the realized length before taking expectations."""
-    _require_interior(p, "length_correction_coeff")
+    _check_p(p, "length_correction_coeff")
     return _length_coeff(p * (1.0 - p), z, 2.0)
 
 
@@ -174,7 +169,7 @@ def excess_length(
     """
     _check_member(vs, ApproxFamily, "vs")
     _check_member(order, ExpansionOrder, "order")
-    _require_interior(p, "excess_length")
+    _check_p(p, "excess_length")
     _check_n(n)
     base = 1.0 / n
     if order is ExpansionOrder.SECOND_ORDER or vs is ApproxFamily.JEFFREYS:

@@ -84,11 +84,12 @@ class ConfidenceLevel:
     alpha: float
     z_half: float = field(init=False)
     z_full: float = field(init=False)
+    _MIN_ALPHA = 2.0**-53 * (1.0 + 2.0**-52)  # the least alpha with 1 - alpha/2 < 1
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
-        if 1.0 - self.alpha / 2.0 == 1.0:  # alpha <= 2^-53: no finite z_half
+        if self.alpha < self._MIN_ALPHA:  # 1 - alpha/2 rounds to 1: no finite z_half
             raise DomainError(f"alpha too small: 1 - alpha/2 rounds to 1, got alpha={self.alpha}")
         object.__setattr__(self, "z_half", normal_quantile(1.0 - self.alpha / 2.0))
         object.__setattr__(self, "z_full", normal_quantile(1.0 - self.alpha))

@@ -7,12 +7,14 @@ here is pure and deterministic.
 The steps of ln Gamma, the incomplete beta (front factor, switch-point mirror,
 and a continued fraction in the form of TOMS 708 bfrac: each term's
 coefficients, then its recurrence), its inverse (mirrored start, Halley
-rounds) and the binomial pmf are written once, over an injected float (SCALAR)
-or numpy (VECTOR) namespace.  This module drives them one value at a time and
-:mod:`binomci.exact_eval` over arrays of lanes, but for the last few lanes of a
-fraction or a Halley solve, which it finishes in the float loops here; a driver
-owns only its input checks, the x in {0, 1} ends and its loop.  The family
-table of :mod:`binomci.methods` runs over them too, by their `quantiles` op.
+rounds on the log-density's slope) and the binomial pmf (both ends and the
+saddle-point form) are written once, over an injected float (SCALAR) or numpy
+(VECTOR) namespace.  This module drives them one value at a time and
+:mod:`binomci.exact_eval` over arrays of lanes, but an I_x call with a few
+lanes, and the last few lanes of a fraction or a Halley solve, run in the
+float loops here; a driver owns only its input checks, the x in {0, 1}
+ends and its loop.  The family table of :mod:`binomci.methods` runs over them
+too, by their `quantiles` op.
 """
 from __future__ import annotations
 
@@ -293,7 +295,7 @@ def _halley_round(xp, x, err, a, b, lgb, lo, hi):
     log_pdf = _log_beta_kernel(xp, x, a - 1.0, b - 1.0, lgb)
     # floored exponent and unit divisor: a refused step must not raise on floats
     u = err * xp.exp(-xp.maximum(log_pdf, -700.0))
-    g = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
+    g = _log_pdf_slope(xp, x, a, b)
     den = 1.0 - 0.5 * u * g
     trial = x - u / xp.where((den > 0.5) & (den < 2.0), den, 1.0)
     inside = ((lo < trial) & (trial < hi)) | (trial == x)
@@ -306,6 +308,11 @@ def _halley_round(xp, x, err, a, b, lgb, lo, hi):
         | (ok & (0.5 * abs(g) * dx * dx <= 1e-15 * xn))
     )
     return xn, lo, hi, stop, ok & _near(xp, x, dx, a, b, g)
+
+
+def _log_pdf_slope(xp, x, a, b):
+    """g = (ln pdf)' of Beta(a, b) at 0 < x < 1."""
+    return (a - 1.0) / x - (b - 1.0) / (1.0 - x)
 
 
 def _near(xp, x, dx, a, b, g):
@@ -392,6 +399,14 @@ def _binom_pmf_inner(xp, k, n, p):
         - _bd0(xp, k, n * p) - _bd0(xp, n - k, n * (1.0 - p))
     )
     return xp.exp(lc) * xp.sqrt(n / (2.0 * math.pi * k * (n - k)))
+
+
+def _binom_pmf(xp, k, n, p):
+    """P(X = k) under Binomial(n, p) for integer-valued floats 0 <= k <= n and
+    0 < p < 1: q^n at k = 0, p^n at k = n, _binom_pmf_inner between.  Mixed k
+    run every branch over arrays, which divides by zero at k in {0, n}."""
+    return xp.select(k == 0.0, lambda: xp.exp(n * xp.log1p(-p)), lambda: xp.select(
+        k == n, lambda: xp.exp(n * xp.log(p)), lambda: _binom_pmf_inner(xp, k, n, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +526,11 @@ def _check_n(n) -> None:
         raise DomainError(f"need an integer n >= 1, got {n!r}")
 
 
+def _check_p(p, what: str) -> None:
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"{what} requires 0 < p < 1, got p={p}")
+
+
 def _check_binom_args(name: str, k, n, p) -> None:
     if not (_is_count(k) and _is_count(n)):
         raise DomainError(f"{name} requires integer k and n, got k={k!r}, n={n!r}")
@@ -521,18 +541,13 @@ def _check_binom_args(name: str, k, n, p) -> None:
 
 
 def binom_pmf(k: int, n: int, p: float) -> float:
-    """P(X = k) for X ~ Binomial(n, p): the kernel's saddle-point step for
-    0 < k < n, exp(n log1p(-p)) at k = 0 and exp(n log p) at k = n."""
+    """P(X = k) for X ~ Binomial(n, p): the kernel's pmf step for 0 < p < 1."""
     _check_binom_args("binom_pmf", k, n, p)
     if p == 0.0:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
         return 1.0 if k == n else 0.0
-    if k == 0:
-        return SCALAR.exp(n * SCALAR.log1p(-p))
-    if k == n:
-        return SCALAR.exp(n * SCALAR.log(p))
-    return _binom_pmf_inner(SCALAR, float(k), float(n), p)
+    return _binom_pmf(SCALAR, float(k), float(n), p)
 
 
 def binom_cdf(k: int, n: int, p: float) -> float:

@@ -15,7 +15,6 @@ from binomci.exact_eval import (
     PGrid,
     _beta_quantile_vec,
     _betainc_vec,
-    _binom_pmf_vec,
     _bounds_arrays,
     _coverage_values,
     calibrate_alpha,
@@ -51,13 +50,32 @@ FAMILIES = [
 
 class TestVectorKernel:
     def test_betainc_matches_scalar(self):
+        # one call: more than _FLOAT_LANES lanes run the vector fraction
         rng = random.Random(17)
+        lanes = []
         for _ in range(300):
             a = math.exp(rng.uniform(math.log(0.4), math.log(3e3)))
             b = math.exp(rng.uniform(math.log(0.4), math.log(3e3)))
-            x = rng.uniform(1e-6, 1 - 1e-6)
-            vec = float(_betainc_vec(np.array([x]), np.array([a]), np.array([b]))[0])
-            assert vec == sp.reg_inc_beta(x, a, b)
+            lanes.append((rng.uniform(1e-6, 1 - 1e-6), a, b))
+        vec = _betainc_vec(*(np.array(v) for v in zip(*lanes)))
+        assert vec.tolist() == [sp.reg_inc_beta(*lane) for lane in lanes]
+
+    @pytest.mark.parametrize("inner", [0, 1, 16, 17, 40])
+    def test_betainc_ends_hold_at_every_lane_count(self, monkeypatch, inner):
+        # x <= 0 gives 0 and x >= 1 gives 1 on either route; _FLOAT_LANES or
+        # fewer lanes inside (0, 1) take one reg_inc_beta call each, more run
+        # the vector fraction, in one shape or another
+        rng = np.random.default_rng(41)
+        x = rng.permutation(np.concatenate([[-0.5, 0.0, 1.0, 1.5] * 5, rng.uniform(0.01, 0.99, inner)]))
+        a, b = 10.0 ** rng.uniform(-1.0, 3.0, (2, x.size))
+        want = [0.0 if v <= 0.0 else 1.0 if v >= 1.0 else sp.reg_inc_beta(v, ai, bi)
+                for v, ai, bi in zip(x.tolist(), a.tolist(), b.tolist())]
+        calls = []
+        inc = sp.reg_inc_beta
+        monkeypatch.setattr(sp, "reg_inc_beta", lambda *args: calls.append(1) or inc(*args))
+        assert _betainc_vec(x, a, b).tolist() == want
+        assert _betainc_vec(x[None], a[None], b[None]).tolist() == [want]
+        assert len(calls) == (2 * inner if inner <= exact_eval._FLOAT_LANES else 0)
 
     def test_quantile_matches_scalar(self):
         rng = random.Random(19)
@@ -201,7 +219,13 @@ class TestVectorKernel:
             _beta_quantile_vec(np.array([0.3, 0.2]), np.array([4.0, 30.0]), np.array([7.0, 50.0]))
 
     def test_continued_fraction_budget_error_names_failing_lane(self, monkeypatch):
+        # more than _FLOAT_LANES lanes reach the vector budget, fewer the float one
+        many = exact_eval._FLOAT_LANES + 1
         monkeypatch.setattr(exact_eval, "_CF_MAXIT", 1)
+        with pytest.raises(ConvergenceError, match=r"a=4\.0, b=7\.0, x=0\.3"):
+            _betainc_vec(np.array([0.3] + [0.2] * many), np.array([4.0] + [30.0] * many),
+                         np.array([7.0] + [50.0] * many))
+        monkeypatch.setattr(sp, "_BETACF_MAXIT", 1)
         with pytest.raises(ConvergenceError, match=r"a=4\.0, b=7\.0, x=0\.3"):
             _betainc_vec(np.array([0.3, 0.2]), np.array([4.0, 30.0]), np.array([7.0, 50.0]))
 
@@ -218,9 +242,9 @@ class TestVectorKernel:
         # float fraction, and the last lanes of a solve the float loop, with
         # the bits of the vector loop (test_float_tail_does_not_move_a_bit)
         lanes, solved = [], []
-        betainc, quantile = exact_eval._betainc_vec, exact_eval._beta_quantile_vec
+        betacf, quantile = exact_eval._betacf_vec, exact_eval._beta_quantile_vec
         monkeypatch.setattr(
-            exact_eval, "_betainc_vec", lambda *args: lanes.append(args[0].size) or betainc(*args)
+            exact_eval, "_betacf_vec", lambda *args: lanes.append(args[2].size) or betacf(*args)
         )
         monkeypatch.setattr(
             exact_eval, "_beta_quantile_vec",
@@ -374,7 +398,8 @@ class TestVectorKernel:
                 for k in (0, 1, 2, n // 3, n - 2, n - 1, n):
                     lanes.update((k, p) for p in (0.01, 0.5, 0.99, 1.0 / n, 1.0 - 1.0 / n))
                 k, p = (np.array(v, dtype=float) for v in zip(*sorted(lanes)))
-                got = _binom_pmf_vec(k, n, p)
+                with np.errstate(divide="ignore", invalid="ignore"):  # unselected k in {0, n}
+                    got = sp._binom_pmf(sp.VECTOR, k, n, p)
                 for ki, pi, g in zip(k, p, got):
                     x = int(ki)
                     ref = mp.binomial(n, x) * mp.mpf(pi) ** x * (1 - mp.mpf(pi)) ** (n - x)
@@ -821,7 +846,7 @@ class TestCoverageScan:
         lo, hi = _window(p, L, U)
         assert np.all(lo <= hi)  # every p is covered
         s = np.clip(np.floor((n + 1.0) * p), lo, hi)
-        top = _binom_pmf_vec(s, n, p)
+        top = sp._binom_pmf(sp.VECTOR, s, n, p)
         walk = exact_eval._walk_sum
         up = walk(top, n - s, p / (1 - p), hi - s, n)
         down = walk(top, s, (1 - p) / p, s - lo, n)
@@ -1063,6 +1088,28 @@ class TestMinCoverage:
             sizes.clear()
             min_coverage(spec, n, ConfidenceLevel(alpha), grid)
             assert len(sizes) >= 2 and sum(sizes[1:]) <= 32, (spec, n, grid, sizes)
+
+    def test_grid_coverage_slack_keeps_a_tie_below_its_bound(self):
+        # hand-built probe rows: the first candidate sits alone in a piece
+        # whose limits are 1.5e-9 above its computed coverage, each other
+        # candidate in a piece bounded by 0.  Those 16 are evaluated first,
+        # the lowest being the first one's mirror, which ties with it; only
+        # the bound's 1 - _TIE_RTOL slack then brings the first one in, so
+        # that the argmin is the smaller p of the pair
+        n = 30
+        L, U = _bounds_arrays(MethodSpec.wilson(), n, LEVEL)
+        grid = np.linspace(0.01, 0.49, 4801)
+        low = grid[np.argmin(_coverage_values(grid, L, U, n)[0])]
+        cand = np.concatenate([[low], np.linspace(0.55, 0.9, 15), [1.0 - low]])
+        cov = _coverage_values(cand, L, U, n)[0]
+        tie = exact_eval._TIE_RTOL
+        assert abs(cov[0] - cov[-1]) <= 1e-14 * cov[0] and cov[1:-1].min() > (1.0 + tie) * cov[0]
+        p = np.concatenate([[cand[0] - 1e-3], cand[:-1] + np.diff(cand) / 2.0, [cand[-1] + 1e-3]])
+        limits = np.zeros(p.size)
+        limits[:2] = cov[0] * (1.0 + 1.5 * tie)  # the first candidate's piece, p[0] < low < p[1]
+        got = exact_eval._grid_coverage(cand, L, U, n, p, np.zeros(p.size), limits, limits.copy())
+        assert got.tolist() == cov.tolist()
+        assert exact_eval._argmin_p(cand, got) == low
 
     def test_pieces_take_the_inner_limit_at_each_end(self):
         # over [lo, hi] between consecutive endpoints the infimum is C(lo+) or
@@ -1463,6 +1510,20 @@ class TestCalibration:
             calibrate_alpha(MethodSpec.jeffreys(), 50, level, criterion)
         lo, hi = map(float, re.search(r"gamma in \(([^,]+), ([^)]+)\)", str(err.value)).groups())
         assert lo < hi == alpha
+
+    def test_min_criterion_bracket_stays_a_valid_level(self):
+        # at alpha in (2^-53, 2^-52] alpha / 2 is no level ConfidenceLevel
+        # accepts, and raised its "alpha too small"; the lower end is now the
+        # least level it accepts, so a method that fails at alpha meets the
+        # loop's error naming the bracket, and one that passes is returned
+        level, criterion = ConfidenceLevel(1.5 * 2.0**-53), MinCoverage(PGrid(0.01, 0.99, 2))
+        for spec in (MethodSpec.wald(), MethodSpec.wilson(), MethodSpec.agresti_coull()):
+            with pytest.raises(CalibrationError, match="cannot reach") as err:
+                calibrate_alpha(spec, 50, level, criterion)
+            lo, hi = map(float, re.search(r"gamma in \(([^,]+), ([^)]+)\)", str(err.value)).groups())
+            assert ConfidenceLevel(lo).alpha == lo < hi == level.alpha
+        for spec in (MethodSpec.clopper_pearson(), MethodSpec.jeffreys()):
+            assert calibrate_alpha(spec, 50, level, criterion) is level
 
     def test_unknown_criterion_raises(self):
         with pytest.raises(DomainError, match="unknown calibration criterion 'min'"):

@@ -6,7 +6,7 @@ import pytest
 
 from binomci.errors import ConvergenceError, DomainError
 from binomci import special as sp
-from binomci.exact_eval import _betacf_vec, _betainc_vec, _binom_pmf_vec
+from binomci.exact_eval import _betacf_vec, _betainc_vec
 
 from oracles import (
     binom_cdf_exact,
@@ -358,8 +358,23 @@ class TestBinomial:
         # the scalar edge is the vector pmf's exp(n log1p(-p)), with its bits
         ps = [0.01, 0.3, 0.77]
         for n in [1, 7, 50, 333]:
-            for p, vec in zip(ps, _binom_pmf_vec([0.0] * len(ps), n, ps)):
+            for p, vec in zip(ps, sp._binom_pmf(sp.VECTOR, np.zeros(len(ps)), n, np.array(ps))):
                 assert sp.binom_pmf(0, n, p) == vec
+
+    def test_pmf_step_has_the_same_bits_over_floats_and_arrays(self):
+        # k = 0, k = n and between: one array call with mixed k, which runs
+        # every branch, one call per lane, and the float step agree under ==
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 10, 100, 10**3, 10**4, 10**5, 10**6, 10**7):
+            ks = sorted({0, 1, n // 2, n - 1, n} | set(rng.integers(0, n + 1, 6).tolist()))
+            k = np.repeat(np.array(ks, dtype=float), 4)
+            p = 10.0 ** rng.uniform(-8.0, math.log10(0.5), k.size)
+            p = np.where(rng.random(k.size) < 0.5, p, 1.0 - p)
+            with np.errstate(divide="ignore", invalid="ignore"):  # unselected k in {0, n}
+                whole = sp._binom_pmf(sp.VECTOR, k, n, p).tolist()
+            alone = [sp._binom_pmf(sp.VECTOR, k[i:i + 1], n, p[i:i + 1])[0] for i in range(k.size)]
+            floats = [sp._binom_pmf(sp.SCALAR, ki, float(n), pi) for ki, pi in zip(k.tolist(), p.tolist())]
+            assert whole == alone == floats, n
 
     def test_cdf_total_mass(self):
         assert sp.binom_cdf(10, 10, 0.3) == 1.0
